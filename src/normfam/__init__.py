@@ -24,7 +24,6 @@ from .cpoly import HermiteSpec, Jet, NewtonPolynomial, eval_jet, hermite_interpo
 from .errors import (
     CenterOffCircle,
     DuplicateNodes,
-    EmptyRegion,
     IndexOutOfRange,
     InvariantViolation,
     NearNode,
@@ -74,7 +73,6 @@ __all__ = [
     "IndexOutOfRange",
     "Overflow",
     "NearNode",
-    "EmptyRegion",
     "NonPositiveM",
     "OrderTooLow",
     "CenterOffCircle",

@@ -22,10 +22,6 @@ class NearNode(NormfamError):
     log-space ratio; the caller must use the node-circle bound instead."""
 
 
-class EmptyRegion(NormfamError):
-    """Scan region contains no admissible points (internal error)."""
-
-
 class NonPositiveM(NormfamError):
     """Estimated infimum of |h| is not positive."""
 

@@ -64,17 +64,18 @@ def _as_carrays(centers, coeffs, zs):
 # ---------------------------------------------------------------- numpy twins
 
 
-def _pjet2_np(cen, cof, z):
-    # jet propagation through the Newton form, order 2, all points at once
-    p0 = np.full_like(z, cof[-1])
-    p1 = np.zeros_like(z)
-    p2 = np.zeros_like(z)
+def _pjet_np(cen, cof, z, order):
+    # jet propagation through the Newton form, all points at once: the
+    # list (p, p', ..., p^(order)). w is bound before the product so that
+    # p0 * w rounds the same at every order; p0 * (z - cen[i]) lets numpy
+    # reuse the temporary and changes the result.
+    jet = [np.full_like(z, cof[-1])] + [np.zeros_like(z)] * order
     for i in range(len(cen) - 1, -1, -1):
         w = z - cen[i]
-        p2 = p2 * w + 2.0 * p1
-        p1 = p1 * w + p0
-        p0 = p0 * w + cof[i]
-    return p0, p1, p2
+        for k in range(order, 0, -1):
+            jet[k] = jet[k] * w + (k * jet[k - 1] if k > 1 else jet[k - 1])
+        jet[0] = jet[0] * w + cof[i]
+    return jet
 
 
 def _gjet2_np(n, z):
@@ -87,7 +88,7 @@ def _gjet2_np(n, z):
 def newton_jets_numpy(centers, coeffs, zs):
     """(p, p', p'') of the Newton-form polynomial at each grid point."""
     cen, cof, z = _as_carrays(centers, coeffs, zs)
-    return _pjet2_np(cen, cof, z)
+    return tuple(_pjet_np(cen, cof, z, 2))
 
 
 def ratio_log_numpy(n, centers, coeffs, zs):
@@ -98,7 +99,7 @@ def ratio_log_numpy(n, centers, coeffs, zs):
     """
     cen, cof, z = _as_carrays(centers, coeffs, zs)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p0, p1, p2 = _pjet2_np(cen, cof, z)
+        p0, p1, p2 = _pjet_np(cen, cof, z, 2)
         g0, g1, g2 = _gjet2_np(n, z)
         b2 = g2 + 2.0 * g1 * p1 + g0 * (p2 + p1 * p1)
         return np.log(np.abs(b2)) - 2.0 * p0.real - 3.0 * np.log(np.abs(g0))
@@ -108,7 +109,7 @@ def h_log_numpy(n, centers, coeffs, zs):
     """log |h| = log|g| + Re p pointwise; -inf at zeros of g."""
     cen, cof, z = _as_carrays(centers, coeffs, zs)
     with np.errstate(divide="ignore"):
-        p0, _, _ = _pjet2_np(cen, cof, z)
+        (p0,) = _pjet_np(cen, cof, z, 0)
         g0 = z**n - 1.0
         return np.log(np.abs(g0)) + p0.real
 
@@ -117,7 +118,7 @@ def fk_numpy(n, centers, coeffs, log_a, zs):
     """|f''| / (1 + |f|^3) pointwise, branch-safe for any magnitude."""
     cen, cof, z = _as_carrays(centers, coeffs, zs)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p0, p1, p2 = _pjet2_np(cen, cof, z)
+        p0, p1, p2 = _pjet_np(cen, cof, z, 2)
         g0, g1, g2 = _gjet2_np(n, z)
         b2 = g2 + 2.0 * g1 * p1 + g0 * (p2 + p1 * p1)
         log_g = np.log(np.abs(g0))
@@ -134,7 +135,7 @@ def sphder_log_numpy(n, centers, coeffs, log_a, zs):
     """log of the spherical derivative |f'| / (1 + |f|^2), pointwise."""
     cen, cof, z = _as_carrays(centers, coeffs, zs)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p0, p1, _ = _pjet2_np(cen, cof, z)
+        p0, p1 = _pjet_np(cen, cof, z, 1)
         g0 = z**n - 1.0
         g1 = n * z ** (n - 1)
         b1 = g1 + g0 * p1

@@ -89,8 +89,9 @@ def save_function(F, grid_m, path):
 def parse_function(record):
     """Rebuild (F, grid_m) from a function-file dict.
 
-    Raises ValueError on any malformed content; the rebuilt record runs
-    the full construction invariants, so a file whose numbers no longer
+    Raises ValueError on any malformed content, including non-finite
+    numbers and a precision below 53 bits; the rebuilt record runs the
+    full construction invariants, so a file whose numbers no longer
     satisfy them raises InvariantViolation instead.
     """
     try:
@@ -98,7 +99,9 @@ def parse_function(record):
             raise ValueError(f"unsupported schema_version {record['schema_version']}")
         n = int(record["n"])
         precision = int(record["precision_bits"])
-        with mpmath.workprec(max(precision, 53)):
+        if precision < 53:
+            raise ValueError(f"precision_bits {precision} is below 53")
+        with mpmath.workprec(precision):
             if precision <= 53:
                 conv = lambda pair: complex(float(pair[0]), float(pair[1]))
             else:
@@ -113,6 +116,12 @@ def parse_function(record):
         grid_m = int(record["construction_config"]["grid_m"])
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed function file: {exc!r}") from exc
+    # the invariant gate compares with < and >, which NaN and inf slip past
+    for name, x in (("a", a), ("c_hat", c_hat), ("m_hat", m_hat)):
+        if not mpmath.isfinite(x):
+            raise ValueError(f"{name} = {x} is not finite")
+    if not all(mpmath.isfinite(c) for c in centers + coeffs):
+        raise ValueError("p_centers and p_coeffs must be finite")
     p = NewtonPolynomial(centers, coeffs)
     return CounterexampleFunction(n, p, a, c_hat, m_hat, precision), grid_m
 

@@ -99,6 +99,22 @@ def test_verify_unparseable_files(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "key, value", [("a", "inf"), ("precision_bits", -5), ("p_coeffs", "nan")]
+)
+def test_verify_bad_numbers_exit_two(files, tmp_path, capsys, key, value):
+    with open(files[3], encoding="utf-8") as fh:
+        rec = json.load(fh)
+    if key == "p_coeffs":
+        rec["p_coeffs"][2] = [value, "0"]
+    else:
+        rec[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(rec), encoding="utf-8")
+    assert main(["verify", str(bad)]) == 2
+    capsys.readouterr()
+
+
 def test_probe_marty_family(files, capsys):
     assert main(["probe", "marty", files[1], files[2], files[3]]) == 0
     out = json.loads(capsys.readouterr().out)

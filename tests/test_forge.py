@@ -10,6 +10,7 @@ import sympy
 
 from normfam import (
     IndexOutOfRange,
+    InvariantViolation,
     NearNode,
     NonPositiveM,
     NewtonPolynomial,
@@ -17,11 +18,13 @@ from normfam import (
     eval_jet,
     to_monomial,
 )
+from normfam import kernels
 from normfam.cpoly import Jet
 from normfam.forge import (
     EPS_NODE,
     MINUS_INFINITY,
     ConstructionConfig,
+    CounterexampleFunction,
     build_p,
     choose_a,
     construct,
@@ -341,6 +344,45 @@ def test_estimate_m_order_one():
     assert estimate_m(1, build_p(1), 1024) == 0.5
 
 
+def grid_log_m(n, p, M):
+    """Sampled min of log|h| over M/8 radii of [0, 2 - 1/n] that lie in
+    K_n, at M*n angles each: the scan estimate_m made before it moved to
+    the boundary circles, kept as an oracle."""
+    radii = np.linspace(0.0, 2.0 - 1.0 / n, M // 8)
+    radii = radii[np.abs(radii - 1.0) >= 1.0 / n]
+    theta = np.linspace(0.0, 2.0 * math.pi, M * n, endpoint=False)
+    zs = np.outer(radii, np.exp(1j * theta)).ravel()
+    cen = np.array([complex(c) for c in p.centers], dtype=np.complex128)
+    cof = np.array([complex(c) for c in p.coeffs], dtype=np.complex128)
+    return float(np.min(kernels.h_log(n, cen, cof, zs)))
+
+
+@pytest.mark.parametrize("M", [64, 256])
+def test_estimate_m_matches_radius_grid(exponents, M):
+    # the grid minimum lies on |z| = 2 - 1/n, a radius both scans sample
+    for n, p in exponents.items():
+        want = mpmath.exp(mpmath.mpf(grid_log_m(n, p, M))) / 2
+        assert estimate_m(n, p, M) == want
+
+
+def test_estimate_m_samples_three_circles(monkeypatch):
+    seen = []
+    h_log = kernels.h_log
+
+    def spy(n, cen, cof, zs):
+        seen.append((n, np.abs(zs)))
+        return h_log(n, cen, cof, zs)
+
+    monkeypatch.setattr(kernels, "h_log", spy)
+    for n, M in ((1, 64), (2, 64), (5, 128)):
+        estimate_m(n, build_p(n), M)
+    assert [len(r) for _, r in seen] == [64, 3 * 64 * 2, 3 * 128 * 5]
+    assert np.all(seen[0][1] == 0.0)
+    for n, r in seen[1:]:
+        radii = [[1 - 1 / n], [1 + 1 / n], [2 - 1 / n]]
+        assert np.allclose(r.reshape(3, -1), radii, rtol=0, atol=1e-12)
+
+
 def test_estimate_m_positive(family):
     for n, F in family.items():
         assert F.m_hat > 0
@@ -402,6 +444,17 @@ def test_construct_order_one(family):
 def test_construct_deterministic():
     cfg = ConstructionConfig(precision=53, grid_m=512)
     assert construct(3, cfg) == construct(3, cfg)
+
+
+def test_node_gate_rejects_nan_coefficient(family):
+    # every comparison with NaN is False, so the gate must be phrased
+    # as "residual <= tol" and fail when that does not hold
+    F = family[3]
+    coeffs = list(F.p.coeffs)
+    coeffs[2] = complex(float("nan"), 0.0)
+    p = NewtonPolynomial(F.p.centers, tuple(coeffs))
+    with pytest.raises(InvariantViolation):
+        CounterexampleFunction(3, p, F.a, F.c_hat, F.m_hat)
 
 
 def test_scaling_grows_strictly(family):

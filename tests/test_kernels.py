@@ -149,6 +149,39 @@ def test_h_log_matches_plain_evaluation(family, rng):
         assert np.allclose(got, direct, rtol=1e-10, atol=1e-12)
 
 
+def test_short_jets_match_order_two_path(exponents, rng):
+    # h_log needs only p and sphder_log only p and p'; their shorter
+    # Horner loops must round exactly as the full order-2 jet does, so
+    # the expected values below are the kernels' formulas on that jet.
+    # numpy reuses temporaries only in arrays above 256 KiB, so the sample
+    # is large enough for a differently written loop to round differently
+    log_a = 30.0
+    count = 1 << 15
+    zs = 2.0 * np.sqrt(rng.uniform(size=count)) * np.exp(
+        2j * math.pi * rng.uniform(size=count)
+    )
+    for n, p in exponents.items():
+        cen = np.array([complex(c) for c in p.centers], dtype=np.complex128)
+        cof = np.array([complex(c) for c in p.coeffs], dtype=np.complex128)
+        p0, p1, _ = kernels.newton_jets_numpy(cen, cof, zs)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            g0 = zs**n - 1.0
+            h_want = np.log(np.abs(g0)) + p0.real
+            b1 = n * zs ** (n - 1) + g0 * p1
+            log_num = log_a + np.log(np.abs(b1)) + p0.real
+            t = 2.0 * (log_a + np.log(np.abs(g0)) + p0.real)
+            corr = np.where(
+                t > kernels._BRANCH_CUT,
+                t,
+                np.where(t < -kernels._BRANCH_CUT, 0.0, np.log1p(np.exp(t))),
+            )
+            sph_want = log_num - corr
+        assert np.array_equal(kernels.h_log_numpy(n, cen, cof, zs), h_want)
+        assert np.array_equal(
+            kernels.sphder_log_numpy(n, cen, cof, log_a, zs), sph_want
+        )
+
+
 def test_backend_env_flag(family, monkeypatch):
     F = family[2]
     cen, cof = F.arrays

@@ -103,6 +103,32 @@ def test_malformed_records_raise_value_error(family, mangle):
         storage.parse_function(rec)
 
 
+@pytest.mark.parametrize("key", ["a", "c_hat", "m_hat"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_magnitude_rejected(family, key, value):
+    rec = storage.function_record(family[3], 1024)
+    rec[key] = value
+    with pytest.raises(ValueError, match="not finite"):
+        storage.parse_function(rec)
+
+
+@pytest.mark.parametrize("bits", [-5, 0, 52])
+def test_precision_below_53_rejected(family, bits):
+    rec = storage.function_record(family[3], 1024)
+    rec["precision_bits"] = bits
+    with pytest.raises(ValueError, match="below 53"):
+        storage.parse_function(rec)
+
+
+@pytest.mark.parametrize("field", ["p_coeffs", "p_centers"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_coefficient_rejected(family, field, value):
+    rec = storage.function_record(family[3], 1024)
+    rec[field][1] = [value, rec[field][1][1]]
+    with pytest.raises(ValueError, match="finite"):
+        storage.parse_function(rec)
+
+
 def test_non_object_file_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("[1, 2, 3]\n", encoding="utf-8")
