@@ -2,8 +2,9 @@
 obeying |f''| <= 1 + |f|^3 on the disk |z| < 2 whose spherical derivatives
 blow up along the unit circle, so no normality criterion can tame them.
 
-Construction (Hermite interpolation of vanishing-derivative conditions at
-the n-th roots of unity) lives in `forge`; numerical verification of the
+Construction (the exact exponent p_n = c1 u + c2 u^2 + c3 u^3 in
+u = z^n - 1, pinned by vanishing-derivative conditions at the n-th roots
+of unity) lives in `forge`; numerical verification of the
 claimed properties lives in `analysis`; `storage` persists records as
 lossless JSON; `cli` wraps everything for the shell.
 """
@@ -20,7 +21,6 @@ from .analysis import (
     verify_inequality,
     verify_node_jets,
 )
-from .cpoly import HermiteSpec, Jet, NewtonPolynomial, eval_jet, hermite_interpolate, to_monomial
 from .errors import (
     CenterOffCircle,
     DuplicateNodes,
@@ -36,6 +36,8 @@ from .errors import (
 from .forge import (
     ConstructionConfig,
     CounterexampleFunction,
+    Jet,
+    build_p,
     construct,
     f_jet,
     node_conditions,
@@ -44,14 +46,10 @@ from .forge import (
 from .storage import load_function, save_function
 
 __all__ = [
-    "HermiteSpec",
     "Jet",
-    "NewtonPolynomial",
-    "eval_jet",
-    "hermite_interpolate",
-    "to_monomial",
     "ConstructionConfig",
     "CounterexampleFunction",
+    "build_p",
     "construct",
     "f_jet",
     "node_conditions",

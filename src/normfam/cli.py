@@ -12,7 +12,6 @@ import argparse
 import json
 import re
 import sys
-import warnings
 
 import numpy as np
 
@@ -26,16 +25,20 @@ from .analysis import (
     verify_inequality,
     verify_node_jets,
 )
-from .cpoly import to_monomial
 from .errors import (
     CenterOffCircle,
     InvariantViolation,
     NormfamError,
     PointTooCloseToCircle,
 )
-from .forge import EPS_NODE, ConstructionConfig, construct
+from .forge import EPS_NODE, ConstructionConfig, construct, p_degree
 
 OK, FAIL, USAGE = 0, 1, 2
+
+# grid exports are written this many rows at a time, so that no list or
+# string of the whole export is ever built
+CSV_CHUNK = 8192
+_CSV_ROW = "{:.17g},{:.17g},{:.17g}\n".format
 
 # one canonical complex syntax: a+bi with no spaces (bare reals allowed)
 _COMPLEX_RE = re.compile(
@@ -162,21 +165,25 @@ def cmd_grid(args):
         _err(str(exc))
         return USAGE
     zs = spec.points()
-    cen, cof = F.arrays
     if args.what == "ratio":
         zs = zs[np.abs(zs**F.n - 1.0) > EPS_NODE]  # poles-adjacent zone excluded
-        vals = kernels.ratio_log(F.n, cen, cof, zs)
+        vals = kernels.ratio_log(F.n, F.p_float, zs)
     elif args.what == "fk":
-        vals = kernels.fk(F.n, cen, cof, F.log_a, zs)
+        vals = kernels.fk(F.n, F.p_float, F.log_a, zs)
     else:
-        vals = kernels.sphder_log(F.n, cen, cof, F.log_a, zs)
+        vals = kernels.sphder_log(F.n, F.p_float, F.log_a, zs)
     keep = np.isfinite(vals)
-    zs, vals = zs[keep], vals[keep]
-    with open(args.export, "w", encoding="utf-8", newline="") as fh:
-        fh.write("re,im,value\n")
-        for z, v in zip(zs, vals):
-            fh.write(f"{z.real:.17g},{z.imag:.17g},{v:.17g}\n")
+    write_csv(args.export, zs[keep], vals[keep])
     return OK
+
+
+def write_csv(path, zs, vals):
+    """re,im,value rows with 17 significant digits, CSV_CHUNK at a time."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("re,im,value\n")
+        for i in range(0, len(vals), CSV_CHUNK):
+            z, v = zs[i : i + CSV_CHUNK], vals[i : i + CSV_CHUNK]
+            fh.writelines(map(_CSV_ROW, z.real.tolist(), z.imag.tolist(), v.tolist()))
 
 
 def cmd_sweep(args):
@@ -197,7 +204,7 @@ def cmd_sweep(args):
             rows.append(
                 {
                     "n": n,
-                    "degree_p": len(to_monomial(F.p)) - 1,
+                    "degree_p": p_degree(n, F.p),
                     "c_hat": storage.summary_str(F.c_hat),
                     "a": storage.summary_str(F.a),
                     "max_inequality": float(ineq.max_inequality),
@@ -236,7 +243,8 @@ def _parser():
 
     c = sub.add_parser("construct", help="build one family member and save it")
     c.add_argument("-n", type=int, required=True, help="family order (>= 1)")
-    c.add_argument("--precision", type=int, default=53, help="working bits (>= 53)")
+    c.add_argument("--precision", type=int, default=53,
+                   help="bits the record's scalar checks run at (53..4096)")
     c.add_argument("--grid", type=int, default=1024, help="magnitude scan grid size")
     c.add_argument("-o", "--output", required=True, help="function file to write")
     c.set_defaults(func=cmd_construct)
@@ -276,9 +284,6 @@ def _parser():
 
 
 def main(argv=None):
-    # numba's notice about an outdated TBB install; it falls back to a
-    # working threading layer, so keep the CLI's stderr for real errors
-    warnings.filterwarnings("ignore", message="The TBB threading layer requires TBB")
     args = _parser().parse_args(argv)
     return args.func(args)
 

@@ -1,6 +1,11 @@
 """Newton-form polynomials over the complex numbers with jet evaluation
 and Hermite (osculatory) interpolation via confluent divided differences.
 
+Nothing at run time uses this module: the package's exponent is the
+exact cubic in u = z^n - 1 that forge solves for. It is kept as an
+independent oracle, against which the tests check that the degree
+<= 4n-1 Hermite interpolant of the node conditions is that cubic.
+
 Scalars are duck-typed: python complex and mpmath.mpc both work, so the
 same code runs in double precision or under an mpmath.workprec context.
 """
@@ -8,25 +13,9 @@ same code runs in double precision or under an mpmath.workprec context.
 from dataclasses import dataclass
 
 from .errors import DuplicateNodes
+from .forge import Jet
 
 _FACT = (1.0, 1.0, 2.0, 6.0)
-
-
-@dataclass(frozen=True)
-class Jet:
-    """Derivatives (f(z), f'(z), ..., f^(J)(z)) of one function at one point."""
-
-    order: int
-    values: tuple
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("jet order must be >= 0")
-        if len(self.values) != self.order + 1:
-            raise ValueError("jet must hold order + 1 values")
-
-    def __getitem__(self, j):
-        return self.values[j]
 
 
 @dataclass(frozen=True)

@@ -1,28 +1,38 @@
 """Construction of the counterexample family f_n = a_n (z^n - 1) e^{p_n(z)}.
 
-p_n is the Hermite interpolant of degree <= 4n-1 that pins, at every n-th
-root of unity, the value p_n = 0 and the three derivative values making
-h_n'' = h_n''' = h_n'''' = 0 where h_n = (z^n - 1) e^{p_n}. The scaling
-a_n = max(sqrt(2 n c_n), 2n / m_n, 1) then forces |f''| <= 1 + |f|^3 on
-the closed disk of radius 2 with margin 1/n, and |f_n| >= n off the unit
-circle, while every zero of z^n - 1 stays a simple zero of f_n.
+At every n-th root of unity p_n vanishes and p', p'', p''' take the
+values making h_n'' = h_n''' = h_n'''' = 0, where h_n = (z^n - 1) e^{p_n}.
+Those conditions are invariant under z -> e^{2 pi i/n} z, so their unique
+interpolant of degree <= 4n-1 is a polynomial in z^n: with u = z^n - 1,
+
+    p_n = c1 u + c2 u^2 + c3 u^3,
+
+and the rational c_k follow exactly from the conditions at z = 1 (n = 2
+gives -1/4, 3/32, -5/96). p is carried as that triple of Fractions and
+every evaluation is a Horner step in u, O(1) per point whatever n.
+
+The scaling a_n = max(sqrt(2 n c_n), 2n / m_n, 1) then forces
+|f''| <= 1 + |f|^3 on the closed disk of radius 2 with margin 1/n, and
+|f_n| >= n off the unit circle, while every zero of z^n - 1 stays a
+simple zero of f_n.
 
 c_n and a_n explode with n (log a_6 is around 2.7e4), so the three
 magnitude fields of a constructed record are mpmath reals with unbounded
 exponent, and every grid scan works on logarithms in double precision.
-Construction scalars are python complex at 53 bits and mpmath.mpc above.
+A record's precision is the one its scalar checks run at: python
+complex at 53 bits, mpmath.mpc above.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import mpmath
 import numpy as np
 
 from . import kernels
-from .cpoly import HermiteSpec, Jet, NewtonPolynomial, eval_jet, hermite_interpolate
 from .errors import (
     IndexOutOfRange,
     InvariantViolation,
@@ -33,6 +43,7 @@ from .errors import (
 
 EPS_NODE = 1e-3
 MINUS_INFINITY = float("-inf")
+MAX_PRECISION = 4096  # bits; the node rings of the checks run at twice this
 
 _EXP_BUDGET = 700.0  # |Re p| beyond this overflows e^p in binary64
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -52,6 +63,23 @@ def _log_abs(x):
 
 
 @dataclass(frozen=True)
+class Jet:
+    """Derivatives (f(z), f'(z), ..., f^(J)(z)) of one function at one point."""
+
+    order: int
+    values: tuple
+
+    def __post_init__(self):
+        if self.order < 0:
+            raise ValueError("jet order must be >= 0")
+        if len(self.values) != self.order + 1:
+            raise ValueError("jet must hold order + 1 values")
+
+    def __getitem__(self, j):
+        return self.values[j]
+
+
+@dataclass(frozen=True)
 class NodeConditions:
     """Derivative values prescribed for p_n at one root of unity: the
     unique choice killing h'', h''' and h'''' there."""
@@ -68,8 +96,8 @@ class ConstructionConfig:
     grid_m: int = 1024
 
     def __post_init__(self):
-        if self.precision < 53:
-            raise ValueError("precision must be at least 53 bits")
+        if not 53 <= self.precision <= MAX_PRECISION:
+            raise ValueError(f"precision must be between 53 and {MAX_PRECISION} bits")
         if self.grid_m < 64:
             raise ValueError("grid_m must be at least 64")
 
@@ -89,16 +117,7 @@ def g_jet(n, z, J):
         raise ValueError("n must be >= 1")
     if J < 0:
         raise ValueError("J must be >= 0")
-    zero = z * 0
-    vals = [z**n - 1]
-    c = 1
-    for j in range(1, J + 1):
-        if j > n:
-            vals.append(zero)
-            continue
-        c *= n - j + 1
-        vals.append(c * z ** (n - j) + zero)
-    return Jet(J, tuple(vals))
+    return Jet(J, tuple(kernels.u_jet(n, z, J)))
 
 
 def root_of_unity(n, ell, precision=53):
@@ -110,8 +129,7 @@ def root_of_unity(n, ell, precision=53):
         return mpmath.expjpi(mpmath.mpf(2 * ell) / n)
 
 
-def _node_conditions_impl(n, ell, precision):
-    z = root_of_unity(n, ell, precision)
+def _node_conditions_at(n, z):
     g = g_jet(n, z, 4)
     g1, g2, g3, g4 = g[1], g[2], g[3], g[4]
     p1 = -g2 / (2 * g1)
@@ -138,30 +156,60 @@ def node_conditions(n, ell, precision=53):
     if not 0 <= ell <= n - 1:
         raise IndexOutOfRange(f"node index {ell} outside [0, {n - 1}]")
     if precision <= 53:
-        return _node_conditions_impl(n, ell, precision)
+        return _node_conditions_at(n, root_of_unity(n, ell))
     with mpmath.workprec(precision):
-        return _node_conditions_impl(n, ell, precision)
+        return _node_conditions_at(n, root_of_unity(n, ell, precision))
 
 
-def build_p(n, precision=53):
-    """The exponent polynomial: Hermite interpolant of (0, p1, p2, p3)
-    at all n nodes, degree <= 4n-1."""
+def build_p(n):
+    """The exponent (c1, c2, c3) of p = c1 u + c2 u^2 + c3 u^3, u = z^n - 1,
+    as exact Fractions.
+
+    The node conditions at z = 1, solved in Fractions, give p', p'', p'''
+    there. At z = 1, u = 0 and u^(k) = n!/(n-k)!, so the chain rule
+    p' = c1 u', p'' = 2 c2 u'^2 + c1 u'', p''' = 6 c3 u'^3 + 6 c2 u' u'' + c1 u'''
+    is a triangular system for the c_k.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
+    nc = _node_conditions_at(n, Fraction(1))
+    d1, d2, d3 = n, n * (n - 1), n * (n - 1) * (n - 2)
+    c1 = nc.p1 / d1
+    c2 = (nc.p2 - c1 * d2) / (2 * d1**2)
+    c3 = (nc.p3 - 6 * c2 * d1 * d2 - c1 * d3) / (6 * d1**3)
+    return (c1, c2, c3)
 
-    def assemble():
-        nodes = []
-        jets = []
-        for ell in range(n):
-            nc = node_conditions(n, ell, precision)
-            nodes.append(nc.node)
-            jets.append(Jet(3, (nc.node * 0, nc.p1, nc.p2, nc.p3)))
-        return hermite_interpolate(HermiteSpec(tuple(nodes), tuple(jets)))
 
-    if precision <= 53:
-        return assemble()
-    with mpmath.workprec(precision):
-        return assemble()
+def p_degree(n, p):
+    """Degree in z of p = c1 u + c2 u^2 + c3 u^3: k n for the highest
+    nonzero c_k, 0 for p = 0."""
+    return max((k * n for k, c in enumerate(p, 1) if c), default=0)
+
+
+def p_float(p):
+    """(c1, c2, c3) rounded to binary64, the form the grid kernels take."""
+    return tuple(float(c) for c in p)
+
+
+def _coeffs_like(p, z):
+    # the c_k rounded once to the working precision of z
+    if _is_mp(z):
+        return tuple(mpmath.mpf(c.numerator) / c.denominator for c in p)
+    return p_float(p)
+
+
+def _gp_jets(n, p, z, J):
+    # the jets of g = u = z^n - 1 and of p, up to order J <= 4, at z
+    if not 0 <= J <= 4:
+        raise ValueError("J must be in 0..4")
+    u = kernels.u_jet(n, z, J)
+    return u, kernels.p_from_u(_coeffs_like(p, z), u)
+
+
+def p_jet(n, p, z, J):
+    """Jet of p at z, orders J <= 4, by the chain rule through the jet of
+    u = z^n - 1. The c_k are rounded once to the working precision of z."""
+    return Jet(J, tuple(_gp_jets(n, p, z, J)[1]))
 
 
 def exp_jet(p_jet):
@@ -183,10 +231,10 @@ def exp_jet(p_jet):
 
 
 def h_jet(n, p, z, J):
-    """Jet of h = g e^p by the Leibniz rule h^(m) = sum binom(m,j) g^(m-j) E_j."""
-    pj = eval_jet(p, z, J)
-    E = exp_jet(pj)
-    g = g_jet(n, z, J)
+    """Jet of h = g e^p by the Leibniz rule h^(m) = sum binom(m,j) g^(m-j) E_j,
+    orders J <= 4."""
+    g, pj = _gp_jets(n, p, z, J)
+    E = exp_jet(Jet(J, tuple(pj)))
     vals = []
     for m in range(J + 1):
         vals.append(sum(math.comb(m, j) * g[m - j] * E[j] for j in range(m + 1)))
@@ -195,41 +243,38 @@ def h_jet(n, p, z, J):
 
 def h_log_magnitude(n, p, z):
     """|h| and arg(h) in log space: log|h| = log|z^n - 1| + Re p."""
-    pj = eval_jet(p, z, 0)
-    g = z**n - 1
-    la = _log_abs(g) + float(pj.values[0].real)
+    (g,), (p0,) = _gp_jets(n, p, z, 0)
+    la = _log_abs(g) + float(p0.real)
     if la == MINUS_INFINITY:
         return LogMagnitude(MINUS_INFINITY, None)
     if _is_mp(g):
         ag = float(mpmath.arg(g))
     else:
         ag = cmath.phase(complex(g))
-    return LogMagnitude(la, ag + float(pj.values[0].imag))
+    return LogMagnitude(la, ag + float(p0.imag))
 
 
-def ratio_log_abs(n, p, z):
+def log_ratio(n, p, z):
     """log |h''(z) / h(z)^3|, never materializing e^{-2p} / g^3.
 
     h''/h^3 = (g'' + 2 g' p' + g (p'' + p'^2)) e^{-2p} / g^3, so the log
-    is log|numerator| - 2 Re p - 3 log|g|. Points with |z^n - 1| inside
-    the node exclusion radius are refused: there the quotient is 0/0 and
-    the caller must bound it by its max on the node circle instead.
+    is log|numerator| - 2 Re p - 3 log|g|; -inf where the numerator
+    vanishes. Nothing guards the nodes, where the quotient is 0/0.
     """
-    g0 = z**n - 1
-    if abs(g0) <= EPS_NODE:
-        raise NearNode(f"|z^n - 1| <= {EPS_NODE:g} at z = {complex(z):.6g}")
-    gj = g_jet(n, z, 2)
-    pj = eval_jet(p, z, 2)
-    b2 = gj[2] + 2 * gj[1] * pj[1] + gj[0] * (pj[2] + pj[1] * pj[1])
+    g, pj = _gp_jets(n, p, z, 2)
+    b2 = kernels.b2(g, pj)
     if b2 == 0:
         return MINUS_INFINITY
-    return _log_abs(b2) - 2.0 * float(pj[0].real) - 3.0 * _log_abs(gj[0])
+    return _log_abs(b2) - 2.0 * float(pj[0].real) - 3.0 * _log_abs(g[0])
 
 
-def _downcast(p):
-    cen = np.asarray([complex(c) for c in p.centers], dtype=np.complex128)
-    cof = np.asarray([complex(c) for c in p.coeffs], dtype=np.complex128)
-    return cen, cof
+def ratio_log_abs(n, p, z):
+    """log_ratio away from the nodes. Points with |z^n - 1| inside the
+    node exclusion radius are refused: there the quotient is 0/0 and the
+    caller must bound it by its max on the node circle instead."""
+    if abs(z**n - 1) <= EPS_NODE:
+        raise NearNode(f"|z^n - 1| <= {EPS_NODE:g} at z = {complex(z):.6g}")
+    return log_ratio(n, p, z)
 
 
 def _golden_max(f, lo, hi, tol):
@@ -266,16 +311,14 @@ def estimate_c(n, p, M=1024):
     K = M * max(1, n)
     theta = np.linspace(0.0, 2.0 * math.pi, K, endpoint=False)
     zs = 2.0 * np.exp(1j * theta)
-    cen, cof = _downcast(p)
-    logs = kernels.ratio_log(n, cen, cof, zs)
+    logs = kernels.ratio_log(n, p_float(p), zs)
     if not np.any(np.isfinite(logs)):
         return mpmath.mpf(0)
     i = int(np.argmax(logs))
-    p53 = NewtonPolynomial(tuple(cen.tolist()), tuple(cof.tolist()))
     step = 2.0 * math.pi / K
 
     def f(t):
-        return ratio_log_abs(n, p53, 2.0 * cmath.exp(1j * t))
+        return ratio_log_abs(n, p, 2.0 * cmath.exp(1j * t))
 
     best = _golden_max(f, theta[i] - step, theta[i] + step, _GOLDEN_TOL)
     best = max(best, float(logs[i]))
@@ -305,8 +348,7 @@ def estimate_m(n, p, M=1024):
         radii = np.array([1.0 - 1.0 / n, 1.0 + 1.0 / n, 2.0 - 1.0 / n])
     theta = np.linspace(0.0, 2.0 * math.pi, M * n, endpoint=False)
     zs = np.outer(radii, np.exp(1j * theta)).ravel()
-    cen, cof = _downcast(p)
-    logs = kernels.h_log(n, cen, cof, zs)
+    logs = kernels.h_log(n, p_float(p), zs)
     return mpmath.exp(mpmath.mpf(float(np.min(logs)))) / 2
 
 
@@ -325,10 +367,13 @@ def choose_a(n, c_hat, m_hat):
 
 @dataclass(frozen=True)
 class CounterexampleFunction:
-    """One constructed family member f_n = a h, h = (z^n - 1) e^{p}."""
+    """One constructed family member f_n = a h, h = (z^n - 1) e^{p}.
+
+    p is the exact triple (c1, c2, c3) of build_p(n); precision is the
+    number of bits the record's scalar checks run at."""
 
     n: int
-    p: NewtonPolynomial
+    p: tuple
     a: mpmath.mpf
     c_hat: mpmath.mpf
     m_hat: mpmath.mpf
@@ -337,8 +382,13 @@ class CounterexampleFunction:
     def __post_init__(self):
         if self.n < 1:
             raise InvariantViolation("n must be >= 1")
-        if len(self.p.centers) > 4 * self.n - 1:
-            raise InvariantViolation("deg p exceeds 4n - 1")
+        # the node conditions hold exactly for build_p(n) and for no other
+        # cubic in u, so exact equality is the whole node gate
+        want = build_p(self.n)
+        if self.p != want or not all(isinstance(c, Fraction) for c in self.p):
+            raise InvariantViolation(
+                f"p = {self.p!r} is not the exponent {want!r} of order {self.n}"
+            )
         with mpmath.workprec(self.precision):
             if not (self.a > 0 and self.m_hat > 0 and self.c_hat >= 0):
                 raise InvariantViolation("magnitudes out of range")
@@ -346,24 +396,6 @@ class CounterexampleFunction:
                 raise InvariantViolation("a below the inequality floor sqrt(2 n c)")
             if self.a < 2 * self.n / self.m_hat:
                 raise InvariantViolation("a below the divergence floor 2n / m")
-            self._check_node_jets()
-
-    def _check_node_jets(self):
-        # the defining property: h'', h''', h'''' vanish at every node,
-        # relative to max(1, |h'|); 1e-8 is attainable in double precision
-        # through n = 6, beyond that construction needs more bits; the
-        # test is written so that a NaN residual fails it
-        for ell in range(self.n):
-            z = root_of_unity(self.n, ell, self.precision)
-            hj = h_jet(self.n, self.p, z, 4)
-            floor = max(1.0, abs(hj[1]))
-            for m in (2, 3, 4):
-                if not (abs(hj[m]) <= 1e-8 * floor):
-                    raise InvariantViolation(
-                        f"h^({m}) residual at node {ell} is "
-                        f"{float(abs(hj[m]) / floor):.3e}; raise the construction "
-                        "precision (128 bits is enough well past n = 8)"
-                    )
 
     @property
     def log_a(self):
@@ -380,9 +412,9 @@ class CounterexampleFunction:
         return float(mpmath.log(self.m_hat))
 
     @cached_property
-    def arrays(self):
-        """(centers, coeffs) downcast to complex128 for the grid kernels."""
-        return _downcast(self.p)
+    def p_float(self):
+        """(c1, c2, c3) in binary64 for the grid kernels."""
+        return p_float(self.p)
 
 
 def construct(n, cfg=ConstructionConfig()):
@@ -390,7 +422,7 @@ def construct(n, cfg=ConstructionConfig()):
     if n < 1:
         raise ValueError("n must be >= 1")
     with mpmath.workprec(cfg.precision):
-        p = build_p(n, cfg.precision)
+        p = build_p(n)
         c_hat = estimate_c(n, p, cfg.grid_m)
         m_hat = estimate_m(n, p, cfg.grid_m)
         a = choose_a(n, c_hat, m_hat)

@@ -1,24 +1,28 @@
 """Lossless JSON persistence for constructed records and reports.
 
-Every real number in a function file is a decimal string, never a
-binary JSON number: a record constructed at P bits re-reads bit-exactly
-at P bits, because ceil(P log10 2) + 2 significant digits pin down any
-P-bit mantissa.  Double-precision parts go through repr, which already
-emits the shortest string that round-trips.
+A function file (schema_version 2) stores the exponent as its three
+exact rationals, "p": ["-11/24", "649/3456", "-385/3456"] for n = 12,
+and every real magnitude as a decimal string, never a binary JSON
+number: a record at P bits re-reads bit-exactly at P bits, because
+ceil(P log10 2) + 2 significant digits pin down any P-bit mantissa.
+Files of schema_version 1 (a Newton-form exponent) are refused.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from datetime import datetime, timezone
+from fractions import Fraction
 
 import mpmath
 
-from .cpoly import NewtonPolynomial
-from .forge import CounterexampleFunction
+from .forge import MAX_PRECISION, CounterexampleFunction
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def _strip(s):
@@ -26,8 +30,10 @@ def _strip(s):
 
 
 def _fmt_mp(x, precision):
-    # nstr rounds loosely (off by a few ulps in the last digit), so
-    # grow the digit count until parse-back reproduces x exactly
+    # a, c_hat, m_hat are arbitrary-precision reals even in a 53-bit
+    # record (they overflow binary64 from n = 4 on). nstr rounds loosely
+    # (off by a few ulps in the last digit), so grow the digit count
+    # until parse-back reproduces x exactly
     base = math.ceil(precision * math.log10(2))
     with mpmath.workprec(precision):
         x = mpmath.mpf(x)
@@ -38,28 +44,6 @@ def _fmt_mp(x, precision):
     raise ValueError(f"cannot render {x!r} as a faithful decimal string")
 
 
-def _fmt_part(x, precision):
-    # one real component of a center or coefficient
-    if precision <= 53:
-        return _strip(repr(float(x)))
-    return _fmt_mp(x, precision)
-
-
-def _fmt_magnitude(x, precision):
-    # a, c_hat, m_hat are arbitrary-precision reals even in a 53-bit
-    # record (they overflow binary64 from n = 4 on)
-    return _fmt_mp(x, precision)
-
-
-def _pair(z, precision):
-    if precision <= 53:
-        zc = complex(z)
-        return [_fmt_part(zc.real, 53), _fmt_part(zc.imag, 53)]
-    with mpmath.workprec(precision):  # mpc() rounds to the ambient context
-        zm = mpmath.mpc(z)
-    return [_fmt_part(zm.real, precision), _fmt_part(zm.imag, precision)]
-
-
 def function_record(F, grid_m):
     """The function-file dict; `seed: None` records that construction
     draws no random numbers at all."""
@@ -68,11 +52,10 @@ def function_record(F, grid_m):
         "schema_version": SCHEMA_VERSION,
         "n": F.n,
         "precision_bits": P,
-        "p_centers": [_pair(c, P) for c in F.p.centers],
-        "p_coeffs": [_pair(c, P) for c in F.p.coeffs],
-        "a": _fmt_magnitude(F.a, P),
-        "c_hat": _fmt_magnitude(F.c_hat, P),
-        "m_hat": _fmt_magnitude(F.m_hat, P),
+        "p": [str(c) for c in F.p],
+        "a": _fmt_mp(F.a, P),
+        "c_hat": _fmt_mp(F.c_hat, P),
+        "m_hat": _fmt_mp(F.m_hat, P),
         "construction_config": {"grid_m": grid_m, "seed": None},
     }
 
@@ -86,43 +69,52 @@ def save_function(F, grid_m, path):
         fh.write(function_to_json(F, grid_m))
 
 
+def _parse_rational(text):
+    if not (isinstance(text, str) and _RATIONAL_RE.fullmatch(text)):
+        raise ValueError(f"p entry {text!r} is not a rational such as '-11/24'")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"p entry {text!r} has a zero denominator") from None
+
+
 def parse_function(record):
     """Rebuild (F, grid_m) from a function-file dict.
 
-    Raises ValueError on any malformed content, including non-finite
-    numbers and a precision below 53 bits; the rebuilt record runs the
-    full construction invariants, so a file whose numbers no longer
-    satisfy them raises InvariantViolation instead.
+    Raises ValueError on any malformed content: another schema_version,
+    a p that is not exactly three rational strings, non-finite
+    magnitudes, a precision outside 53..MAX_PRECISION bits. The rebuilt
+    record runs the full construction invariants, so a file whose
+    numbers no longer satisfy them raises InvariantViolation instead.
     """
     try:
-        if record["schema_version"] != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema_version {record['schema_version']}")
+        version = record["schema_version"]
+        if version != SCHEMA_VERSION:
+            raise ValueError(
+                f"unsupported schema_version {version!r}; this version reads "
+                f"schema {SCHEMA_VERSION} (rebuild the file with normfam construct)"
+            )
         n = int(record["n"])
         precision = int(record["precision_bits"])
         if precision < 53:
             raise ValueError(f"precision_bits {precision} is below 53")
+        if precision > MAX_PRECISION:
+            raise ValueError(f"precision_bits {precision} is above {MAX_PRECISION}")
+        entries = record["p"]
+        if not isinstance(entries, list) or len(entries) != 3:
+            raise ValueError(f"p must be a list of three rationals, got {entries!r}")
+        p = tuple(_parse_rational(c) for c in entries)
         with mpmath.workprec(precision):
-            if precision <= 53:
-                conv = lambda pair: complex(float(pair[0]), float(pair[1]))
-            else:
-                conv = lambda pair: mpmath.mpc(
-                    mpmath.mpf(pair[0]), mpmath.mpf(pair[1])
-                )
-            centers = tuple(conv(c) for c in record["p_centers"])
-            coeffs = tuple(conv(c) for c in record["p_coeffs"])
             a = mpmath.mpf(record["a"])
             c_hat = mpmath.mpf(record["c_hat"])
             m_hat = mpmath.mpf(record["m_hat"])
         grid_m = int(record["construction_config"]["grid_m"])
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, OverflowError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed function file: {exc!r}") from exc
     # the invariant gate compares with < and >, which NaN and inf slip past
     for name, x in (("a", a), ("c_hat", c_hat), ("m_hat", m_hat)):
         if not mpmath.isfinite(x):
             raise ValueError(f"{name} = {x} is not finite")
-    if not all(mpmath.isfinite(c) for c in centers + coeffs):
-        raise ValueError("p_centers and p_coeffs must be finite")
-    p = NewtonPolynomial(centers, coeffs)
     return CounterexampleFunction(n, p, a, c_hat, m_hat, precision), grid_m
 
 

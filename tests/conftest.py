@@ -11,6 +11,5 @@ def family():
 
 @pytest.fixture(scope="session")
 def exponents():
-    """Exponents p_n for orders 1..12, at 53 bits up to 6 and 128 above,
-    the precisions the construction uses."""
-    return {n: build_p(n, 53 if n <= 6 else 128) for n in range(1, 13)}
+    """The exact exponents (c1, c2, c3) for orders 1..12."""
+    return {n: build_p(n) for n in range(1, 13)}

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -18,9 +19,8 @@ from normfam.analysis import (
     verify_inequality,
     verify_node_jets,
 )
-from normfam.cpoly import Jet, NewtonPolynomial
 from normfam.errors import CenterOffCircle, OrderTooLow, PointTooCloseToCircle
-from normfam.forge import CounterexampleFunction, node_conditions
+from normfam.forge import CounterexampleFunction, Jet, h_jet, root_of_unity
 
 
 def bypass(F, **overrides):
@@ -134,9 +134,8 @@ def test_verify_node_jets_family(family):
 
 def test_verify_node_jets_mutation(family):
     F = family[2]
-    cof = list(F.p.coeffs)
-    cof[5] += 1e-2
-    bad = bypass(F, p=NewtonPolynomial(F.p.centers, tuple(cof)))
+    c1, c2, c3 = F.p
+    bad = bypass(F, p=(c1, c2 + Fraction(1, 100), c3))
     rep = verify_node_jets(bad, 1e-8)
     assert not rep.passed
     assert max(rep.node_residuals) > 1e-4
@@ -239,21 +238,44 @@ def test_max_modulus_validation(family):
 
 
 def test_max_modulus_mutation(family):
-    # zeroing the p' condition at one node leaves h'' nonzero there, so
-    # h''/h^3 acquires an order-3 pole inside the disk.  The coefficient
-    # of the basis product (z-1)^4 (z+1) shifts p'(z_1) by 16 times
-    # itself and nothing else at that node.
+    # zeroing c1 zeroes p' = c1 n z^(n-1) at every node and leaves h''
+    # nonzero there, so h''/h^3 acquires an order-3 pole at each node
+    # inside the disk.  The cubic cannot break one node alone: its
+    # conditions are the same at every node by rotation.
     F = family[2]
-    k1 = node_conditions(2, 1)
-    cof = list(F.p.coeffs)
-    cof[5] -= k1.p1 / 16.0
-    bad = bypass(F, p=NewtonPolynomial(F.p.centers, tuple(cof)))
+    bad = bypass(F, p=(Fraction(0), F.p[1], F.p[2]))
     rep = max_modulus_check(bad, 512)
     assert not rep.passed
     assert rep.max_inequality > 1.0
-    assert abs(rep.worst_point - (-1.0)) < 0.05  # blows up next to the broken node
+    # blows up next to a broken node
+    assert min(abs(rep.worst_point - 1.0), abs(rep.worst_point + 1.0)) < 0.05
 
 
 def test_probe_result_length_guard():
     with pytest.raises(ValueError):
         ProbeResult((1, 2), (1.0,), "x")
+
+
+def test_node_rings_match_exp_form(exponents):
+    # the rings use log|b2| - 2 Re p - 3 log|g|; the same values come from
+    # log|h''| - 3 log|h| on the exp-form jet at the same precision
+    from normfam.analysis import _RING_DISTANCE, _RING_POINTS, _node_ring_logs
+
+    for n in range(2, 13):
+        # the rings read only n, p and the precision; 53 bits puts them
+        # at 160
+        F = CounterexampleFunction(n, exponents[n], 2 * n, 0, 1)
+        got = _node_ring_logs(F)
+        assert len(got) == n * _RING_POINTS
+        with mpmath.workprec(160):
+            for ell in range(n):
+                node = mpmath.mpc(root_of_unity(n, ell))
+                for j in range(_RING_POINTS):
+                    z = node + _RING_DISTANCE * mpmath.expjpi(
+                        mpmath.mpf(2 * j) / _RING_POINTS
+                    )
+                    hj = h_jet(n, F.p, z, 2)
+                    want = float(mpmath.log(abs(hj[2])) - 3 * mpmath.log(abs(hj[0])))
+                    val, at = got[ell * _RING_POINTS + j]
+                    assert at == complex(z)
+                    assert abs(val - want) <= 1e-12 * max(1.0, abs(want))

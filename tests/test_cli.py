@@ -4,10 +4,12 @@ command-line interface."""
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from normfam.cli import main, parse_complex, parse_n_range, parse_region
+from normfam.cli import main, parse_complex, parse_n_range, parse_region, write_csv
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +68,7 @@ def test_construct_trivial_member(files):
     with open(files[1], encoding="utf-8") as fh:
         rec = json.load(fh)
     assert rec["a"] == "4"
-    assert all(pair == ["0", "0"] for pair in rec["p_coeffs"])
+    assert rec["p"] == ["0", "0", "0"]
 
 
 def test_verify_healthy_file(files, capsys):
@@ -83,8 +85,7 @@ def test_verify_healthy_file(files, capsys):
 def test_verify_corrupted_file(files, tmp_path, capsys):
     with open(files[2], encoding="utf-8") as fh:
         rec = json.load(fh)
-    pair = rec["p_coeffs"][5]
-    rec["p_coeffs"][5] = [repr(float(pair[0]) + 1e-2), pair[1]]
+    rec["p"][1] = str(Fraction(rec["p"][1]) + Fraction(1, 10**6))
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(rec), encoding="utf-8")
     assert main(["verify", str(bad)]) == 1
@@ -100,19 +101,31 @@ def test_verify_unparseable_files(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("a", "inf"), ("precision_bits", -5), ("p_coeffs", "nan")]
+    "key, value",
+    [("a", "inf"), ("a", "1/0"), ("precision_bits", -5), ("p", "nan"), ("p", "1/0"), ("p", "0.5")],
 )
 def test_verify_bad_numbers_exit_two(files, tmp_path, capsys, key, value):
     with open(files[3], encoding="utf-8") as fh:
         rec = json.load(fh)
-    if key == "p_coeffs":
-        rec["p_coeffs"][2] = [value, "0"]
+    if key == "p":
+        rec["p"][2] = value
     else:
         rec[key] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(rec), encoding="utf-8")
     assert main(["verify", str(bad)]) == 2
     capsys.readouterr()
+
+
+def test_verify_schema_one_file_exits_two(files, tmp_path, capsys):
+    with open(files[2], encoding="utf-8") as fh:
+        rec = json.load(fh)
+    del rec["p"]
+    rec.update(schema_version=1, p_centers=[["1", "0"]], p_coeffs=[["0", "0"]] * 2)
+    old = tmp_path / "v1.json"
+    old.write_text(json.dumps(rec), encoding="utf-8")
+    assert main(["verify", str(old)]) == 2
+    assert "schema 2" in capsys.readouterr().err
 
 
 def test_probe_marty_family(files, capsys):
@@ -197,7 +210,7 @@ def test_sweep_low_orders(tmp_path, capsys):
     assert [r["n"] for r in rows] == [1, 2, 3]
     assert rows[0]["c_hat"] == "0" and rows[0]["max_inequality"] == 0.0
     assert all(r["passed"] for r in rows)
-    assert [r["degree_p"] for r in rows] == [0, 7, 11]
+    assert [r["degree_p"] for r in rows] == [0, 6, 9]
 
 
 def test_sweep_rejects_bad_ranges(tmp_path, capsys):
@@ -226,3 +239,39 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     with open(out, encoding="utf-8") as fh:
         assert json.load(fh)["n"] == 1
+
+
+def test_csv_writer_matches_row_fstring(tmp_path, monkeypatch):
+    # the chunked writer must produce the bytes of the per-row f-string,
+    # signed zeros and extreme exponents included, across chunk borders
+    monkeypatch.setattr("normfam.cli.CSV_CHUNK", 3)
+    parts = [0.0, -0.0, -1.5, 1e300, -1e-300, 1e-300, 2.0 / 3.0, -7.0, 5e-324, 1.7976931348623157e308]
+    zs = np.array([complex(a, b) for a, b in zip(parts, reversed(parts))])
+    vals = np.array(parts[3:] + parts[:3])
+    new = tmp_path / "new.csv"
+    write_csv(new, zs, vals)
+    want = "re,im,value\n" + "".join(
+        f"{z.real:.17g},{z.imag:.17g},{v:.17g}\n" for z, v in zip(zs, vals)
+    )
+    assert new.read_bytes() == want.encode("utf-8")
+    write_csv(new, zs[:0], vals[:0])
+    assert new.read_bytes() == b"re,im,value\n"
+
+
+def test_construct_order_seven_at_default_precision(tmp_path):
+    # the exact exponent satisfies the node gate at any check precision
+    out = tmp_path / "f7.json"
+    assert main(["construct", "-n", "7", "-o", str(out)]) == 0
+    rec = json.loads(out.read_text(encoding="utf-8"))
+    assert rec["precision_bits"] == 53
+    assert rec["p"] == ["-3/7", "17/98", "-5/49"]
+
+
+def test_sweep_to_order_eight_passes(tmp_path, capsys):
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--n-range", "1..8", "-o", str(out)]) == 0
+    capsys.readouterr()
+    rows = json.loads(out.read_text(encoding="utf-8"))["rows"]
+    assert [r["n"] for r in rows] == list(range(1, 9))
+    assert all(r["passed"] and "error" not in r for r in rows)
+    assert [r["degree_p"] for r in rows] == [0] + [3 * n for n in range(2, 9)]

@@ -1,13 +1,13 @@
-"""Newton-form jets, Hermite interpolation, monomial export."""
+"""Newton-form jets, Hermite interpolation, monomial export: the oracle
+that the exact cubic exponent is checked against."""
 
 import mpmath
 import numpy as np
 import pytest
 
-from normfam import (
-    DuplicateNodes,
+from normfam import DuplicateNodes, Jet
+from normfam.cpoly import (
     HermiteSpec,
-    Jet,
     NewtonPolynomial,
     eval_jet,
     hermite_interpolate,

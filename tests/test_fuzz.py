@@ -1,0 +1,137 @@
+"""Property tests: command-line and file parsing refuse bad input only
+with ValueError (exit 2) or InvariantViolation (exit 1), and function
+files round-trip exactly at any precision."""
+
+import json
+
+import mpmath
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from normfam import storage
+from normfam.cli import parse_complex, parse_n_range, parse_region
+from normfam.errors import InvariantViolation
+from normfam.forge import CounterexampleFunction, build_p, choose_a
+
+# tier-1 runs these on every change; the counts keep them near a second
+FEW, MANY = 30, 60
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**20), 10**20)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=12)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+rational_text = st.builds(
+    lambda a, b: f"{a}/{b}", st.integers(-(10**6), 10**6), st.integers(0, 10**6)
+)
+number_text = st.floats().map(repr) | st.integers().map(str)
+
+
+@settings(max_examples=MANY, deadline=None)
+@given(
+    st.text(max_size=24)
+    | st.builds(lambda a, b, s: f"{a}{s}{b}i", number_text, number_text, st.sampled_from("+-"))
+)
+def test_parse_complex_raises_only_value_error(text):
+    try:
+        z = parse_complex(text)
+    except ValueError:
+        return
+    assert isinstance(z, complex)
+
+
+@settings(max_examples=MANY, deadline=None)
+@given(st.lists(st.text(max_size=6) | number_text, max_size=4).map(":".join))
+def test_parse_region_raises_only_value_error(text):
+    try:
+        name, radii = parse_region(text)
+    except ValueError:
+        return
+    assert radii and all(isinstance(r, float) for r in radii)
+
+
+@settings(max_examples=MANY, deadline=None)
+@given(
+    st.text(max_size=12)
+    | st.builds(lambda a, b: f"{a}..{b}", st.integers(-3, 10**6), st.integers(-3, 10**6))
+)
+def test_parse_n_range_raises_only_value_error(text):
+    try:
+        lo, hi = parse_n_range(text)
+    except ValueError:
+        return
+    assert 1 <= lo <= hi
+
+
+KEYS = ("schema_version", "n", "precision_bits", "p", "a", "c_hat", "m_hat", "construction_config")
+
+
+@st.composite
+def mutated_records(draw, family):
+    rec = storage.function_record(family[draw(st.integers(1, 6))], 1024)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("replace", "delete", "p entry", "p perturb", "grid_m")))
+        key = draw(st.sampled_from(KEYS))
+        if kind == "replace":
+            rec[key] = draw(json_values | rational_text | number_text)
+        elif kind == "delete":
+            rec.pop(key, None)
+        elif isinstance(rec.get("p"), list) and rec["p"] and kind.startswith("p"):
+            i = draw(st.integers(0, len(rec["p"]) - 1))
+            if kind == "p entry":
+                rec["p"][i] = draw(json_values | rational_text | number_text)
+            else:
+                rec["p"][i] = draw(rational_text)
+        elif isinstance(rec.get("construction_config"), dict):
+            rec["construction_config"]["grid_m"] = draw(json_values)
+    return json.loads(json.dumps(rec))  # only what a JSON file can hold
+
+
+@settings(max_examples=MANY, deadline=None)
+@given(data=st.data())
+def test_parse_function_raises_only_documented_errors(family, data):
+    rec = data.draw(mutated_records(family))
+    try:
+        F, grid_m = storage.parse_function(rec)
+    except (ValueError, InvariantViolation):
+        return
+    assert F.p == build_p(F.n)
+
+
+@pytest.fixture(scope="module")
+def record_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("records")
+
+
+@settings(max_examples=FEW, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    precision=st.integers(53, 512),
+    c_bits=st.integers(0, 2**64),
+    m_bits=st.integers(1, 2**64),
+    c_exp=st.integers(-2000, 2000),
+    m_exp=st.integers(-2000, 2000),
+    grid_m=st.integers(64, 4096),
+)
+def test_save_load_round_trip_any_precision(
+    record_dir, n, precision, c_bits, m_bits, c_exp, m_exp, grid_m
+):
+    with mpmath.workprec(precision):
+        c_hat = mpmath.mpf(c_bits) * mpmath.mpf(2) ** c_exp / 3
+        m_hat = mpmath.mpf(m_bits) * mpmath.mpf(2) ** m_exp / 7
+        a = choose_a(n, c_hat, m_hat)
+        F = CounterexampleFunction(n, build_p(n), a, c_hat, m_hat, precision)
+    path = record_dir / f"f_{n}_{precision}.json"
+    storage.save_function(F, grid_m, path)
+    G, gm = storage.load_function(path)
+    assert (G, gm) == (F, grid_m)
+    assert storage.function_to_json(G, gm) == path.read_text(encoding="utf-8")

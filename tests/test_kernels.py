@@ -1,11 +1,13 @@
-"""Backend twins agree with each other, with the scalar path, and with
-an exact mpmath oracle across all magnitude branches."""
+"""Grid kernels agree with the scalar path and with an exact mpmath
+oracle across all magnitude branches."""
 
+import functools
 import math
 
 import mpmath
 import numpy as np
 import pytest
+import sympy
 
 from normfam import kernels
 from normfam.forge import EPS_NODE, ratio_log_abs, root_of_unity
@@ -29,18 +31,26 @@ def off_node_points(rng, n, count):
     return np.array(pts, dtype=np.complex128)
 
 
+@functools.lru_cache(maxsize=None)
+def exact_jets(n, p, module="mpmath"):
+    """(p, p', p'') of the record's cubic as functions of z, from sympy's
+    expansion in powers of z: independent of the kernels' chain rule."""
+    z = sympy.symbols("z")
+    expr = sum(
+        sympy.Rational(c.numerator, c.denominator) * (z**n - 1) ** k
+        for k, c in enumerate(p, 1)
+    )
+    return [
+        sympy.lambdify(z, sympy.expand(sympy.diff(expr, z, j)), module)
+        for j in range(3)
+    ]
+
+
 def mp_oracle(F, z, kind):
     """Direct quotient in 120-bit mpmath: no branches, no log tricks."""
     with mpmath.workprec(120):
         zz = mpmath.mpc(z)
-        p0 = mpmath.mpc(complex(F.p.coeffs[-1]))
-        p1 = mpmath.mpc(0)
-        p2 = mpmath.mpc(0)
-        for i in range(len(F.p.centers) - 1, -1, -1):
-            w = zz - complex(F.p.centers[i])
-            p2 = p2 * w + 2 * p1
-            p1 = p1 * w + p0
-            p0 = p0 * w + complex(F.p.coeffs[i])
+        p0, p1, p2 = (mpmath.mpc(f(zz)) for f in exact_jets(F.n, F.p))
         n = F.n
         g0 = zz**n - 1
         g1 = n * zz ** (n - 1)
@@ -60,46 +70,20 @@ def rng():
     return np.random.default_rng(99)
 
 
-def test_backends_agree(family, rng):
-    for n, F in family.items():
-        cen, cof = F.arrays
-        zs = grid_points(rng, 200)
-        for np_fn, nb_fn, args in (
-            (kernels.ratio_log_numpy, kernels.ratio_log_numba, (n, cen, cof, zs)),
-            (kernels.h_log_numpy, kernels.h_log_numba, (n, cen, cof, zs)),
-            (kernels.fk_numpy, kernels.fk_numba, (n, cen, cof, F.log_a, zs)),
-            (
-                kernels.sphder_log_numpy,
-                kernels.sphder_log_numba,
-                (n, cen, cof, F.log_a, zs),
-            ),
-        ):
-            a = np_fn(*args)
-            b = nb_fn(*args)
-            finite = np.isfinite(a)
-            assert np.array_equal(finite, np.isfinite(b))
-            assert np.allclose(a[finite], b[finite], rtol=1e-10, atol=1e-300)
-            assert np.array_equal(a[~finite], b[~finite])
-
-
 def test_ratio_log_matches_scalar_path(family, rng):
     for n, F in family.items():
-        cen, cof = F.arrays
         zs = off_node_points(rng, n, 50)
-        grid = kernels.ratio_log(n, cen, cof, zs)
-        hlog = kernels.h_log(n, cen, cof, zs)
-        p53 = F.p if F.precision <= 53 else None
-        assert p53 is not None
+        grid = kernels.ratio_log(n, F.p_float, zs)
+        hlog = kernels.h_log(n, F.p_float, zs)
         for z, got, lh in zip(zs, grid, hlog):
-            want = ratio_log_abs(n, p53, complex(z))
+            want = ratio_log_abs(n, F.p, complex(z))
             if want == float("-inf"):
                 assert got == float("-inf")
             else:
                 # two double paths differ by ulps amplified both by the
                 # largest log in the difference (|log h| reaches ~5e4 at
                 # n=6) and by cancellation inside the second-derivative
-                # combination; 1e-10 matches the twin-comparison envelope
-                # while the mpmath oracle below pins true accuracy
+                # combination; the mpmath oracle below pins true accuracy
                 scale = max(1.0, abs(want), 3.0 * abs(lh))
                 assert abs(got - want) <= 1e-10 * scale
 
@@ -111,12 +95,11 @@ def test_fk_matches_mpmath_oracle(family, rng):
     # precision keeps only ~6 digits of it (the value itself is ~1e-8,
     # so the slack is irrelevant for any inequality check)
     for n, F in family.items():
-        cen, cof = F.arrays
         generic = grid_points(rng, 40)
         near = np.array([root_of_unity(n, ell) + 1e-4 for ell in range(n)])
         rim = 1.95 * np.exp(1j * np.linspace(0.1, 6.2, 10))
         zs = np.concatenate([generic, near, rim])
-        got = kernels.fk(n, cen, cof, F.log_a, zs)
+        got = kernels.fk(n, F.p_float, F.log_a, zs)
         rel = np.full(len(zs), 1e-8)
         rel[len(generic) : len(generic) + len(near)] = 1e-2
         for z, g, tol in zip(zs, got, rel):
@@ -126,11 +109,10 @@ def test_fk_matches_mpmath_oracle(family, rng):
 
 def test_sphder_log_matches_mpmath_oracle(family, rng):
     for n, F in family.items():
-        cen, cof = F.arrays
         zs = np.concatenate(
             [grid_points(rng, 40), 1.95 * np.exp(1j * np.linspace(0.1, 6.2, 10))]
         )
-        got = kernels.sphder_log(n, cen, cof, F.log_a, zs)
+        got = kernels.sphder_log(n, F.p_float, F.log_a, zs)
         for z, g in zip(zs, got):
             with mpmath.workprec(120):
                 want = float(mpmath.log(mp_oracle(F, z, "sph")))
@@ -141,33 +123,30 @@ def test_h_log_matches_plain_evaluation(family, rng):
     for n, F in family.items():
         if n > 3:
             continue  # direct |h| overflows beyond small orders
-        cen, cof = F.arrays
         zs = grid_points(rng, 50)
-        got = kernels.h_log(n, cen, cof, zs)
-        p0, _, _ = kernels.newton_jets_numpy(cen, cof, zs)
+        got = kernels.h_log(n, F.p_float, zs)
+        p0 = exact_jets(n, F.p, "numpy")[0](zs)
         direct = np.log(np.abs((zs**n - 1) * np.exp(p0)))
         assert np.allclose(got, direct, rtol=1e-10, atol=1e-12)
 
 
 def test_short_jets_match_order_two_path(exponents, rng):
-    # h_log needs only p and sphder_log only p and p'; their shorter
-    # Horner loops must round exactly as the full order-2 jet does, so
-    # the expected values below are the kernels' formulas on that jet.
-    # numpy reuses temporaries only in arrays above 256 KiB, so the sample
-    # is large enough for a differently written loop to round differently
+    # h_log needs only p and sphder_log only p and p'; their shorter jets
+    # must round exactly as the full order-2 jet does, so the expected
+    # values below are the kernels' formulas on that jet. numpy reuses
+    # temporaries only in arrays above 256 KiB, so the sample is large
+    # enough for a differently written expression to round differently
     log_a = 30.0
     count = 1 << 15
     zs = 2.0 * np.sqrt(rng.uniform(size=count)) * np.exp(
         2j * math.pi * rng.uniform(size=count)
     )
     for n, p in exponents.items():
-        cen = np.array([complex(c) for c in p.centers], dtype=np.complex128)
-        cof = np.array([complex(c) for c in p.coeffs], dtype=np.complex128)
-        p0, p1, _ = kernels.newton_jets_numpy(cen, cof, zs)
+        c = tuple(float(x) for x in p)
+        (g0, g1, _), (p0, p1, _) = kernels._jets(n, c, zs, 2)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            g0 = zs**n - 1.0
             h_want = np.log(np.abs(g0)) + p0.real
-            b1 = n * zs ** (n - 1) + g0 * p1
+            b1 = g1 + g0 * p1
             log_num = log_a + np.log(np.abs(b1)) + p0.real
             t = 2.0 * (log_a + np.log(np.abs(g0)) + p0.real)
             corr = np.where(
@@ -176,41 +155,11 @@ def test_short_jets_match_order_two_path(exponents, rng):
                 np.where(t < -kernels._BRANCH_CUT, 0.0, np.log1p(np.exp(t))),
             )
             sph_want = log_num - corr
-        assert np.array_equal(kernels.h_log_numpy(n, cen, cof, zs), h_want)
-        assert np.array_equal(
-            kernels.sphder_log_numpy(n, cen, cof, log_a, zs), sph_want
-        )
-
-
-def test_backend_env_flag(family, monkeypatch):
-    F = family[2]
-    cen, cof = F.arrays
-    zs = np.array([0.5 + 0.5j, 1.5 - 0.2j])
-    monkeypatch.setenv("NORMFAM_BACKEND", "numpy")
-    assert kernels.active_backend() == "numpy"
-    a = kernels.fk(2, cen, cof, F.log_a, zs)
-    if kernels.HAVE_NUMBA:
-        monkeypatch.setenv("NORMFAM_BACKEND", "numba")
-        assert kernels.active_backend() == "numba"
-        b = kernels.fk(2, cen, cof, F.log_a, zs)
-        assert np.allclose(a, b, rtol=1e-10)
-    monkeypatch.setenv("NORMFAM_BACKEND", "nonsense")
-    with pytest.raises(ValueError):
-        kernels.active_backend()
-
-
-def test_backend_numba_unavailable_is_loud(monkeypatch):
-    monkeypatch.setenv("NORMFAM_BACKEND", "numba")
-    if kernels.HAVE_NUMBA:
-        assert kernels.active_backend() == "numba"
-    else:
-        with pytest.raises(RuntimeError):
-            kernels.active_backend()
+        assert np.array_equal(kernels.h_log(n, c, zs), h_want)
+        assert np.array_equal(kernels.sphder_log(n, c, log_a, zs), sph_want)
 
 
 def test_fk_zero_where_numerator_vanishes():
     # order 1: h'' is identically zero, fk must be exactly 0 everywhere
-    cen = np.zeros(3, dtype=np.complex128)
-    cof = np.zeros(4, dtype=np.complex128)
     zs = np.array([0.3 + 0.1j, 1 + 0j, 2j])
-    assert np.all(kernels.fk(1, cen, cof, math.log(4.0), zs) == 0.0)
+    assert np.all(kernels.fk(1, (0.0, 0.0, 0.0), math.log(4.0), zs) == 0.0)

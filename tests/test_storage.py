@@ -2,6 +2,7 @@
 validation, and report serialization."""
 
 import json
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -20,9 +21,8 @@ def roundtrip(F, grid_m=1024):
 
 def assert_identical(F, G):
     assert G.n == F.n and G.precision == F.precision
+    assert G.p == F.p
     with mpmath.workprec(max(F.precision, 53)):
-        assert G.p.centers == F.p.centers
-        assert G.p.coeffs == F.p.coeffs
         assert G.a == F.a and G.c_hat == F.c_hat and G.m_hat == F.m_hat
 
 
@@ -45,13 +45,10 @@ def test_roundtrip_high_precision():
 
 def test_record_numbers_are_decimal_strings(family):
     rec = storage.function_record(family[4], 1024)
-    assert rec["schema_version"] == 1
+    assert rec["schema_version"] == 2
     for key in ("a", "c_hat", "m_hat"):
         assert isinstance(rec[key], str)
-    for key in ("p_centers", "p_coeffs"):
-        for pair in rec[key]:
-            assert len(pair) == 2
-            assert all(isinstance(part, str) for part in pair)
+    assert rec["p"] == ["-3/8", "19/128", "-11/128"]
     # c_4 overflows binary64, so a binary JSON number could not hold it
     assert float(rec["c_hat"]) == float("inf")
 
@@ -61,6 +58,7 @@ def test_trivial_member_record(family):
     assert rec["n"] == 1
     assert rec["a"] == "4"
     assert rec["c_hat"] == "0"
+    assert rec["p"] == ["0", "0", "0"]
     assert rec["construction_config"] == {"grid_m": 1024, "seed": None}
 
 
@@ -70,8 +68,7 @@ def test_stored_strings_parse_exactly(family):
     with mpmath.workprec(F.precision):
         assert mpmath.mpf(rec["a"]) == F.a
         assert mpmath.mpf(rec["c_hat"]) == F.c_hat
-        for pair, c in zip(rec["p_coeffs"], F.p.coeffs):
-            assert complex(float(pair[0]), float(pair[1])) == complex(c)
+    assert tuple(Fraction(c) for c in rec["p"]) == F.p
 
 
 def test_save_and_load_files(tmp_path, family):
@@ -89,9 +86,9 @@ def test_save_and_load_files(tmp_path, family):
     "mangle",
     [
         lambda r: r.pop("n"),
-        lambda r: r.pop("p_coeffs"),
-        lambda r: r.update(schema_version=2),
-        lambda r: r.update(p_centers=[["1.0"]]),
+        lambda r: r.pop("p"),
+        lambda r: r.update(schema_version=1),
+        lambda r: r.update(p=["-1/4", "3/32"]),
         lambda r: r.update(a=None),
         lambda r: r.update(construction_config={}),
     ],
@@ -112,6 +109,15 @@ def test_non_finite_magnitude_rejected(family, key, value):
         storage.parse_function(rec)
 
 
+@pytest.mark.parametrize("key", ["a", "c_hat", "m_hat"])
+def test_magnitude_with_zero_denominator_rejected(family, key):
+    # mpmath reads "1/0" as a quotient and raises ZeroDivisionError
+    rec = storage.function_record(family[3], 1024)
+    rec[key] = "1/0"
+    with pytest.raises(ValueError, match="malformed"):
+        storage.parse_function(rec)
+
+
 @pytest.mark.parametrize("bits", [-5, 0, 52])
 def test_precision_below_53_rejected(family, bits):
     rec = storage.function_record(family[3], 1024)
@@ -120,12 +126,44 @@ def test_precision_below_53_rejected(family, bits):
         storage.parse_function(rec)
 
 
-@pytest.mark.parametrize("field", ["p_coeffs", "p_centers"])
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_non_finite_coefficient_rejected(family, field, value):
+@pytest.mark.parametrize(
+    "value", ["nan", "inf", "-inf", "0.5", "1e3", "1/2/3", " 1/2", "1_0", 7, None]
+)
+def test_non_rational_coefficient_rejected(family, value):
     rec = storage.function_record(family[3], 1024)
-    rec[field][1] = [value, rec[field][1][1]]
-    with pytest.raises(ValueError, match="finite"):
+    rec["p"][1] = value
+    with pytest.raises(ValueError, match="not a rational"):
+        storage.parse_function(rec)
+
+
+@pytest.mark.parametrize("value", ["1/0", "-7/0"])
+def test_zero_denominator_rejected(family, value):
+    rec = storage.function_record(family[3], 1024)
+    rec["p"][2] = value
+    with pytest.raises(ValueError, match="zero denominator"):
+        storage.parse_function(rec)
+
+
+@pytest.mark.parametrize("p", [[], ["0", "0"], ["0", "0", "0", "0"], "abc", {"c1": "0"}])
+def test_exponent_needs_three_entries(family, p):
+    rec = storage.function_record(family[1], 1024)
+    rec["p"] = p
+    with pytest.raises(ValueError, match="three rationals"):
+        storage.parse_function(rec)
+
+
+def test_schema_one_file_rejected(family):
+    rec = storage.function_record(family[2], 1024)
+    del rec["p"]
+    rec.update(schema_version=1, p_centers=[["1", "0"]], p_coeffs=[["0", "0"]] * 2)
+    with pytest.raises(ValueError, match="schema 2"):
+        storage.parse_function(rec)
+
+
+def test_precision_above_limit_rejected(family):
+    rec = storage.function_record(family[3], 1024)
+    rec["precision_bits"] = 10**9
+    with pytest.raises(ValueError, match="above"):
         storage.parse_function(rec)
 
 
@@ -138,9 +176,15 @@ def test_non_object_file_rejected(tmp_path):
 
 def test_corrupted_coefficient_fails_invariants(family):
     rec = storage.function_record(family[2], 1024)
-    pair = rec["p_coeffs"][5]
-    rec["p_coeffs"][5] = [repr(float(pair[0]) + 1e-2), pair[1]]
+    rec["p"][1] = str(Fraction(rec["p"][1]) + Fraction(1, 100))
     with pytest.raises(InvariantViolation):
+        storage.parse_function(rec)
+
+
+def test_c2_perturbed_by_one_millionth_fails_invariants(family):
+    rec = storage.function_record(family[6], 1024)
+    rec["p"][1] = str(Fraction(rec["p"][1]) + Fraction(1, 10**6))
+    with pytest.raises(InvariantViolation, match="not the exponent"):
         storage.parse_function(rec)
 
 
