@@ -136,6 +136,24 @@ def test_non_rational_coefficient_rejected(family, value):
         storage.parse_function(rec)
 
 
+@pytest.mark.parametrize("field", ["p_coeffs", "p_centers"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_coefficient_rejected(family, field, value):
+    rec = storage.function_record(family[3], 1024)
+    rec["p"][1] = value
+    with pytest.raises(ValueError, match="not a rational"):
+        storage.parse_function(rec)
+    # the schema-1 layout kept the exponent in p_coeffs/p_centers as
+    # [re, im] pairs; such a field in place of p is refused, not read
+    del rec["p"]
+    rec[field] = [["0", "0"], [value, "0"], ["0", "0"]]
+    with pytest.raises(ValueError, match="malformed"):
+        storage.parse_function(rec)
+    rec["schema_version"] = 1
+    with pytest.raises(ValueError, match="schema"):
+        storage.parse_function(rec)
+
+
 @pytest.mark.parametrize("value", ["1/0", "-7/0"])
 def test_zero_denominator_rejected(family, value):
     rec = storage.function_record(family[3], 1024)
