@@ -45,15 +45,25 @@ def u_jet(n, z, J):
 def p_from_u(c, u):
     """[p, p', ..., p^(J)] of p = c1 u + c2 u^2 + c3 u^3 from the jet u of
     u = z^n - 1, J = len(u) - 1 <= 4, by Faa di Bruno's formula with
-    d_k = d^k p / du^k (d_4 = 0)."""
+    d_k = d^k p / du^k (d_4 = 0).
+
+    Every product of two arrays multiplies two names. For arrays above
+    256 KiB numpy computes x * (unnamed temporary) as temporary *= x, and
+    its complex product does not round commutatively, so a nested
+    expression would give a point a value that depends on the size of
+    the array it sits in.
+    """
     J = len(u) - 1
     if J > 4:
         raise ValueError("p_from_u supports jets of order <= 4")
     c1, c2, c3 = c
     u0 = u[0]
-    p = [u0 * (c1 + u0 * (c2 + u0 * c3))]
+    q = c2 + c3 * u0
+    q = c1 + u0 * q
+    p = [u0 * q]
     if J >= 1:
-        d1 = c1 + u0 * (2 * c2 + 3 * c3 * u0)
+        q = 2 * c2 + 3 * c3 * u0
+        d1 = c1 + u0 * q
         p.append(d1 * u[1])
     if J >= 2:
         d2 = 2 * c2 + 6 * c3 * u0
@@ -61,11 +71,15 @@ def p_from_u(c, u):
         p.append(d2 * u11 + d1 * u[2])
     if J >= 3:
         d3 = 6 * c3
-        p.append(d3 * u11 * u[1] + 3 * d2 * u[1] * u[2] + d1 * u[3])
+        u111 = u11 * u[1]
+        u12 = u[1] * u[2]
+        p.append(d3 * u111 + 3 * (d2 * u12) + d1 * u[3])
     if J >= 4:
-        p.append(
-            6 * d3 * u11 * u[2] + d2 * (3 * u[2] * u[2] + 4 * u[1] * u[3]) + d1 * u[4]
-        )
+        u112 = u11 * u[2]
+        u22 = u[2] * u[2]
+        u13 = u[1] * u[3]
+        q = 3 * u22 + 4 * u13
+        p.append(6 * d3 * u112 + d2 * q + d1 * u[4])
     return p
 
 
@@ -78,8 +92,11 @@ def _jets(n, c, zs, order):
 
 def b2(u, p):
     """h'' e^{-p} = g'' + 2 g' p' + g (p'' + p'^2) from the jets of g = u
-    and of p, order 2."""
-    return u[2] + 2.0 * u[1] * p[1] + u[0] * (p[2] + p[1] * p[1])
+    and of p, order 2; array products multiply names, as in p_from_u."""
+    u1p1 = u[1] * p[1]
+    q = p[1] * p[1]
+    q = p[2] + q
+    return u[2] + 2.0 * u1p1 + u[0] * q
 
 
 def ratio_log(n, c, zs):

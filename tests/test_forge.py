@@ -390,14 +390,10 @@ def grid_log_m(n, p, M):
 
 @pytest.mark.parametrize("M", [64, 256])
 def test_estimate_m_matches_radius_grid(exponents, M):
-    # the grid minimum lies on |z| = 2 - 1/n, a radius both scans sample.
-    # The same point can round differently in its last bit at another
-    # offset of another array (numpy's SIMD complex products depend on
-    # alignment), so the logs are compared to 4 ulps
+    # the grid minimum lies on |z| = 2 - 1/n, a radius both scans sample
     for n, p in exponents.items():
-        want = grid_log_m(n, p, M)
-        got = float(mpmath.log(2 * estimate_m(n, p, M)))
-        assert abs(got - want) <= 4 * math.ulp(max(1.0, abs(want)))
+        want = mpmath.exp(mpmath.mpf(grid_log_m(n, p, M))) / 2
+        assert estimate_m(n, p, M) == want
 
 
 def test_estimate_m_samples_three_circles(monkeypatch):

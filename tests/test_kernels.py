@@ -159,6 +159,36 @@ def test_short_jets_match_order_two_path(exponents, rng):
         assert np.array_equal(kernels.sphder_log(n, c, log_a, zs), sph_want)
 
 
+def test_kernels_independent_of_array_size(exponents, rng):
+    # a point's value must not depend on the array it is evaluated in:
+    # above 256 KiB numpy computes x * (temporary) in the temporary's
+    # buffer with the operands swapped, and complex products do not round
+    # commutatively. 2^15 points (512 KiB) against short slices at odd
+    # offsets, which also take the SIMD loops' remainder paths
+    log_a = 30.0
+    count = 1 << 15
+    zs = 2.0 * np.sqrt(rng.uniform(size=count)) * np.exp(
+        2j * math.pi * rng.uniform(size=count)
+    )
+    kinds = {
+        "ratio_log": lambda n, c, z: kernels.ratio_log(n, c, z),
+        "h_log": lambda n, c, z: kernels.h_log(n, c, z),
+        "fk": lambda n, c, z: kernels.fk(n, c, log_a, z),
+        "sphder_log": lambda n, c, z: kernels.sphder_log(n, c, log_a, z),
+        "p_jet": lambda n, c, z: np.stack(
+            kernels.p_from_u(c, kernels.u_jet(n, z, 4))
+        ),
+    }
+    for n, p in exponents.items():
+        c = tuple(float(x) for x in p)
+        for name, kernel in kinds.items():
+            whole = kernel(n, c, zs)
+            for start, size in ((0, 1), (5, 7), (1001, 100), (3, 5000)):
+                part = kernel(n, c, zs[start : start + size].copy())
+                want = whole[..., start : start + size]
+                assert np.array_equal(part, want, equal_nan=True), (n, name)
+
+
 def test_fk_zero_where_numerator_vanishes():
     # order 1: h'' is identically zero, fk must be exactly 0 everywhere
     zs = np.array([0.3 + 0.1j, 1 + 0j, 2j])
