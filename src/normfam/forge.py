@@ -8,8 +8,11 @@ interpolant of degree <= 4n-1 is a polynomial in z^n: with u = z^n - 1,
     p_n = c1 u + c2 u^2 + c3 u^3,
 
 and the rational c_k follow exactly from the conditions at z = 1 (n = 2
-gives -1/4, 3/32, -5/96). p is carried as that triple of Fractions and
-every evaluation is a Horner step in u, O(1) per point whatever n.
+gives -1/4, 3/32, -5/96). p is that triple of Fractions and is fixed by
+n alone, so function files do not store it: build_p(n) derives it, and
+a record's gate demands p == build_p(n). Every evaluation is a Horner
+step in u, O(1) per point whatever n. f_n depends on z only through
+z^n, so anything checked at the node z = 1 holds at all n nodes.
 
 The scaling a_n = max(sqrt(2 n c_n), 2n / m_n, 1) then forces
 |f''| <= 1 + |f|^3 on the closed disk of radius 2 with margin 1/n, and
@@ -43,7 +46,7 @@ from .errors import (
 
 EPS_NODE = 1e-3
 MINUS_INFINITY = float("-inf")
-MAX_PRECISION = 4096  # bits; the node rings of the checks run at twice this
+MAX_PRECISION = 4096  # bits; the node ring of the checks runs at twice this
 
 _EXP_BUDGET = 700.0  # |Re p| beyond this overflows e^p in binary64
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -100,15 +103,6 @@ class ConstructionConfig:
             raise ValueError(f"precision must be between 53 and {MAX_PRECISION} bits")
         if self.grid_m < 64:
             raise ValueError("grid_m must be at least 64")
-
-
-@dataclass(frozen=True)
-class LogMagnitude:
-    """A magnitude carried as log|.| (and optionally its argument), for
-    values whose direct floating form would over- or underflow."""
-
-    log_abs: float
-    arg: float | None = None
 
 
 def g_jet(n, z, J):
@@ -239,19 +233,6 @@ def h_jet(n, p, z, J):
     for m in range(J + 1):
         vals.append(sum(math.comb(m, j) * g[m - j] * E[j] for j in range(m + 1)))
     return Jet(J, tuple(vals))
-
-
-def h_log_magnitude(n, p, z):
-    """|h| and arg(h) in log space: log|h| = log|z^n - 1| + Re p."""
-    (g,), (p0,) = _gp_jets(n, p, z, 0)
-    la = _log_abs(g) + float(p0.real)
-    if la == MINUS_INFINITY:
-        return LogMagnitude(MINUS_INFINITY, None)
-    if _is_mp(g):
-        ag = float(mpmath.arg(g))
-    else:
-        ag = cmath.phase(complex(g))
-    return LogMagnitude(la, ag + float(p0.imag))
 
 
 def log_ratio(n, p, z):
@@ -431,8 +412,8 @@ def construct(n, cfg=ConstructionConfig()):
 
 def f_jet(F, z, J):
     """Jet of f = a h. Double-precision records refuse magnitudes beyond
-    the float range (callers then work with h_log_magnitude and log a);
-    high-precision records return mpmath scalars instead."""
+    the float range (callers then work with log|h| from kernels.h_log
+    and log a); high-precision records return mpmath scalars instead."""
     hj = h_jet(F.n, F.p, z, J)
     if F.precision <= 53:
         af = float(F.a)

@@ -1,28 +1,24 @@
 """Lossless JSON persistence for constructed records and reports.
 
-A function file (schema_version 2) stores the exponent as its three
-exact rationals, "p": ["-11/24", "649/3456", "-385/3456"] for n = 12,
-and every real magnitude as a decimal string, never a binary JSON
-number: a record at P bits re-reads bit-exactly at P bits, because
-ceil(P log10 2) + 2 significant digits pin down any P-bit mantissa.
-Files of schema_version 1 (a Newton-form exponent) are refused.
+A function file (schema_version 3) stores no exponent: p is fixed by n
+(forge.build_p), so loading derives it. Every real magnitude is a
+decimal string, never a binary JSON number: a record at P bits re-reads
+bit-exactly at P bits, because ceil(P log10 2) + 2 significant digits
+pin down any P-bit mantissa. Files of schema_version 1 (a Newton-form
+exponent) and 2 (the exponent as three rationals) are refused.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 from datetime import datetime, timezone
-from fractions import Fraction
 
 import mpmath
 
-from .forge import MAX_PRECISION, CounterexampleFunction
+from .forge import MAX_PRECISION, CounterexampleFunction, build_p
 
-SCHEMA_VERSION = 2
-
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+SCHEMA_VERSION = 3
 
 
 def _strip(s):
@@ -52,7 +48,6 @@ def function_record(F, grid_m):
         "schema_version": SCHEMA_VERSION,
         "n": F.n,
         "precision_bits": P,
-        "p": [str(c) for c in F.p],
         "a": _fmt_mp(F.a, P),
         "c_hat": _fmt_mp(F.c_hat, P),
         "m_hat": _fmt_mp(F.m_hat, P),
@@ -69,20 +64,11 @@ def save_function(F, grid_m, path):
         fh.write(function_to_json(F, grid_m))
 
 
-def _parse_rational(text):
-    if not (isinstance(text, str) and _RATIONAL_RE.fullmatch(text)):
-        raise ValueError(f"p entry {text!r} is not a rational such as '-11/24'")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"p entry {text!r} has a zero denominator") from None
-
-
 def parse_function(record):
     """Rebuild (F, grid_m) from a function-file dict.
 
-    Raises ValueError on any malformed content: another schema_version,
-    a p that is not exactly three rational strings, non-finite
+    The exponent is build_p(n). Raises ValueError on any malformed
+    content: another schema_version, a stored p, an n below 1, non-finite
     magnitudes, a precision outside 53..MAX_PRECISION bits. The rebuilt
     record runs the full construction invariants, so a file whose
     numbers no longer satisfy them raises InvariantViolation instead.
@@ -94,16 +80,16 @@ def parse_function(record):
                 f"unsupported schema_version {version!r}; this version reads "
                 f"schema {SCHEMA_VERSION} (rebuild the file with normfam construct)"
             )
+        if "p" in record:
+            # a schema-2 file relabelled as schema 3 would otherwise have
+            # its exponent silently replaced by build_p(n)
+            raise ValueError("schema 3 stores no p (it is derived from n); remove the entry")
         n = int(record["n"])
         precision = int(record["precision_bits"])
         if precision < 53:
             raise ValueError(f"precision_bits {precision} is below 53")
         if precision > MAX_PRECISION:
             raise ValueError(f"precision_bits {precision} is above {MAX_PRECISION}")
-        entries = record["p"]
-        if not isinstance(entries, list) or len(entries) != 3:
-            raise ValueError(f"p must be a list of three rationals, got {entries!r}")
-        p = tuple(_parse_rational(c) for c in entries)
         with mpmath.workprec(precision):
             a = mpmath.mpf(record["a"])
             c_hat = mpmath.mpf(record["c_hat"])
@@ -115,7 +101,7 @@ def parse_function(record):
     for name, x in (("a", a), ("c_hat", c_hat), ("m_hat", m_hat)):
         if not mpmath.isfinite(x):
             raise ValueError(f"{name} = {x} is not finite")
-    return CounterexampleFunction(n, p, a, c_hat, m_hat, precision), grid_m
+    return CounterexampleFunction(n, build_p(n), a, c_hat, m_hat, precision), grid_m
 
 
 def load_function(path):

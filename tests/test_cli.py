@@ -4,7 +4,6 @@ command-line interface."""
 import json
 import subprocess
 import sys
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,7 +67,7 @@ def test_construct_trivial_member(files):
     with open(files[1], encoding="utf-8") as fh:
         rec = json.load(fh)
     assert rec["a"] == "4"
-    assert rec["p"] == ["0", "0", "0"]
+    assert "p" not in rec
 
 
 def test_verify_healthy_file(files, capsys):
@@ -85,7 +84,8 @@ def test_verify_healthy_file(files, capsys):
 def test_verify_corrupted_file(files, tmp_path, capsys):
     with open(files[2], encoding="utf-8") as fh:
         rec = json.load(fh)
-    rec["p"][1] = str(Fraction(rec["p"][1]) + Fraction(1, 10**6))
+    # a below its floor sqrt(2 n c_hat)
+    rec["a"] = "600"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(rec), encoding="utf-8")
     assert main(["verify", str(bad)]) == 1
@@ -108,7 +108,8 @@ def test_verify_bad_numbers_exit_two(files, tmp_path, capsys, key, value):
     with open(files[3], encoding="utf-8") as fh:
         rec = json.load(fh)
     if key == "p":
-        rec["p"][2] = value
+        # schema 3 derives p from n: any stored p is refused
+        rec["p"] = ["0", "0", value]
     else:
         rec[key] = value
     bad = tmp_path / "bad.json"
@@ -117,15 +118,45 @@ def test_verify_bad_numbers_exit_two(files, tmp_path, capsys, key, value):
     capsys.readouterr()
 
 
-def test_verify_schema_one_file_exits_two(files, tmp_path, capsys):
+def _verify_old_schema_exits_two(files, tmp_path, capsys, version):
     with open(files[2], encoding="utf-8") as fh:
         rec = json.load(fh)
-    del rec["p"]
-    rec.update(schema_version=1, p_centers=[["1", "0"]], p_coeffs=[["0", "0"]] * 2)
-    old = tmp_path / "v1.json"
+    if version == 1:
+        rec.update(p_centers=[["1", "0"]], p_coeffs=[["0", "0"]] * 2)
+    else:
+        rec["p"] = ["-1/4", "3/32", "-5/96"]
+    rec["schema_version"] = version
+    old = tmp_path / "old.json"
     old.write_text(json.dumps(rec), encoding="utf-8")
     assert main(["verify", str(old)]) == 2
-    assert "schema 2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "schema 3" in err and "rebuild" in err
+
+
+def test_verify_schema_one_file_exits_two(files, tmp_path, capsys):
+    _verify_old_schema_exits_two(files, tmp_path, capsys, 1)
+
+
+def test_verify_schema_two_file_exits_two(files, tmp_path, capsys):
+    _verify_old_schema_exits_two(files, tmp_path, capsys, 2)
+
+
+def test_verify_absurd_order_is_bounded(tmp_path, capsys):
+    # the node checks run at z = 1 only, so verify does the same work for
+    # n = 10^6 as for n = 2; c_hat = 0 is false for n > 1, so it fails
+    rec = {
+        "schema_version": 3,
+        "n": 10**6,
+        "precision_bits": 53,
+        "a": "2000000",
+        "c_hat": "0",
+        "m_hat": "1",
+        "construction_config": {"grid_m": 1024, "seed": None},
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(rec), encoding="utf-8")
+    assert main(["verify", str(path)]) == 1
+    capsys.readouterr()
 
 
 def test_probe_marty_family(files, capsys):
@@ -264,7 +295,7 @@ def test_construct_order_seven_at_default_precision(tmp_path):
     assert main(["construct", "-n", "7", "-o", str(out)]) == 0
     rec = json.loads(out.read_text(encoding="utf-8"))
     assert rec["precision_bits"] == 53
-    assert rec["p"] == ["-3/7", "17/98", "-5/49"]
+    assert rec["n"] == 7 and "p" not in rec
 
 
 def test_sweep_to_order_eight_passes(tmp_path, capsys):

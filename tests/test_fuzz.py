@@ -72,25 +72,19 @@ def test_parse_n_range_raises_only_value_error(text):
     assert 1 <= lo <= hi
 
 
-KEYS = ("schema_version", "n", "precision_bits", "p", "a", "c_hat", "m_hat", "construction_config")
+KEYS = ("schema_version", "n", "precision_bits", "a", "c_hat", "m_hat", "construction_config")
 
 
 @st.composite
 def mutated_records(draw, family):
     rec = storage.function_record(family[draw(st.integers(1, 6))], 1024)
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(("replace", "delete", "p entry", "p perturb", "grid_m")))
+        kind = draw(st.sampled_from(("replace", "delete", "grid_m")))
         key = draw(st.sampled_from(KEYS))
         if kind == "replace":
             rec[key] = draw(json_values | rational_text | number_text)
         elif kind == "delete":
             rec.pop(key, None)
-        elif isinstance(rec.get("p"), list) and rec["p"] and kind.startswith("p"):
-            i = draw(st.integers(0, len(rec["p"]) - 1))
-            if kind == "p entry":
-                rec["p"][i] = draw(json_values | rational_text | number_text)
-            else:
-                rec["p"][i] = draw(rational_text)
         elif isinstance(rec.get("construction_config"), dict):
             rec["construction_config"]["grid_m"] = draw(json_values)
     return json.loads(json.dumps(rec))  # only what a JSON file can hold

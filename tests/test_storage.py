@@ -2,7 +2,6 @@
 validation, and report serialization."""
 
 import json
-from fractions import Fraction
 
 import mpmath
 import pytest
@@ -45,10 +44,10 @@ def test_roundtrip_high_precision():
 
 def test_record_numbers_are_decimal_strings(family):
     rec = storage.function_record(family[4], 1024)
-    assert rec["schema_version"] == 2
+    assert rec["schema_version"] == 3
     for key in ("a", "c_hat", "m_hat"):
         assert isinstance(rec[key], str)
-    assert rec["p"] == ["-3/8", "19/128", "-11/128"]
+    assert "p" not in rec  # fixed by n, derived on load
     # c_4 overflows binary64, so a binary JSON number could not hold it
     assert float(rec["c_hat"]) == float("inf")
 
@@ -58,7 +57,6 @@ def test_trivial_member_record(family):
     assert rec["n"] == 1
     assert rec["a"] == "4"
     assert rec["c_hat"] == "0"
-    assert rec["p"] == ["0", "0", "0"]
     assert rec["construction_config"] == {"grid_m": 1024, "seed": None}
 
 
@@ -68,7 +66,6 @@ def test_stored_strings_parse_exactly(family):
     with mpmath.workprec(F.precision):
         assert mpmath.mpf(rec["a"]) == F.a
         assert mpmath.mpf(rec["c_hat"]) == F.c_hat
-    assert tuple(Fraction(c) for c in rec["p"]) == F.p
 
 
 def test_save_and_load_files(tmp_path, family):
@@ -86,9 +83,9 @@ def test_save_and_load_files(tmp_path, family):
     "mangle",
     [
         lambda r: r.pop("n"),
-        lambda r: r.pop("p"),
+        lambda r: r.pop("precision_bits"),
         lambda r: r.update(schema_version=1),
-        lambda r: r.update(p=["-1/4", "3/32"]),
+        lambda r: r.update(n="two"),
         lambda r: r.update(a=None),
         lambda r: r.update(construction_config={}),
     ],
@@ -126,55 +123,39 @@ def test_precision_below_53_rejected(family, bits):
         storage.parse_function(rec)
 
 
-@pytest.mark.parametrize(
-    "value", ["nan", "inf", "-inf", "0.5", "1e3", "1/2/3", " 1/2", "1_0", 7, None]
-)
-def test_non_rational_coefficient_rejected(family, value):
-    rec = storage.function_record(family[3], 1024)
-    rec["p"][1] = value
-    with pytest.raises(ValueError, match="not a rational"):
-        storage.parse_function(rec)
-
-
-@pytest.mark.parametrize("field", ["p_coeffs", "p_centers"])
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_non_finite_coefficient_rejected(family, field, value):
-    rec = storage.function_record(family[3], 1024)
-    rec["p"][1] = value
-    with pytest.raises(ValueError, match="not a rational"):
-        storage.parse_function(rec)
-    # the schema-1 layout kept the exponent in p_coeffs/p_centers as
-    # [re, im] pairs; such a field in place of p is refused, not read
-    del rec["p"]
-    rec[field] = [["0", "0"], [value, "0"], ["0", "0"]]
-    with pytest.raises(ValueError, match="malformed"):
-        storage.parse_function(rec)
-    rec["schema_version"] = 1
-    with pytest.raises(ValueError, match="schema"):
-        storage.parse_function(rec)
-
-
-@pytest.mark.parametrize("value", ["1/0", "-7/0"])
-def test_zero_denominator_rejected(family, value):
-    rec = storage.function_record(family[3], 1024)
-    rec["p"][2] = value
-    with pytest.raises(ValueError, match="zero denominator"):
-        storage.parse_function(rec)
-
-
-@pytest.mark.parametrize("p", [[], ["0", "0"], ["0", "0", "0", "0"], "abc", {"c1": "0"}])
-def test_exponent_needs_three_entries(family, p):
-    rec = storage.function_record(family[1], 1024)
-    rec["p"] = p
-    with pytest.raises(ValueError, match="three rationals"):
-        storage.parse_function(rec)
+def _old_schema_record(family, version):
+    # schema 1 stored a Newton-form exponent, schema 2 the three c_k
+    rec = storage.function_record(family[2], 1024)
+    if version == 1:
+        rec.update(p_centers=[["1", "0"]], p_coeffs=[["0", "0"]] * 2)
+    else:
+        rec["p"] = ["-1/4", "3/32", "-5/96"]
+    rec["schema_version"] = version
+    return rec
 
 
 def test_schema_one_file_rejected(family):
+    with pytest.raises(ValueError, match="schema 3 .*rebuild"):
+        storage.parse_function(_old_schema_record(family, 1))
+
+
+def test_schema_two_file_rejected(family):
+    with pytest.raises(ValueError, match="schema 3 .*rebuild"):
+        storage.parse_function(_old_schema_record(family, 2))
+
+
+def test_stored_exponent_rejected(family):
+    # a schema-2 file relabelled as schema 3 keeps its p, which is refused
+    rec = _old_schema_record(family, 2)
+    rec["schema_version"] = 3
+    with pytest.raises(ValueError, match="stores no p"):
+        storage.parse_function(rec)
+
+
+def test_order_below_one_rejected(family):
     rec = storage.function_record(family[2], 1024)
-    del rec["p"]
-    rec.update(schema_version=1, p_centers=[["1", "0"]], p_coeffs=[["0", "0"]] * 2)
-    with pytest.raises(ValueError, match="schema 2"):
+    rec["n"] = 0
+    with pytest.raises(ValueError, match="n must be >= 1"):
         storage.parse_function(rec)
 
 
@@ -193,16 +174,20 @@ def test_non_object_file_rejected(tmp_path):
 
 
 def test_corrupted_coefficient_fails_invariants(family):
+    # the file stores no exponent (test_node_gate_rejects_perturbed_exponent
+    # covers a perturbed c_k); a halved a breaks a >= sqrt(2 n c_hat)
     rec = storage.function_record(family[2], 1024)
-    rec["p"][1] = str(Fraction(rec["p"][1]) + Fraction(1, 100))
+    rec["a"] = str(mpmath.mpf(rec["a"]) / 2)
     with pytest.raises(InvariantViolation):
         storage.parse_function(rec)
 
 
 def test_c2_perturbed_by_one_millionth_fails_invariants(family):
+    # the file stores no c2 to perturb; c_hat raised by one millionth
+    # lifts sqrt(2 n c_hat) above the stored a
     rec = storage.function_record(family[6], 1024)
-    rec["p"][1] = str(Fraction(rec["p"][1]) + Fraction(1, 10**6))
-    with pytest.raises(InvariantViolation, match="not the exponent"):
+    rec["c_hat"] = str(mpmath.mpf(rec["c_hat"]) * (1 + mpmath.mpf("1e-6")))
+    with pytest.raises(InvariantViolation, match="inequality floor"):
         storage.parse_function(rec)
 
 
