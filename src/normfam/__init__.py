@@ -26,7 +26,6 @@ from .errors import (
     DuplicateNodes,
     IndexOutOfRange,
     InvariantViolation,
-    NearNode,
     NonPositiveM,
     NormfamError,
     OrderTooLow,
@@ -70,7 +69,6 @@ __all__ = [
     "DuplicateNodes",
     "IndexOutOfRange",
     "Overflow",
-    "NearNode",
     "NonPositiveM",
     "OrderTooLow",
     "CenterOffCircle",

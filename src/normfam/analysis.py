@@ -1,6 +1,6 @@
 """Numerical verification of the family's analytic properties.
 
-Everything the construction promises is checked here on grids: the
+Everything the construction promises is checked here: the
 second-derivative inequality |f''| / (1 + |f|^3) <= 1 on the disk of
 radius 2, the triple vanishing of h'' at the interpolation nodes, the
 blow-up of the spherical derivative along the unit circle, the decay
@@ -9,8 +9,9 @@ through an interior-versus-boundary maximum comparison.  Grid sweeps
 run through the log-space kernels, so magnitudes far beyond the double
 range are compared by exponent rather than by value.  f_n depends on z
 only through z^n, so every check near the nodes runs at the node z = 1,
-exact in binary64 and at any mpmath precision, which stands for all n
-of them: no check costs more as n grows.
+which stands for all n of them: no check costs more as n grows.  There
+u = z^n - 1 = 0 and every derivative of u is an integer, so the node
+conditions are decided exactly, on the rational jet of h at z = 1.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 
 from . import kernels
 from .errors import CenterOffCircle, OrderTooLow, PointTooCloseToCircle
-from .forge import EPS_NODE, MINUS_INFINITY, h_jet, log_ratio, root_of_unity
+from .forge import EPS_NODE, MINUS_INFINITY, h_jet, root_of_unity
 
 # fixed default so repeated runs produce identical reports; callers
 # (and the CLI) may override
@@ -83,7 +85,7 @@ class VerificationReport:
 
     passed always means: max_inequality within the op's slack of 1 and
     every node residual within the op's node tolerance (recorded in
-    notes).  Ops that have no separate node check leave node_residuals
+    notes; verify_node_jets tolerates none).  Ops that have no separate node check leave node_residuals
     empty, which satisfies the condition vacuously.
     """
 
@@ -165,24 +167,30 @@ def verify_inequality(F, samples=10000, tol=1e-12, seed=DEFAULT_SEED):
     )
 
 
-def verify_node_jets(F, tol=1e-8):
+def _node_residual(F):
+    # max(|h''|, |h'''|, |h''''|) / max(1, |h'|) at z = 1, a Fraction for
+    # the Fraction exponent of a record
+    hj = h_jet(F.n, F.p, Fraction(1), 4)
+    return max(abs(hj[m]) for m in (2, 3, 4)) / max(1, abs(hj[1]))
+
+
+def verify_node_jets(F):
     """Check that h'', h''', h'''' vanish at the node z = 1.
 
-    residual = max(|h''|, |h'''|, |h''''|) / max(1, |h'|), computed at
-    the record's own precision, where z = 1 is exact.  h depends on z
-    only through z^n, so at the node w = e^{2 pi i l/n} its m-th
-    derivative is the one at 1 times w^-m: the residual at z = 1 is the
-    residual at every node.
+    residual = max(|h''|, |h'''|, |h''''|) / max(1, |h'|), computed from
+    the exact rational jet of h at z = 1 (there u = 0 and
+    u^(k) = n!/(n-k)!, so p = 0 and e^p = 1); passed means it is exactly
+    0.  h depends on z only through z^n, so at the node
+    w = e^{2 pi i l/n} its m-th derivative is the one at 1 times w^-m:
+    the residual at z = 1 is the residual at every node.
     """
-    with mpmath.workprec(max(F.precision, 53)):
-        z = root_of_unity(F.n, 0, F.precision)
-        hj = h_jet(F.n, F.p, z, 4)
-        r = float(max(abs(hj[m]) for m in (2, 3, 4)) / max(1.0, abs(hj[1])))
+    res = _node_residual(F)
+    r = float(res)
     notes = (
-        f"node 1, standing for all {F.n} nodes by rotation invariance, at "
-        f"precision {F.precision}; tolerance {tol:g}"
+        f"exact rational jet at the node 1, which stands for all {F.n} nodes "
+        f"by rotation invariance; passes only at residual exactly 0"
     )
-    return VerificationReport(r <= tol, r, complex(z), (r,), notes)
+    return VerificationReport(res == 0, r, 1 + 0j, (r,), notes)
 
 
 def _nearest_node_index(n, center):
@@ -271,60 +279,38 @@ def lemma2_probe(Fs, points, orders):
     return ProbeResult(tuple(ns), tuple(meas), verdict)
 
 
-# pole-hunting ring distance around the node.  The floor: a record is
-# allowed node residuals up to 1e-8 * max(1, |h'|), and those must not
-# trip the check, which caps the amplification 1/d^3 at roughly 3e-5.
-# The ceiling: an O(1) broken condition must still outgrow whatever the
-# corruption does to the boundary max.  1e-4 clears both with two-digit
-# margins at n = 2 and better beyond.
-_RING_DISTANCE = 1e-4
-_RING_POINTS = 16
-
-
-def _node_ring_logs(F):
-    # log|h''/h^3| right next to the node z = 1, which stands for all n
-    # nodes.  The double kernel cannot go this close (cancellation noise
-    # in the numerator grows like eps / d^3, exactly the signature of the
-    # poles we hunt), so these few points run through the
-    # arbitrary-precision jets instead, in the log form that needs no e^p.
-    out = []
-    with mpmath.workprec(max(2 * F.precision, 160)):
-        for j in range(_RING_POINTS):
-            z = 1 + _RING_DISTANCE * mpmath.expjpi(mpmath.mpf(2 * j) / _RING_POINTS)
-            val = log_ratio(F.n, F.p, z)
-            if val > MINUS_INFINITY:
-                out.append((val, complex(z)))
-    return out
-
-
 def max_modulus_check(F, resolution=512):
     """Interior max of |h''/h^3| must not beat the |z| = 2 boundary max.
 
-    An entire quotient attains its maximum modulus on the boundary
-    circle, so any interior value above the boundary grid max (beyond
-    relative 1e-6) flags a singularity inside; that is exactly what a
-    broken node condition produces.  The interior sample is a polar
-    grid (off the node neighborhoods) plus a tight high-precision ring
-    around the node z = 1, where such poles live; the quotient is
-    invariant under z -> e^{2 pi i/n} z, so that ring stands for all n
-    nodes and its cost does not grow with n.  Comparison happens on
-    the log scale.  max_inequality reports the clamped quotient
-    interior / (boundary * (1 + 1e-6)).
+    h''/h^3 can only have poles at the nodes, and it has one at every
+    node exactly when the node residual of verify_node_jets is nonzero:
+    then the check fails at once with worst_point 1 and an infinite
+    max_inequality.  Otherwise the quotient is entire and attains its
+    maximum modulus on the boundary circle, so an interior value of a
+    polar grid (off the node neighborhoods) above the boundary grid max
+    (beyond relative 1e-6) flags an evaluation fault.  Comparison
+    happens on the log scale.  max_inequality reports the clamped
+    quotient interior / (boundary * (1 + 1e-6)).
     """
     if resolution < 64:
         raise ValueError("resolution must be >= 64")
+    res = _node_residual(F)
+    if res != 0:
+        notes = (
+            f"node residual {float(res):.6g} is not 0, so h''/h^3 has a pole "
+            f"at each of the {F.n} nodes"
+        )
+        return VerificationReport(False, math.inf, 1 + 0j, (), notes)
     nr = max(8, resolution // 8)
     radii = np.linspace(0.05, 1.98, nr)
     th = 2.0 * np.pi * np.arange(resolution) / resolution
     inner = (radii[:, None] * np.exp(1j * th)[None, :]).ravel()
-    inner = inner[np.abs(inner**F.n - 1.0) > EPS_NODE]  # stay off the zeros
+    with np.errstate(over="ignore"):
+        inner = inner[np.abs(inner**F.n - 1.0) > EPS_NODE]  # stay off the zeros
     log_in = kernels.ratio_log(F.n, F.p_float, inner)
     log_bd = kernels.ratio_log(F.n, F.p_float, 2.0 * np.exp(1j * th))
     i = int(np.argmax(log_in))
     li, worst = float(log_in[i]), complex(inner[i])
-    for val, z in _node_ring_logs(F):
-        if val > li:
-            li, worst = val, z
     lb = float(np.max(log_bd))
     slack = math.log1p(1e-6)
     if li == MINUS_INFINITY and lb == MINUS_INFINITY:
@@ -335,11 +321,9 @@ def max_modulus_check(F, resolution=512):
         passed = li <= lb + slack
         ratio = math.exp(min(li - lb - slack, 700.0))
     notes = (
-        f"interior: {inner.size} polar points (radii <= 1.98, node "
-        f"neighborhoods of radius {EPS_NODE:g} excluded) plus "
-        f"{_RING_POINTS} ring points at distance {_RING_DISTANCE:g} of the "
-        f"node 1, which stands for all {F.n} nodes by rotation invariance; "
-        f"boundary: {resolution} points on |z|=2; "
+        f"node residual exactly 0; interior: {inner.size} polar points "
+        f"(radii <= 1.98, node neighborhoods of radius {EPS_NODE:g} "
+        f"excluded); boundary: {resolution} points on |z|=2; "
         f"log maxima {li:.6g} vs {lb:.6g}, relative slack 1e-6"
     )
     return VerificationReport(passed, ratio, worst, (), notes)

@@ -129,7 +129,7 @@ def cmd_verify(args):
             "max_modulus": storage.verification_to_dict(maxmod),
         },
     )
-    print(json.dumps(report, indent=2))
+    print(json.dumps(report, indent=2, allow_nan=False))
     return OK if (ineq.passed and nodes.passed and maxmod.passed) else FAIL
 
 
@@ -244,7 +244,8 @@ def _parser():
     c = sub.add_parser("construct", help="build one family member and save it")
     c.add_argument("-n", type=int, required=True, help="family order (>= 1)")
     c.add_argument("--precision", type=int, default=53,
-                   help="bits the record's scalar checks run at (53..4096)")
+                   help="bits of the stored magnitudes and of the probes' "
+                   "mpmath arithmetic (53..4096)")
     c.add_argument("--grid", type=int, default=1024, help="magnitude scan grid size")
     c.add_argument("-o", "--output", required=True, help="function file to write")
     c.set_defaults(func=cmd_construct)

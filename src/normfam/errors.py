@@ -17,11 +17,6 @@ class Overflow(NormfamError):
     """Re(p(z)) exceeds the safe exponent budget for the active precision."""
 
 
-class NearNode(NormfamError):
-    """Evaluation point too close to an interpolation node for the
-    log-space ratio; the caller must use the node-circle bound instead."""
-
-
 class NonPositiveM(NormfamError):
     """Estimated infimum of |h| is not positive."""
 

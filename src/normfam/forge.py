@@ -22,8 +22,11 @@ simple zero of f_n.
 c_n and a_n explode with n (log a_6 is around 2.7e4), so the three
 magnitude fields of a constructed record are mpmath reals with unbounded
 exponent, and every grid scan works on logarithms in double precision.
-A record's precision is the one its scalar checks run at: python
-complex at 53 bits, mpmath.mpc above.
+At z = 1, u = 0 and every derivative of u is an integer, so h_jet at
+Fraction(1) is exact: the node conditions are decided in rational
+arithmetic. A record's precision sets only the digits its magnitudes
+are stored with and the precision of f_jet and of the probes (python
+complex at 53 bits, mpmath.mpc above).
 """
 
 import cmath
@@ -36,17 +39,11 @@ import mpmath
 import numpy as np
 
 from . import kernels
-from .errors import (
-    IndexOutOfRange,
-    InvariantViolation,
-    NearNode,
-    NonPositiveM,
-    Overflow,
-)
+from .errors import IndexOutOfRange, InvariantViolation, NonPositiveM, Overflow
 
 EPS_NODE = 1e-3
 MINUS_INFINITY = float("-inf")
-MAX_PRECISION = 4096  # bits; the node ring of the checks runs at twice this
+MAX_PRECISION = 4096  # bits
 
 _EXP_BUDGET = 700.0  # |Re p| beyond this overflows e^p in binary64
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -56,13 +53,6 @@ _GOLDEN_TOL = 1e-8
 
 def _is_mp(x):
     return isinstance(x, (mpmath.mpf, mpmath.mpc))
-
-
-def _log_abs(x):
-    a = abs(x)
-    if a == 0:
-        return MINUS_INFINITY
-    return float(mpmath.log(a)) if _is_mp(a) else math.log(a)
 
 
 @dataclass(frozen=True)
@@ -186,7 +176,10 @@ def p_float(p):
 
 
 def _coeffs_like(p, z):
-    # the c_k rounded once to the working precision of z
+    # the c_k rounded once to the working precision of z; a Fraction z
+    # keeps them exact
+    if isinstance(z, Fraction):
+        return p
     if _is_mp(z):
         return tuple(mpmath.mpf(c.numerator) / c.denominator for c in p)
     return p_float(p)
@@ -202,19 +195,23 @@ def _gp_jets(n, p, z, J):
 
 def p_jet(n, p, z, J):
     """Jet of p at z, orders J <= 4, by the chain rule through the jet of
-    u = z^n - 1. The c_k are rounded once to the working precision of z."""
+    u = z^n - 1. The c_k are rounded once to the working precision of z,
+    or kept exact for a Fraction z."""
     return Jet(J, tuple(_gp_jets(n, p, z, J)[1]))
 
 
 def exp_jet(p_jet):
     """Jet of e^p from the jet of p, by the derivative recursion
-    E_j = sum_i binom(j-1, i) p^(j-i) E_i."""
+    E_j = sum_i binom(j-1, i) p^(j-i) E_i. E_0 = 1 exactly where p is
+    exactly 0, so an exact jet of p (Fractions) gives an exact jet."""
     v0 = p_jet.values[0]
     rep = v0.real
     if not _is_mp(rep) and abs(float(rep)) > _EXP_BUDGET:
         raise Overflow(f"Re(p) = {float(rep):.6g} exceeds the double exponent budget")
     if _is_mp(v0):
         E = [mpmath.exp(v0)]
+    elif v0 == 0:
+        E = [1]
     else:
         E = [cmath.exp(complex(v0))]
     for j in range(1, p_jet.order + 1):
@@ -226,36 +223,14 @@ def exp_jet(p_jet):
 
 def h_jet(n, p, z, J):
     """Jet of h = g e^p by the Leibniz rule h^(m) = sum binom(m,j) g^(m-j) E_j,
-    orders J <= 4."""
+    orders J <= 4. At z = Fraction(1) every value is an exact Fraction
+    (there u = 0, so p = 0 and e^p = 1)."""
     g, pj = _gp_jets(n, p, z, J)
     E = exp_jet(Jet(J, tuple(pj)))
     vals = []
     for m in range(J + 1):
         vals.append(sum(math.comb(m, j) * g[m - j] * E[j] for j in range(m + 1)))
     return Jet(J, tuple(vals))
-
-
-def log_ratio(n, p, z):
-    """log |h''(z) / h(z)^3|, never materializing e^{-2p} / g^3.
-
-    h''/h^3 = (g'' + 2 g' p' + g (p'' + p'^2)) e^{-2p} / g^3, so the log
-    is log|numerator| - 2 Re p - 3 log|g|; -inf where the numerator
-    vanishes. Nothing guards the nodes, where the quotient is 0/0.
-    """
-    g, pj = _gp_jets(n, p, z, 2)
-    b2 = kernels.b2(g, pj)
-    if b2 == 0:
-        return MINUS_INFINITY
-    return _log_abs(b2) - 2.0 * float(pj[0].real) - 3.0 * _log_abs(g[0])
-
-
-def ratio_log_abs(n, p, z):
-    """log_ratio away from the nodes. Points with |z^n - 1| inside the
-    node exclusion radius are refused: there the quotient is 0/0 and the
-    caller must bound it by its max on the node circle instead."""
-    if abs(z**n - 1) <= EPS_NODE:
-        raise NearNode(f"|z^n - 1| <= {EPS_NODE:g} at z = {complex(z):.6g}")
-    return log_ratio(n, p, z)
 
 
 def _golden_max(f, lo, hi, tol):
@@ -292,14 +267,18 @@ def estimate_c(n, p, M=1024):
     K = M * max(1, n)
     theta = np.linspace(0.0, 2.0 * math.pi, K, endpoint=False)
     zs = 2.0 * np.exp(1j * theta)
-    logs = kernels.ratio_log(n, p_float(p), zs)
+    c = p_float(p)
+    logs = kernels.ratio_log(n, c, zs)
     if not np.any(np.isfinite(logs)):
         return mpmath.mpf(0)
     i = int(np.argmax(logs))
     step = 2.0 * math.pi / K
 
     def f(t):
-        return ratio_log_abs(n, p, 2.0 * cmath.exp(1j * t))
+        # one point of |z| = 2, where |u| >= 2^n - 1 >= 1, in python complex:
+        # numpy calls on one-point arrays would double the cost of estimate_c
+        u = kernels.u_jet(n, 2.0 * cmath.exp(1j * t), 2)
+        return float(kernels.ratio_log_jets(u, kernels.p_from_u(c, u)))
 
     best = _golden_max(f, theta[i] - step, theta[i] + step, _GOLDEN_TOL)
     best = max(best, float(logs[i]))
@@ -351,7 +330,8 @@ class CounterexampleFunction:
     """One constructed family member f_n = a h, h = (z^n - 1) e^{p}.
 
     p is the exact triple (c1, c2, c3) of build_p(n); precision is the
-    number of bits the record's scalar checks run at."""
+    number of bits its magnitudes are stored with and that f_jet and the
+    probes run at."""
 
     n: int
     p: tuple

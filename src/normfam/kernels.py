@@ -5,8 +5,9 @@ The exponent enters as the float triple c = (c1, c2, c3) of
 p = c1 u + c2 u^2 + c3 u^3 with u = z^n - 1, so a point costs a few
 complex products whatever n: the jet of p follows from the jet of u by
 the chain rule. Every kernel takes its points as its last argument.
-The two jet functions below take numpy arrays and scalars alike (python
-complex, mpmath.mpc, Fraction), and forge's scalar jets use them too.
+The jet functions below (u_jet, p_from_u, b2) take numpy arrays and
+scalars alike (python complex, mpmath.mpc, Fraction), and forge's scalar
+jets use them too; ratio_log_jets takes arrays and python complex.
 
 All magnitude arithmetic is done on logarithms: the family's scaling
 constants overflow binary64 from order 5 on, so |f| and |f|^3 never
@@ -99,6 +100,12 @@ def b2(u, p):
     return u[2] + 2.0 * u1p1 + u[0] * q
 
 
+def ratio_log_jets(u, p):
+    """log |h''/h^3| = log|b2| - 2 Re p - 3 log|g| from the order-2 jets of
+    g = u and of p, arrays and scalars alike; -inf where b2 vanishes."""
+    return np.log(np.abs(b2(u, p))) - 2.0 * p[0].real - 3.0 * np.log(np.abs(u[0]))
+
+
 def ratio_log(n, c, zs):
     """log |h''/h^3| pointwise; -inf where the numerator vanishes.
 
@@ -106,8 +113,7 @@ def ratio_log(n, c, zs):
     before asking.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u, p = _jets(n, c, zs, 2)
-        return np.log(np.abs(b2(u, p))) - 2.0 * p[0].real - 3.0 * np.log(np.abs(u[0]))
+        return ratio_log_jets(*_jets(n, c, zs, 2))
 
 
 def h_log(n, c, zs):

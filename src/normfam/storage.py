@@ -112,12 +112,19 @@ def load_function(path):
     return parse_function(record)
 
 
+def _json_float(x):
+    # JSON has no NaN or infinity; a non-finite value is written as null
+    return x if math.isfinite(x) else None
+
+
 def verification_to_dict(rep):
+    """The report as strict JSON values: every non-finite float is null."""
+    z = rep.worst_point
     return {
         "passed": rep.passed,
-        "max_inequality": rep.max_inequality,
-        "worst_point": [rep.worst_point.real, rep.worst_point.imag],
-        "node_residuals": list(rep.node_residuals),
+        "max_inequality": _json_float(rep.max_inequality),
+        "worst_point": [_json_float(z.real), _json_float(z.imag)],
+        "node_residuals": [_json_float(r) for r in rep.node_residuals],
         "notes": rep.notes,
     }
 

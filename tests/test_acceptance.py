@@ -24,13 +24,12 @@ ORDERS = range(1, 7)
 
 
 def test_01_node_jet_residuals(family):
-    # h'', h''', h'''' vanish at every node: relative residual <= 1e-8
-    worst = 0.0
+    # h'', h''', h'''' vanish at every node: the exact residual is 0
     for n in ORDERS:
-        rep = verify_node_jets(family[n], tol=1e-8)
+        rep = verify_node_jets(family[n])
         assert rep.passed, f"n={n}: residual {rep.max_inequality:.3e}"
-        worst = max(worst, rep.max_inequality)
-    print(f"pass: node jets vanish, worst residual {worst:.3e} <= 1e-8")
+        assert rep.max_inequality == 0.0
+    print("pass: node jets vanish, exact residual 0 for n = 1..6")
 
 
 def test_02_exponent_degree_bound(family):

@@ -11,7 +11,6 @@ import sympy
 from normfam import (
     IndexOutOfRange,
     InvariantViolation,
-    NearNode,
     NonPositiveM,
     Overflow,
 )
@@ -33,8 +32,8 @@ from normfam.forge import (
     g_jet,
     h_jet,
     node_conditions,
+    p_float,
     p_jet,
-    ratio_log_abs,
     root_of_unity,
 )
 
@@ -260,6 +259,20 @@ def test_h_jet_defining_property_order_two():
         assert abs(hj.values[m]) <= 1e-9 * h1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 1000, 10**6])
+def test_h_jet_exact_at_one(n):
+    # u = 0 and u^(k) = n!/(n-k)! at z = 1, so the whole jet is rational
+    hj = h_jet(n, build_p(n), Fraction(1), 4)
+    assert all(isinstance(v, Fraction) for v in hj.values)
+    assert hj.values == (0, n, 0, 0, 0)
+
+
+def test_exp_jet_exact_where_p_vanishes():
+    E = exp_jet(Jet(2, (Fraction(0), Fraction(1, 3), Fraction(2))))
+    assert E.values == (1, Fraction(1, 3), Fraction(19, 9))
+    assert all(isinstance(v, (int, Fraction)) for v in E.values)
+
+
 def test_h_vanishes_at_all_nodes(family):
     for n, F in family.items():
         for ell in range(n):
@@ -300,27 +313,20 @@ def test_simple_zeros_preserved(family):
             assert abs(h1 - n) <= 1e-8 * n
 
 
-# ratio_log_abs
+# kernels.ratio_log on single points
 
 
-def test_ratio_log_abs_sentinel_order_one():
-    assert ratio_log_abs(1, ZERO_P, 0.5) == MINUS_INFINITY
+def test_ratio_log_sentinel_order_one():
+    assert kernels.ratio_log(1, p_float(ZERO_P), 0.5) == MINUS_INFINITY
 
 
-def test_ratio_log_abs_matches_direct_quotient():
+def test_ratio_log_matches_direct_quotient():
     p = build_p(2)
     for z in (2 + 0j, 1 + 2 * EPS_NODE, 0.5 + 1.2j):
         hj = h_jet(2, p, z, 2)
         direct = math.log(abs(hj.values[2]) / abs(hj.values[0]) ** 3)
-        got = ratio_log_abs(2, p, z)
+        got = kernels.ratio_log(2, p_float(p), z)
         assert abs(math.expm1(got - direct)) <= 1e-6
-
-
-def test_ratio_log_abs_near_node_refused():
-    with pytest.raises(NearNode):
-        ratio_log_abs(1, ZERO_P, 1 + 1e-4)
-    with pytest.raises(NearNode):
-        ratio_log_abs(2, build_p(2), -1 + 1e-4 * 1j)
 
 
 def test_log_space_consistency_where_direct_is_representable(family):
@@ -342,7 +348,7 @@ def test_log_space_consistency_where_direct_is_representable(family):
             direct = abs(hj.values[2]) / denom
             if direct == 0 or not math.isfinite(direct):
                 continue
-            got = ratio_log_abs(n, F.p, z)
+            got = kernels.ratio_log(n, F.p_float, z)
             assert abs(math.expm1(got - math.log(direct))) <= 1e-6
             checked += 1
 
@@ -372,7 +378,7 @@ def test_estimate_c_dominates_interior_samples(family):
             z = sample_disk(rng)
             if abs(z**n - 1) <= EPS_NODE:
                 continue
-            assert ratio_log_abs(n, F.p, z) <= bound
+            assert kernels.ratio_log(n, F.p_float, z) <= bound
             count += 1
 
 

@@ -1,5 +1,5 @@
-"""Grid kernels agree with the scalar path and with an exact mpmath
-oracle across all magnitude branches."""
+"""Grid kernels agree with the mpmath scalar jets and with an exact
+mpmath oracle across all magnitude branches."""
 
 import functools
 import math
@@ -10,7 +10,7 @@ import pytest
 import sympy
 
 from normfam import kernels
-from normfam.forge import EPS_NODE, ratio_log_abs, root_of_unity
+from normfam.forge import EPS_NODE, h_jet, root_of_unity
 
 
 def grid_points(rng, count, radius=2.0):
@@ -71,19 +71,22 @@ def rng():
 
 
 def test_ratio_log_matches_scalar_path(family, rng):
+    # the scalar path is log|h''| - 3 log|h| on h_jet's exp-form jet at
+    # 160 bits, with the exact c_k: no e^p-free log form, no binary64
     for n, F in family.items():
         zs = off_node_points(rng, n, 50)
         grid = kernels.ratio_log(n, F.p_float, zs)
         hlog = kernels.h_log(n, F.p_float, zs)
         for z, got, lh in zip(zs, grid, hlog):
-            want = ratio_log_abs(n, F.p, complex(z))
+            with mpmath.workprec(160):
+                hj = h_jet(n, F.p, mpmath.mpc(z), 2)
+                want = float(mpmath.log(abs(hj[2])) - 3 * mpmath.log(abs(hj[0])))
             if want == float("-inf"):
                 assert got == float("-inf")
             else:
-                # two double paths differ by ulps amplified both by the
-                # largest log in the difference (|log h| reaches ~5e4 at
-                # n=6) and by cancellation inside the second-derivative
-                # combination; the mpmath oracle below pins true accuracy
+                # the kernel's rounding is amplified both by the largest
+                # log in the difference (|log h| reaches ~5e4 at n=6) and
+                # by cancellation inside the second-derivative combination
                 scale = max(1.0, abs(want), 3.0 * abs(lh))
                 assert abs(got - want) <= 1e-10 * scale
 
