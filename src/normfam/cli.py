@@ -38,7 +38,6 @@ OK, FAIL, USAGE = 0, 1, 2
 # grid exports are written this many rows at a time, so that no list or
 # string of the whole export is ever built
 CSV_CHUNK = 8192
-_CSV_ROW = "{:.17g},{:.17g},{:.17g}\n".format
 
 # one canonical complex syntax: a+bi with no spaces (bare reals allowed)
 _COMPLEX_RE = re.compile(
@@ -109,7 +108,11 @@ def cmd_construct(args):
     except NormfamError as exc:
         _err(f"construction failed: {exc}")
         return FAIL
-    storage.save_function(F, args.grid, args.output)
+    try:
+        storage.save_function(F, args.grid, args.output)
+    except OSError as exc:
+        _err(f"{args.output}: {exc}")
+        return USAGE
     return OK
 
 
@@ -173,17 +176,125 @@ def cmd_grid(args):
     else:
         vals = kernels.sphder_log(F.n, F.p_float, F.log_a, zs)
     keep = np.isfinite(vals)
-    write_csv(args.export, zs[keep], vals[keep])
+    try:
+        write_csv(args.export, zs[keep], vals[keep])
+    except OSError as exc:
+        _err(f"{args.export}: {exc}")
+        return USAGE
     return OK
+
+
+def _split(a):
+    """Veltkamp's split a = hi + lo, each half with at most 26 bits."""
+    c = a * 134217729.0  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+# Tables of the CSV encoder (see csv_rows), built with numpy at import:
+# _DIGITS4[v] holds the four ASCII digits of v = 0..9999 as one uint32,
+# _TZ4[v] counts their trailing zeros, and 10^s is exact for s <= 22.
+_I4 = np.arange(10_000)
+_DIGITS4 = (ord("0") + _I4[:, None] // np.array([1000, 100, 10, 1]) % 10).astype(np.uint8)
+_DIGITS4 = _DIGITS4.view(np.uint32).ravel()
+_TZ4 = sum(_I4 % 10**j == 0 for j in range(1, 5)).astype(np.int64)
+_POW = np.array([10**s for s in range(23)], dtype=np.float64)
+_POW_HI, _POW_LO = _split(_POW)
+
+
+def _source_row_layouts():
+    """For each (sign, k, L), the source-row column of each of the 25 bytes
+    of a field: the fixed-notation %.17g text of a value with decimal
+    exponent k in -4..16 and L significant digits, then its separator,
+    then NUL padding. A source row is _TEMPLATE with the 17 digits in
+    columns 4-20; row (21 sign + k + 4) 17 + L - 1 is that layout."""
+    sign, k, L, t = np.ix_(range(2), range(-4, 17), range(1, 18), range(25))
+    u = t - sign
+    point = 5 + k  # source column of the first digit after the point
+    lo = np.minimum(4, point - 1)  # ... and of the first digit written
+    nint, nfrac = point - lo, np.maximum(0, 4 + L - point)
+    end = nint + nfrac + (nfrac > 0)
+    src = np.select(
+        [u < 0, u < nint, u == end, u == nint, u < end], [21, lo + u, 23, 22, lo + u - 1], 24
+    )
+    return src.reshape(-1, 25)
+
+
+_LAYOUT = _source_row_layouts()
+# the source rows of one CSV row's three fields, digits still to fill in
+_TEMPLATE = np.frombuffer(
+    b"".join(b"0000" + bytes(17) + b"-." + sep + bytes(1) for sep in (b",", b",", b"\n")), np.uint8
+).reshape(3, 25)
 
 
 def write_csv(path, zs, vals):
     """re,im,value rows with 17 significant digits, CSV_CHUNK at a time."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("re,im,value\n")
+    with open(path, "wb") as fh:
+        fh.write(b"re,im,value\n")
         for i in range(0, len(vals), CSV_CHUNK):
             z, v = zs[i : i + CSV_CHUNK], vals[i : i + CSV_CHUNK]
-            fh.writelines(map(_CSV_ROW, z.real.tolist(), z.imag.tolist(), v.tolist()))
+            fh.write(csv_rows(np.stack([z.real, z.imag, v], axis=1)))
+
+
+def _times_pow10(a, s):
+    """(p, e) with a * 10^s = p + e exactly (Dekker's two-product)."""
+    p = a * _POW[s]
+    ah, al = _split(a)
+    e = ((ah * _POW_HI[s] - p) + ah * _POW_LO[s] + al * _POW_HI[s]) + al * _POW_LO[s]
+    return p, e
+
+
+def csv_rows(x):
+    """The bytes of "%.17g,%.17g,%.17g\n" % tuple(row) for each row of the
+    float array x of shape (m, 3), as one uint8 array.
+
+    For 9e-5 <= |v| < 1e17 the 17 significant digits d and the decimal
+    exponent k of v are found exactly. With s = 16 - k in 0..21,
+    |v| 10^s = p + e exactly (Dekker's two-product); p >= 2^53 is an even
+    integer, so d = p + rint(e) is rounded half to even, as %.17g does. A
+    guess of k from log10 that is off by one fails 10^16 <= floor(p + e)
+    < 10^17 and is redone. The fields with k in -4..16, which %.17g writes
+    in fixed notation, and the zeros are gathered from the digit tables;
+    the rest (non-finite, |v| < 1e-4, |v| >= 1e17) go through one
+    %-format call."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    n = x.size
+    a = np.abs(x)
+    fast = (a >= 9e-5) & (a < 1e17)
+    a = np.where(fast, a, 1.0)
+    k = np.clip(np.floor(np.log10(a)), -5, 16).astype(np.int64)
+    p, e = _times_pow10(a, 16 - k)
+    f = p.astype(np.int64) + np.floor(e).astype(np.int64)
+    redo = np.flatnonzero((f < 10**16) | (f >= 10**17))
+    k[redo] += np.where(f[redo] < 10**16, -1, 1)
+    p[redo], e[redo] = _times_pow10(a[redo], 16 - k[redo])
+    d = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    up = d == 10**17
+    d[up], k[up] = 10**16, k[up] + 1
+    zero = x == 0
+    d[zero], k[zero] = 0, 0
+    slow = ~(fast | zero) | (k < -4) | (k > 16)
+
+    r = d % 10**16
+    g = np.stack([r // 10**12, r // 10**8 % 10**4, r // 10**4 % 10**4, r % 10**4], axis=1)
+    tz = _TZ4[g[:, 3]] + (g[:, 3] == 0) * (
+        _TZ4[g[:, 2]] + (g[:, 2] == 0) * (_TZ4[g[:, 1]] + (g[:, 1] == 0) * _TZ4[g[:, 0]])
+    )
+    src = np.empty((n // 3, 3, 25), np.uint8)
+    src[:] = _TEMPLATE
+    src = src.reshape(n, 25)
+    src[:, 4] = ord("0") + d // 10**16
+    src[:, 5:21] = _DIGITS4[g].view(np.uint8).reshape(n, 16)
+    layout = (np.signbit(x) * 21 + k + 4) * 17 + 16 - tz
+    gather = _LAYOUT.take(layout, axis=0, mode="clip")
+    gather += np.arange(0, 25 * n, 25)[:, None]
+    out = src.ravel().take(gather)
+
+    i = np.flatnonzero(slow)
+    text = ("%.17g " * i.size % tuple(x[i].tolist())).split()
+    out[i, :24] = np.array(text, dtype="S24").view(np.uint8).reshape(i.size, 24)
+    out[i, 24] = src[i, 23]
+    return out[out != 0]
 
 
 def cmd_sweep(args):
@@ -216,9 +327,13 @@ def cmd_sweep(args):
             rows.append({"n": n, "error": str(exc), "passed": False})
             ok = False
         all_ok = all_ok and ok
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        json.dump({"command": "sweep", "rows": rows}, fh, indent=2)
-        fh.write("\n")
+    try:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+            json.dump({"command": "sweep", "rows": rows}, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        _err(f"{args.output}: {exc}")
+        return USAGE
     for row in rows:
         if "error" in row:
             print(f"n={row['n']:<3d} ERROR {row['error']}")

@@ -6,8 +6,12 @@ p = c1 u + c2 u^2 + c3 u^3 with u = z^n - 1, so a point costs a few
 complex products whatever n: the jet of p follows from the jet of u by
 the chain rule. Every kernel takes its points as its last argument.
 The jet functions below (u_jet, p_from_u, b2) take numpy arrays and
-scalars alike (python complex, mpmath.mpc, Fraction), and forge's scalar
-jets use them too; ratio_log_jets takes arrays and python complex.
+scalars (python complex, mpmath.mpc, Fraction), and forge's scalar jets
+use them too; ratio_log_jets takes arrays and python complex. Only array
+values are independent of the array size: numpy rounds a complex product
+of 0-d or python scalars differently from its array loop, so a point
+evaluated as a scalar can differ in its last bits from the same point
+inside an array.
 
 All magnitude arithmetic is done on logarithms: the family's scaling
 constants overflow binary64 from order 5 on, so |f| and |f|^3 never

@@ -2,6 +2,7 @@
 command-line interface."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -232,6 +233,17 @@ def test_grid_sphder_disk(files, tmp_path):
     assert all(v == v for v in vals)  # finite, already filtered
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "-n", "1", "-o", "{out}"],
+    ["grid", "{f1}", "--what", "fk", "--region", "circle:2", "--resolution", "4", "--export", "{out}"],
+    ["sweep", "--n-range", "1..1", "-o", "{out}"],
+], ids=["construct", "grid", "sweep"])
+def test_unwritable_output_is_usage_error(argv, files, tmp_path, capsys):
+    out = str(tmp_path / "missing" / "x.out")
+    assert main([a.format(out=out, f1=files[1]) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {out}: ")
+
+
 def test_grid_bad_arguments(files, tmp_path, capsys):
     out = str(tmp_path / "g.csv")
     assert main(["grid", files[1], "--what", "fk", "--region", "circle:2",
@@ -283,9 +295,20 @@ def test_console_entry_point(tmp_path):
 
 def test_csv_writer_matches_row_fstring(tmp_path, monkeypatch):
     # the chunked writer must produce the bytes of the per-row f-string,
-    # signed zeros and extreme exponents included, across chunk borders
+    # signed zeros and extreme exponents included, across chunk borders;
+    # exact ties m / 2^q (18 significant digits ending in 5) round half to
+    # even, 10^k and its neighbours get the right exponent, and the
+    # fk-like values near 1e-200, centred in the list, make chunks whose
+    # fields are all written in scientific notation
     monkeypatch.setattr("normfam.cli.CSV_CHUNK", 3)
+    ties = [s * ((10**17 // 5**q + j) | 1) / 2**q for q in range(2, 25) for j in (1, 3, 5) for s in (1, -1)]
+    decades = [y for k in range(-6, 19) for x in [float(f"1e{k}")]
+               for y in (math.nextafter(x, 0), x, math.nextafter(x, math.inf))]
+    fk_like = [s * m * 1e-200 for m in (1.0, 3.7, 9.9, 0.25, 7.125, 5.5) for s in (1, -1)]
+    edges = ties + decades
+    mid = (len(edges) - 10) // 2
     parts = [0.0, -0.0, -1.5, 1e300, -1e-300, 1e-300, 2.0 / 3.0, -7.0, 5e-324, 1.7976931348623157e308]
+    parts += edges[:mid] + fk_like + edges[mid:]
     zs = np.array([complex(a, b) for a, b in zip(parts, reversed(parts))])
     vals = np.array(parts[3:] + parts[:3])
     new = tmp_path / "new.csv"

@@ -1,16 +1,18 @@
 """Property tests: command-line and file parsing refuse bad input only
-with ValueError (exit 2) or InvariantViolation (exit 1), and function
-files round-trip exactly at any precision."""
+with ValueError (exit 2) or InvariantViolation (exit 1), function
+files round-trip exactly at any precision, and grid CSV rows are the
+bytes of %.17g for every float."""
 
 import json
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normfam import storage
-from normfam.cli import parse_complex, parse_n_range, parse_region
+from normfam.cli import csv_rows, parse_complex, parse_n_range, parse_region
 from normfam.errors import InvariantViolation
 from normfam.forge import CounterexampleFunction, build_p, choose_a
 
@@ -129,3 +131,11 @@ def test_save_load_round_trip_any_precision(
     G, gm = storage.load_function(path)
     assert (G, gm) == (F, grid_m)
     assert storage.function_to_json(G, gm) == path.read_text(encoding="utf-8")
+
+
+@settings(max_examples=MANY, deadline=None)
+@given(st.lists(st.tuples(st.floats(), st.floats(), st.floats()), min_size=1, max_size=8))
+def test_csv_rows_are_17g_text(rows):
+    # st.floats() draws nan, +-inf, +-0 and subnormals too
+    want = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
+    assert csv_rows(np.array(rows)).tobytes() == want.encode("ascii")
