@@ -16,7 +16,6 @@ conditions are decided exactly, on the rational jet of h at z = 1.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import kernels
 from .errors import CenterOffCircle, OrderTooLow, PointTooCloseToCircle
-from .forge import EPS_NODE, MINUS_INFINITY, h_jet, root_of_unity
+from .forge import EPS_NODE, MINUS_INFINITY, distinct_angles, h_jet
 
 # fixed default so repeated runs produce identical reports; callers
 # (and the CLI) may override
@@ -193,19 +192,16 @@ def verify_node_jets(F):
     return VerificationReport(res == 0, r, 1 + 0j, (r,), notes)
 
 
-def _nearest_node_index(n, center):
-    return round(n * cmath.phase(center) / (2.0 * math.pi)) % n
-
-
 def marty_probe(Fs, center, radius, samples=2048, seed=DEFAULT_SEED):
     """Max spherical derivative near one boundary point, per function.
 
     The grid is seeded-uniform in the disk around `center` plus the
-    center itself plus the node nearest to it; radius 0 degenerates to
-    the single point {center}.  Measurements are arbitrary-precision
-    reals (they outgrow binary64 quickly).  Verdict is "blowup" when
-    every measurement clears its closed-form floor a*n at the nearest
-    node (within relative 1e-6) and the sequence increases.
+    center itself plus the node z = 1, whose exact value a*n stands for
+    the nearest node's by rotation invariance of f^#; radius 0
+    degenerates to the single point {center}.  Measurements are
+    arbitrary-precision reals (they outgrow binary64 quickly).  Verdict
+    is "blowup" when every measurement clears that floor a*n (within
+    relative 1e-6) and the sequence increases.
     """
     c = complex(center)
     if abs(abs(c) - 1.0) > 1e-6:
@@ -215,13 +211,9 @@ def marty_probe(Fs, center, radius, samples=2048, seed=DEFAULT_SEED):
     rng = np.random.default_rng(seed)
     ns, meas, floored = [], [], []
     for F in Fs:
-        if radius == 0:
-            zs = np.array([c])
-        else:
-            node = root_of_unity(F.n, _nearest_node_index(F.n, c))
-            zs = np.concatenate(
-                [_disk_points(rng, samples, radius, c), np.array([c, node])]
-            )
+        zs = np.array([c])
+        if radius > 0:
+            zs = np.concatenate([_disk_points(rng, samples, radius, c), [c, 1]])
         logs = kernels.sphder_log(F.n, F.p_float, F.log_a, zs)
         top = float(np.max(logs))
         with mpmath.workprec(max(F.precision, 53)):
@@ -288,9 +280,10 @@ def max_modulus_check(F, resolution=512):
     max_inequality.  Otherwise the quotient is entire and attains its
     maximum modulus on the boundary circle, so an interior value of a
     polar grid (off the node neighborhoods) above the boundary grid max
-    (beyond relative 1e-6) flags an evaluation fault.  Comparison
-    happens on the log scale.  max_inequality reports the clamped
-    quotient interior / (boundary * (1 + 1e-6)).
+    (beyond relative 1e-6) flags an evaluation fault.  Both grids keep
+    the first resolution / gcd(n, resolution) of their equispaced angles
+    (the rest repeat their z^n).  Comparison happens on the log scale.
+    max_inequality reports the clamped quotient interior / (boundary * (1 + 1e-6)).
     """
     if resolution < 64:
         raise ValueError("resolution must be >= 64")
@@ -303,7 +296,7 @@ def max_modulus_check(F, resolution=512):
         return VerificationReport(False, math.inf, 1 + 0j, (), notes)
     nr = max(8, resolution // 8)
     radii = np.linspace(0.05, 1.98, nr)
-    th = 2.0 * np.pi * np.arange(resolution) / resolution
+    th = distinct_angles(F.n, resolution)
     inner = (radii[:, None] * np.exp(1j * th)[None, :]).ravel()
     with np.errstate(over="ignore"):
         inner = inner[np.abs(inner**F.n - 1.0) > EPS_NODE]  # stay off the zeros
@@ -321,9 +314,10 @@ def max_modulus_check(F, resolution=512):
         passed = li <= lb + slack
         ratio = math.exp(min(li - lb - slack, 700.0))
     notes = (
-        f"node residual exactly 0; interior: {inner.size} polar points "
-        f"(radii <= 1.98, node neighborhoods of radius {EPS_NODE:g} "
-        f"excluded); boundary: {resolution} points on |z|=2; "
+        f"node residual exactly 0; {th.size} of {resolution} angles, standing "
+        f"for all by rotation: interior {inner.size} polar points (radii <= 1.98, "
+        f"node neighborhoods of radius {EPS_NODE:g} excluded), boundary "
+        f"{th.size} points on |z|=2; "
         f"log maxima {li:.6g} vs {lb:.6g}, relative slack 1e-6"
     )
     return VerificationReport(passed, ratio, worst, (), notes)

@@ -9,6 +9,7 @@ data files only to explicitly named paths.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -348,6 +349,7 @@ def cmd_sweep(args):
     return OK if all_ok else FAIL
 
 
+@functools.cache
 def _parser():
     top = argparse.ArgumentParser(
         prog="normfam",
@@ -363,14 +365,12 @@ def _parser():
                    "mpmath arithmetic (53..4096)")
     c.add_argument("--grid", type=int, default=1024, help="magnitude scan grid size")
     c.add_argument("-o", "--output", required=True, help="function file to write")
-    c.set_defaults(func=cmd_construct)
 
     v = sub.add_parser("verify", help="run all verification sweeps on a saved function")
     v.add_argument("file")
     v.add_argument("--samples", type=int, default=10000)
     v.add_argument("--tol", type=float, default=1e-12)
     v.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    v.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("probe", help="measure blow-up (marty) or decay (lemma2)")
     p.add_argument("kind", choices=["marty", "lemma2"])
@@ -380,7 +380,6 @@ def _parser():
     p.add_argument("--points", default="0", help="lemma2: comma-separated points")
     p.add_argument("--orders", default="2", help="lemma2: comma-separated orders from {1,2}")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(func=cmd_probe)
 
     g = sub.add_parser("grid", help="export grid values as CSV (re,im,value)")
     g.add_argument("file")
@@ -390,18 +389,17 @@ def _parser():
     g.add_argument("--resolution", type=int, required=True)
     g.add_argument("--export", required=True, help="CSV path to write")
     g.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    g.set_defaults(func=cmd_grid)
 
     s = sub.add_parser("sweep", help="construct and verify a whole range of orders")
     s.add_argument("--n-range", required=True, help="A..B inclusive")
     s.add_argument("-o", "--output", required=True, help="summary JSON to write")
-    s.set_defaults(func=cmd_sweep)
     return top
 
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    return args.func(args)
+    # looked up per call, so the cached parser sees a rebound cmd_*
+    return globals()["cmd_" + args.command](args)
 
 
 if __name__ == "__main__":

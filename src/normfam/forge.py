@@ -253,19 +253,27 @@ def _golden_max(f, lo, hi, tol):
     return max(fc, fd)
 
 
+def distinct_angles(n, K):
+    """The first K / gcd(n, K) of the angles 2 pi j / K, bit-identical to
+    np.linspace's: z -> z^n maps them to distinct points and the other
+    angles repeat them, so a scan of a function of z^n needs no more."""
+    return np.arange(K // math.gcd(n, K)) * (2.0 * math.pi / K)
+
+
 def estimate_c(n, p, M=1024):
     """Grid estimate of c_n = max over the closed 2-disk of |h''/h^3|.
 
     h''/h^3 is entire (the triple zeros of h^3 at the nodes are killed
     by the vanishing of h'' there), so by the maximum principle only the
-    circle |z| = 2 needs searching: M*max(1,n) angles, then golden-section
-    refinement of the bracketing arc down to 1e-8 radians. Returned as an
-    mpmath real since c_n overflows binary64 from n = 4 on.
+    circle |z| = 2 needs searching: the first M of M*n equispaced angles
+    (the rest repeat their z^n), then golden-section refinement of the
+    bracketing arc down to 1e-8 radians. Returned as an mpmath real since
+    c_n overflows binary64 from n = 4 on.
     """
     if M < 64:
         raise ValueError("M must be at least 64")
     K = M * max(1, n)
-    theta = np.linspace(0.0, 2.0 * math.pi, K, endpoint=False)
+    theta = distinct_angles(n, K)
     zs = 2.0 * np.exp(1j * theta)
     c = p_float(p)
     logs = kernels.ratio_log(n, c, zs)
@@ -292,7 +300,8 @@ def estimate_m(n, p, M=1024):
 
     h = (z^n - 1) e^p has no zeros on K_n, so by the minimum-modulus
     principle its min lies on the boundary circles |z| = 1 - 1/n, 1 + 1/n
-    and 2 - 1/n; each is sampled at M*n angles. K_1 degenerates to {0}.
+    and 2 - 1/n; each is sampled at the first M of M*n equispaced angles
+    (the rest repeat their z^n). K_1 degenerates to {0}.
 
     The factor 1/2 does not make m_hat a lower bound: on a 32x finer
     angle sample the true min of log|h| lies below the sampled one by
@@ -306,8 +315,7 @@ def estimate_m(n, p, M=1024):
         radii = np.zeros(1)
     else:
         radii = np.array([1.0 - 1.0 / n, 1.0 + 1.0 / n, 2.0 - 1.0 / n])
-    theta = np.linspace(0.0, 2.0 * math.pi, M * n, endpoint=False)
-    zs = np.outer(radii, np.exp(1j * theta)).ravel()
+    zs = np.outer(radii, np.exp(1j * distinct_angles(n, M * n))).ravel()
     logs = kernels.h_log(n, p_float(p), zs)
     return mpmath.exp(mpmath.mpf(float(np.min(logs)))) / 2
 

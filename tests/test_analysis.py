@@ -1,5 +1,6 @@
 """Verification sweeps and probes: examples, properties, mutation tests."""
 
+import cmath
 import dataclasses
 import math
 from fractions import Fraction
@@ -20,7 +21,13 @@ from normfam.analysis import (
     verify_node_jets,
 )
 from normfam.errors import CenterOffCircle, OrderTooLow, PointTooCloseToCircle
-from normfam.forge import CounterexampleFunction, Jet, build_p
+from normfam.forge import (
+    ConstructionConfig,
+    CounterexampleFunction,
+    Jet,
+    build_p,
+    construct,
+)
 
 
 def bypass(F, **overrides):
@@ -197,10 +204,17 @@ def test_marty_degenerate_radius(family):
 
 
 def test_marty_off_node_center(family):
-    import cmath
-
     pr = marty_probe([family[n] for n in (2, 4, 6)], cmath.exp(0.5j), 0.3)
     assert pr.verdict == "blowup"
+
+
+@pytest.mark.parametrize("center", [1j, cmath.exp(0.6j * math.pi), -1 + 0j])
+def test_marty_blowup_at_every_center(family, center):
+    # the node value a*n is taken at z = 1, exact whatever node is nearest
+    # the center (a binary64 e^{2 pi i l/n} leaves u near 1e-16, not 0)
+    Fs = [family[3], family[5]]
+    Fs += [construct(n, ConstructionConfig(precision=128)) for n in (8, 12)]
+    assert marty_probe(Fs, center, 0.1).verdict == "blowup"
 
 
 def test_lemma2_validation(family):

@@ -9,6 +9,8 @@ import sys
 import numpy as np
 import pytest
 
+from normfam import cli
+from normfam.analysis import DEFAULT_SEED
 from normfam.cli import main, parse_complex, parse_n_range, parse_region, write_csv
 
 
@@ -47,6 +49,29 @@ def test_parse_n_range():
     for bad in ("3..2", "0..5", "1-6", "..", "a..b"):
         with pytest.raises(ValueError):
             parse_n_range(bad)
+
+
+def test_main_reuses_one_parser(files, tmp_path, monkeypatch):
+    # the parser is built once per process; an option given in one call
+    # must not become the default of the next
+    seen = []
+    for name in ("cmd_verify", "cmd_probe"):
+        monkeypatch.setattr(
+            cli, name, lambda args, name=name: seen.append((name, vars(args))) or 0
+        )
+    out = str(tmp_path / "f.json")
+    assert main(["verify", files[2], "--seed", "7", "--samples", "50"]) == 0
+    assert main(["probe", "marty", files[2], "--radius", "0.2", "--seed", "3"]) == 0
+    assert main(["construct", "-n", "2", "-o", out]) == 0
+    assert main(["verify", files[2]]) == 0
+    assert main(["probe", "marty", files[2]]) == 0
+    assert cli._parser() is cli._parser()
+    (_, v1), (_, p1), (_, v2), (_, p2) = seen
+    assert (v1["seed"], v1["samples"]) == (7, 50)
+    assert (v2["seed"], v2["samples"]) == (DEFAULT_SEED, 10000)
+    assert (p1["seed"], p1["radius"]) == (3, 0.2)
+    assert (p2["seed"], p2["radius"]) == (DEFAULT_SEED, 0.1)
+    assert v2["file"] == files[2] and p2["files"] == [files[2]]
 
 
 def test_construct_rejects_bad_orders(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Node conditions, exponent polynomial, scaling, and jet evaluation."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from normfam import (
     NonPositiveM,
     Overflow,
 )
-from normfam import kernels
+from normfam import analysis, forge, kernels
 from normfam.cpoly import HermiteSpec, eval_jet, hermite_interpolate
 from normfam.forge import (
     EPS_NODE,
@@ -25,6 +26,7 @@ from normfam.forge import (
     build_p,
     choose_a,
     construct,
+    distinct_angles,
     estimate_c,
     estimate_m,
     exp_jet,
@@ -360,6 +362,72 @@ def test_estimate_c_order_one():
     assert estimate_c(1, build_p(1), 1024) == 0
 
 
+def full_circle_log_c(n, p, M):
+    """log c_hat from all M*n angles of |z| = 2 and the same golden
+    refinement: the scan estimate_c made before it kept only the first M,
+    kept as an oracle."""
+    K = M * max(1, n)
+    theta = np.linspace(0.0, 2.0 * math.pi, K, endpoint=False)
+    c = p_float(p)
+    logs = kernels.ratio_log(n, c, 2.0 * np.exp(1j * theta))
+    if not np.any(np.isfinite(logs)):
+        return MINUS_INFINITY
+    i = int(np.argmax(logs))
+    step = 2.0 * math.pi / K
+
+    def f(t):
+        u = kernels.u_jet(n, 2.0 * cmath.exp(1j * t), 2)
+        return float(kernels.ratio_log_jets(u, kernels.p_from_u(c, u)))
+
+    best = forge._golden_max(f, theta[i] - step, theta[i] + step, forge._GOLDEN_TOL)
+    return max(best, float(logs[i]))
+
+
+def test_estimate_c_matches_full_circle(exponents):
+    for n, p in exponents.items():
+        want = full_circle_log_c(n, p, 1024)
+        got = estimate_c(n, p, 1024)
+        if want == MINUS_INFINITY:
+            assert got == 0
+        else:
+            assert abs(float(mpmath.log(got)) - want) <= 1e-14 * abs(want), n
+
+
+@pytest.mark.parametrize("n, K", [(1, 64), (4, 512), (5, 512), (12, 512), (3, 3 * 64)])
+def test_distinct_angles(n, K):
+    theta = distinct_angles(n, K)
+    assert theta.size == K // math.gcd(n, K)
+    full = np.linspace(0.0, 2.0 * math.pi, K, endpoint=False)
+    assert np.array_equal(theta, full[: theta.size])
+    # z^n maps angle j to angle n j mod K: distinct on the first ones,
+    # and the rest repeat them
+    w = n * np.arange(K) % K
+    assert len(set(w[: theta.size])) == theta.size
+    assert set(w) == set(w[: theta.size])
+
+
+def test_scans_evaluate_one_sector(family, monkeypatch):
+    seen = []
+    ratio_log = kernels.ratio_log
+
+    def spy(n, c, zs):
+        seen.append(len(zs))
+        return ratio_log(n, c, zs)
+
+    monkeypatch.setattr(kernels, "ratio_log", spy)
+    for n in (1, 2, 5, 12):
+        seen.clear()
+        estimate_c(n, build_p(n), 128)
+        assert seen == [128], n
+    for n, F in family.items():
+        for res in (64, 512):
+            seen.clear()
+            analysis.max_modulus_check(F, res)
+            inner, boundary = seen
+            assert boundary == res // math.gcd(n, res), (n, res)
+            assert 0 < inner <= max(8, res // 8) * boundary
+
+
 def test_estimate_c_stable_under_grid_doubling():
     p = build_p(2)
     c1 = estimate_c(2, p, 1024)
@@ -386,23 +454,28 @@ def test_estimate_m_order_one():
     assert estimate_m(1, build_p(1), 1024) == 0.5
 
 
-def grid_log_m(n, p, M):
+def grid_log_m(n, p, M, count):
     """Sampled min of log|h| over M/8 radii of [0, 2 - 1/n] that lie in
-    K_n, at M*n angles each: the scan estimate_m made before it moved to
-    the boundary circles, kept as an oracle."""
+    K_n, at the first `count` of the M*n angles 2 pi j / (M n) each: the
+    scan estimate_m made before it moved to the boundary circles (there
+    count = M*n), kept as an oracle."""
     radii = np.linspace(0.0, 2.0 - 1.0 / n, M // 8)
     radii = radii[np.abs(radii - 1.0) >= 1.0 / n]
-    theta = np.linspace(0.0, 2.0 * math.pi, M * n, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * math.pi, M * n, endpoint=False)[:count]
     zs = np.outer(radii, np.exp(1j * theta)).ravel()
     return float(np.min(kernels.h_log(n, tuple(float(c) for c in p), zs)))
 
 
 @pytest.mark.parametrize("M", [64, 256])
 def test_estimate_m_matches_radius_grid(exponents, M):
-    # the grid minimum lies on |z| = 2 - 1/n, a radius both scans sample
+    # the grid minimum lies on |z| = 2 - 1/n, a radius both scans sample,
+    # and the first M angles are the ones estimate_m evaluates; the other
+    # M*(n-1) repeat their z^n, up to rounding
     for n, p in exponents.items():
-        want = mpmath.exp(mpmath.mpf(grid_log_m(n, p, M))) / 2
-        assert estimate_m(n, p, M) == want
+        got = estimate_m(n, p, M)
+        assert got == mpmath.exp(mpmath.mpf(grid_log_m(n, p, M, M))) / 2
+        full = grid_log_m(n, p, M, M * n)
+        assert abs(float(mpmath.log(2 * got)) - full) <= 1e-14 * abs(full), n
 
 
 def test_estimate_m_samples_three_circles(monkeypatch):
@@ -416,7 +489,7 @@ def test_estimate_m_samples_three_circles(monkeypatch):
     monkeypatch.setattr(kernels, "h_log", spy)
     for n, M in ((1, 64), (2, 64), (5, 128)):
         estimate_m(n, build_p(n), M)
-    assert [len(r) for _, r in seen] == [64, 3 * 64 * 2, 3 * 128 * 5]
+    assert [len(r) for _, r in seen] == [64, 3 * 64, 3 * 128]
     assert np.all(seen[0][1] == 0.0)
     for n, r in seen[1:]:
         radii = [[1 - 1 / n], [1 + 1 / n], [2 - 1 / n]]
