@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -166,13 +165,6 @@ def verify_inequality(F, samples=10000, tol=1e-12, seed=DEFAULT_SEED):
     )
 
 
-def _node_residual(F):
-    # max(|h''|, |h'''|, |h''''|) / max(1, |h'|) at z = 1, a Fraction for
-    # the Fraction exponent of a record
-    hj = h_jet(F.n, F.p, Fraction(1), 4)
-    return max(abs(hj[m]) for m in (2, 3, 4)) / max(1, abs(hj[1]))
-
-
 def verify_node_jets(F):
     """Check that h'', h''', h'''' vanish at the node z = 1.
 
@@ -183,7 +175,7 @@ def verify_node_jets(F):
     w = e^{2 pi i l/n} its m-th derivative is the one at 1 times w^-m:
     the residual at z = 1 is the residual at every node.
     """
-    res = _node_residual(F)
+    res = F.node_residual
     r = float(res)
     notes = (
         f"exact rational jet at the node 1, which stands for all {F.n} nodes "
@@ -281,13 +273,16 @@ def max_modulus_check(F, resolution=512):
     maximum modulus on the boundary circle, so an interior value of a
     polar grid (off the node neighborhoods) above the boundary grid max
     (beyond relative 1e-6) flags an evaluation fault.  Both grids keep
-    the first resolution / gcd(n, resolution) of their equispaced angles
-    (the rest repeat their z^n).  Comparison happens on the log scale.
+    the resolution // (2 gcd(n, resolution)) + 1 of their equispaced
+    angles that lie in [0, pi/n] (distinct_angles; rotation and reflection
+    carry them onto the rest).  Comparison happens on the log scale.
     max_inequality reports the clamped quotient interior / (boundary * (1 + 1e-6)).
+    A log maximum of +inf or NaN means the grid overflows binary64 and
+    measures nothing: the check then fails with max_inequality NaN.
     """
     if resolution < 64:
         raise ValueError("resolution must be >= 64")
-    res = _node_residual(F)
+    res = F.node_residual
     if res != 0:
         notes = (
             f"node residual {float(res):.6g} is not 0, so h''/h^3 has a pole "
@@ -306,7 +301,10 @@ def max_modulus_check(F, resolution=512):
     li, worst = float(log_in[i]), complex(inner[i])
     lb = float(np.max(log_bd))
     slack = math.log1p(1e-6)
-    if li == MINUS_INFINITY and lb == MINUS_INFINITY:
+    overflow = not (li < math.inf and lb < math.inf)  # +inf or NaN
+    if overflow:
+        passed, ratio = False, math.nan
+    elif li == MINUS_INFINITY and lb == MINUS_INFINITY:
         passed, ratio, worst = True, 0.0, 0j
     elif lb == MINUS_INFINITY:
         passed, ratio = False, math.inf
@@ -315,9 +313,11 @@ def max_modulus_check(F, resolution=512):
         ratio = math.exp(min(li - lb - slack, 700.0))
     notes = (
         f"node residual exactly 0; {th.size} of {resolution} angles, standing "
-        f"for all by rotation: interior {inner.size} polar points (radii <= 1.98, "
-        f"node neighborhoods of radius {EPS_NODE:g} excluded), boundary "
-        f"{th.size} points on |z|=2; "
+        f"for all by rotation and reflection: interior {inner.size} polar points "
+        f"(radii <= 1.98, node neighborhoods of radius {EPS_NODE:g} excluded), "
+        f"boundary {th.size} points on |z|=2; "
         f"log maxima {li:.6g} vs {lb:.6g}, relative slack 1e-6"
     )
+    if overflow:
+        notes += "; a log maximum is not finite, so the grid overflows binary64"
     return VerificationReport(passed, ratio, worst, (), notes)

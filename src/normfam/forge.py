@@ -254,10 +254,19 @@ def _golden_max(f, lo, hi, tol):
 
 
 def distinct_angles(n, K):
-    """The first K / gcd(n, K) of the angles 2 pi j / K, bit-identical to
-    np.linspace's: z -> z^n maps them to distinct points and the other
-    angles repeat them, so a scan of a function of z^n needs no more."""
-    return np.arange(K // math.gcd(n, K)) * (2.0 * math.pi / K)
+    """The angles m 2 pi / lcm(n, K), m = 0..K // (2g), g = gcd(n, K): those
+    of [0, pi/n] that stand for the K angles 2 pi j / K.
+
+    z -> z^n maps the K angles onto K / g angles of w; these reach the
+    w-angles 2 pi g m / K, which with their conjugates are all K / g. So a
+    scan of |q(z^n)| for a q with real Taylor coefficients, where
+    q(conj w) = conj q(w), needs no other angle. Every |f^(k)| and
+    |h''/h^3| of a record is one: its a is real, and its gate demands
+    p == build_p(n), rationals that p_float rounds to real floats. For
+    g = n they are bit-identical to the first K / (2n) + 1 of the K angles.
+    """
+    g = math.gcd(n, K)
+    return np.arange(K // (2 * g) + 1) * (2.0 * math.pi / (K // g * n))
 
 
 def estimate_c(n, p, M=1024):
@@ -265,10 +274,14 @@ def estimate_c(n, p, M=1024):
 
     h''/h^3 is entire (the triple zeros of h^3 at the nodes are killed
     by the vanishing of h'' there), so by the maximum principle only the
-    circle |z| = 2 needs searching: the first M of M*n equispaced angles
-    (the rest repeat their z^n), then golden-section refinement of the
-    bracketing arc down to 1e-8 radians. Returned as an mpmath real since
-    c_n overflows binary64 from n = 4 on.
+    circle |z| = 2 needs searching: the M / 2 + 1 of its M*n equispaced
+    angles that lie in [0, pi/n] (distinct_angles; rotation and reflection
+    carry them onto the rest), then golden-section refinement of the
+    bracketing arc down to 1e-8 radians. The arc may reach past an end of
+    [0, pi/n], where the reflection repeats the values inside. Returned as
+    an mpmath real since c_n overflows binary64 from n = 4 on; 0 when every
+    sampled log is -inf (n = 1). A sampled log of +inf or NaN, which b2
+    gives at every point from n = 145 on, raises Overflow.
     """
     if M < 64:
         raise ValueError("M must be at least 64")
@@ -277,7 +290,9 @@ def estimate_c(n, p, M=1024):
     zs = 2.0 * np.exp(1j * theta)
     c = p_float(p)
     logs = kernels.ratio_log(n, c, zs)
-    if not np.any(np.isfinite(logs)):
+    if not np.all(logs < math.inf):  # a +inf or NaN
+        raise Overflow(f"log|h''/h^3| on |z| = 2 overflows binary64 at order {n}")
+    if np.all(logs == MINUS_INFINITY):
         return mpmath.mpf(0)
     i = int(np.argmax(logs))
     step = 2.0 * math.pi / K
@@ -300,8 +315,9 @@ def estimate_m(n, p, M=1024):
 
     h = (z^n - 1) e^p has no zeros on K_n, so by the minimum-modulus
     principle its min lies on the boundary circles |z| = 1 - 1/n, 1 + 1/n
-    and 2 - 1/n; each is sampled at the first M of M*n equispaced angles
-    (the rest repeat their z^n). K_1 degenerates to {0}.
+    and 2 - 1/n; each is sampled at the M / 2 + 1 of its M*n equispaced
+    angles that lie in [0, pi/n] (distinct_angles; rotation and reflection
+    carry them onto the rest). K_1 degenerates to {0}, evaluated once.
 
     The factor 1/2 does not make m_hat a lower bound: on a 32x finer
     angle sample the true min of log|h| lies below the sampled one by
@@ -312,10 +328,10 @@ def estimate_m(n, p, M=1024):
     if M < 64:
         raise ValueError("M must be at least 64")
     if n == 1:
-        radii = np.zeros(1)
+        zs = np.zeros(1, dtype=complex)
     else:
         radii = np.array([1.0 - 1.0 / n, 1.0 + 1.0 / n, 2.0 - 1.0 / n])
-    zs = np.outer(radii, np.exp(1j * distinct_angles(n, M * n))).ravel()
+        zs = np.outer(radii, np.exp(1j * distinct_angles(n, M * n))).ravel()
     logs = kernels.h_log(n, p_float(p), zs)
     return mpmath.exp(mpmath.mpf(float(np.min(logs)))) / 2
 
@@ -384,6 +400,14 @@ class CounterexampleFunction:
     def p_float(self):
         """(c1, c2, c3) in binary64 for the grid kernels."""
         return p_float(self.p)
+
+    @cached_property
+    def node_residual(self):
+        """max(|h''|, |h'''|, |h''''|) / max(1, |h'|) at the node z = 1, from
+        the exact rational jet of h there: a Fraction, 0 exactly when the
+        node conditions hold."""
+        hj = h_jet(self.n, self.p, Fraction(1), 4)
+        return max(abs(hj[m]) for m in (2, 3, 4)) / max(1, abs(hj[1]))
 
 
 def construct(n, cfg=ConstructionConfig()):

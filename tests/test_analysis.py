@@ -20,8 +20,11 @@ from normfam.analysis import (
     verify_inequality,
     verify_node_jets,
 )
+from normfam import kernels
 from normfam.errors import CenterOffCircle, OrderTooLow, PointTooCloseToCircle
 from normfam.forge import (
+    EPS_NODE,
+    MINUS_INFINITY,
     ConstructionConfig,
     CounterexampleFunction,
     Jet,
@@ -283,6 +286,44 @@ def test_max_modulus_mutation(exponents):
         assert rep.max_inequality > 1.0
         # reported at the node 1, which stands for every broken node
         assert rep.worst_point == 1
+
+
+def test_max_modulus_matches_full_grid(exponents, monkeypatch):
+    # the log maxima of the half-sector grids against those over all 512
+    # angles, which rotation and reflection reduce to them
+    seen = []
+    ratio_log = kernels.ratio_log
+
+    def spy(n, c, zs):
+        out = ratio_log(n, c, zs)
+        seen.append(float(np.max(out)))
+        return out
+
+    monkeypatch.setattr(kernels, "ratio_log", spy)
+    th = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
+    radii = np.linspace(0.05, 1.98, 64)
+    for n, p in exponents.items():
+        F = CounterexampleFunction(n, p, 2 * n, 0, 1)
+        seen.clear()
+        assert max_modulus_check(F, 512).passed, n
+        inner = (radii[:, None] * np.exp(1j * th)[None, :]).ravel()
+        inner = inner[np.abs(inner**n - 1.0) > EPS_NODE]
+        full = [ratio_log(n, F.p_float, zs) for zs in (inner, 2.0 * np.exp(1j * th))]
+        for got, want in zip(seen, (float(np.max(v)) for v in full)):
+            if want == MINUS_INFINITY:
+                assert got == want, n
+            else:
+                assert abs(got - want) <= 1e-14 * abs(want), n
+
+
+def test_max_modulus_fails_on_overflowed_grid():
+    # from n = 145 on b2 overflows binary64 on |z| = 2: the log maxima are
+    # +inf or NaN and the grids measure nothing, so the check must fail
+    F = CounterexampleFunction(200, build_p(200), 400, 0, 1)
+    rep = max_modulus_check(F)
+    assert not rep.passed
+    assert math.isnan(rep.max_inequality)
+    assert "not finite, so the grid overflows binary64" in rep.notes
 
 
 def test_probe_result_length_guard():

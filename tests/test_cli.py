@@ -81,6 +81,15 @@ def test_construct_rejects_bad_orders(tmp_path, capsys):
                  "-o", str(tmp_path / "x.json")]) == 2
 
 
+def test_construct_refuses_overflowed_scan(tmp_path, capsys):
+    # the c_hat scan overflows binary64 from n = 145 on; n = 144 builds
+    out = tmp_path / "f145.json"
+    assert main(["construct", "-n", "145", "-o", str(out)]) == 1
+    assert "construction failed" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["construct", "-n", "144", "-o", str(tmp_path / "f144.json")]) == 0
+
+
 def test_construct_is_deterministic(tmp_path):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     assert main(["construct", "-n", "3", "-o", a]) == 0

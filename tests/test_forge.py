@@ -393,17 +393,29 @@ def test_estimate_c_matches_full_circle(exponents):
             assert abs(float(mpmath.log(got)) - want) <= 1e-14 * abs(want), n
 
 
-@pytest.mark.parametrize("n, K", [(1, 64), (4, 512), (5, 512), (12, 512), (3, 3 * 64)])
+@pytest.mark.parametrize(
+    "n, K",
+    [(1, 64), (4, 512), (5, 512), (12, 512), (3, 3 * 64), (6, 6 * 65), (4, 262)],
+)
 def test_distinct_angles(n, K):
     theta = distinct_angles(n, K)
-    assert theta.size == K // math.gcd(n, K)
-    full = np.linspace(0.0, 2.0 * math.pi, K, endpoint=False)
-    assert np.array_equal(theta, full[: theta.size])
-    # z^n maps angle j to angle n j mod K: distinct on the first ones,
-    # and the rest repeat them
-    w = n * np.arange(K) % K
-    assert len(set(w[: theta.size])) == theta.size
-    assert set(w) == set(w[: theta.size])
+    g = math.gcd(n, K)
+    L = K // g * n  # lcm(n, K): the angles are multiples of 2 pi / L
+    assert theta.size == K // (2 * g) + 1
+    j = np.rint(theta * (L / (2.0 * math.pi))).astype(int)
+    assert np.array_equal(j, np.arange(theta.size))
+    assert np.allclose(theta, j * (2.0 * math.pi / L), rtol=1e-15, atol=0)
+    # all in [0, pi/n]: 2 pi j / L <= pi / n
+    assert np.all(2 * n * j <= L)
+    # z^n maps angle j to the w-index n j K / L = g j (in units of 2 pi / K):
+    # distinct, and with their negatives they are every w-index that the
+    # K angles 2 pi k / K reach
+    w = g * j % K
+    assert len(set(w)) == theta.size
+    assert set(w) | set(-w % K) == {n * k % K for k in range(K)}
+    if g == n:
+        full = np.linspace(0.0, 2.0 * math.pi, K, endpoint=False)
+        assert np.array_equal(theta, full[: theta.size])
 
 
 def test_scans_evaluate_one_sector(family, monkeypatch):
@@ -418,14 +430,24 @@ def test_scans_evaluate_one_sector(family, monkeypatch):
     for n in (1, 2, 5, 12):
         seen.clear()
         estimate_c(n, build_p(n), 128)
-        assert seen == [128], n
+        assert seen == [128 // 2 + 1], n
     for n, F in family.items():
         for res in (64, 512):
             seen.clear()
             analysis.max_modulus_check(F, res)
             inner, boundary = seen
-            assert boundary == res // math.gcd(n, res), (n, res)
+            assert boundary == res // (2 * math.gcd(n, res)) + 1, (n, res)
             assert 0 < inner <= max(8, res // 8) * boundary
+
+
+def test_estimate_c_refuses_overflowed_scan():
+    # from n = 145 on b2 overflows binary64 at every point of |z| = 2, so
+    # every sampled log is +inf; n = 1 has h'' = 0, every log is -inf
+    for n in (145, 200):
+        with pytest.raises(Overflow):
+            estimate_c(n, build_p(n), 64)
+    assert 0 < estimate_c(144, build_p(144), 64) < mpmath.inf
+    assert estimate_c(1, build_p(1), 64) == 0
 
 
 def test_estimate_c_stable_under_grid_doubling():
@@ -469,11 +491,12 @@ def grid_log_m(n, p, M, count):
 @pytest.mark.parametrize("M", [64, 256])
 def test_estimate_m_matches_radius_grid(exponents, M):
     # the grid minimum lies on |z| = 2 - 1/n, a radius both scans sample,
-    # and the first M angles are the ones estimate_m evaluates; the other
-    # M*(n-1) repeat their z^n, up to rounding
+    # and the first M / 2 + 1 angles, those in [0, pi/n], are the ones
+    # estimate_m evaluates; rotation and reflection carry them onto the
+    # others, up to rounding
     for n, p in exponents.items():
         got = estimate_m(n, p, M)
-        assert got == mpmath.exp(mpmath.mpf(grid_log_m(n, p, M, M))) / 2
+        assert got == mpmath.exp(mpmath.mpf(grid_log_m(n, p, M, M // 2 + 1))) / 2
         full = grid_log_m(n, p, M, M * n)
         assert abs(float(mpmath.log(2 * got)) - full) <= 1e-14 * abs(full), n
 
@@ -489,7 +512,8 @@ def test_estimate_m_samples_three_circles(monkeypatch):
     monkeypatch.setattr(kernels, "h_log", spy)
     for n, M in ((1, 64), (2, 64), (5, 128)):
         estimate_m(n, build_p(n), M)
-    assert [len(r) for _, r in seen] == [64, 3 * 64, 3 * 128]
+    # K_1 = {0} is one point; the others take M / 2 + 1 angles per circle
+    assert [len(r) for _, r in seen] == [1, 3 * 33, 3 * 65]
     assert np.all(seen[0][1] == 0.0)
     for n, r in seen[1:]:
         radii = [[1 - 1 / n], [1 + 1 / n], [2 - 1 / n]]

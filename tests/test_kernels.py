@@ -10,7 +10,7 @@ import pytest
 import sympy
 
 from normfam import kernels
-from normfam.forge import EPS_NODE, h_jet, root_of_unity
+from normfam.forge import EPS_NODE, construct, h_jet, root_of_unity
 
 
 def grid_points(rng, count, radius=2.0):
@@ -190,6 +190,30 @@ def test_kernels_independent_of_array_size(exponents, rng):
                 part = kernel(n, c, zs[start : start + size].copy())
                 want = whole[..., start : start + size]
                 assert np.array_equal(part, want, equal_nan=True), (n, name)
+
+
+def test_kernels_dihedral_symmetry(rng):
+    # f depends on z only through z^n and has a real a and real c_k, so
+    # every kernel takes the same value at z, conj z and e^{2 pi i/n} z:
+    # the symmetry that lets the scans sample only the angles of [0, pi/n]
+    for n in range(1, 13):
+        F = construct(n)
+        c = F.p_float
+        kinds = {
+            "ratio_log": lambda z: kernels.ratio_log(n, c, z),
+            "h_log": lambda z: kernels.h_log(n, c, z),
+            "fk": lambda z: kernels.fk(n, c, F.log_a, z),
+            "sphder_log": lambda z: kernels.sphder_log(n, c, F.log_a, z),
+        }
+        zs = off_node_points(rng, n, 200)
+        for name, kernel in kinds.items():
+            want = kernel(zs)
+            fin = np.isfinite(want)  # ratio_log is -inf everywhere at n = 1
+            scale = 1e-13 * np.maximum(np.maximum(1.0, np.abs(want)), F.log_a)
+            for image in (np.conj(zs), np.exp(2j * math.pi / n) * zs):
+                got = kernel(image)
+                assert np.array_equal(got[~fin], want[~fin]), (n, name)
+                assert np.all(np.abs(got[fin] - want[fin]) <= scale[fin]), (n, name)
 
 
 def test_fk_zero_where_numerator_vanishes():
