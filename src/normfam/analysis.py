@@ -188,12 +188,14 @@ def marty_probe(Fs, center, radius, samples=2048, seed=DEFAULT_SEED):
     """Max spherical derivative near one boundary point, per function.
 
     The grid is seeded-uniform in the disk around `center` plus the
-    center itself plus the node z = 1, whose exact value a*n stands for
-    the nearest node's by rotation invariance of f^#; radius 0
-    degenerates to the single point {center}.  Measurements are
-    arbitrary-precision reals (they outgrow binary64 quickly).  Verdict
-    is "blowup" when every measurement clears that floor a*n (within
-    relative 1e-6) and the sequence increases.
+    center itself, measured by exp of their largest float log of f^#,
+    plus the node z = 1, whose exact value n*a stands for the nearest
+    node's by rotation invariance of f^#; radius 0 degenerates to the
+    single point {center}.  n*a is an mpmath product, because a float log
+    of it misses by more than 1e-6 relative from n = 14 on (5e-5 there).
+    Measurements are arbitrary-precision reals (they outgrow binary64
+    quickly).  Verdict is "blowup" when every measurement clears that
+    floor n*a (within relative 1e-6) and the sequence increases.
     """
     c = complex(center)
     if abs(abs(c) - 1.0) > 1e-6:
@@ -205,13 +207,15 @@ def marty_probe(Fs, center, radius, samples=2048, seed=DEFAULT_SEED):
     for F in Fs:
         zs = np.array([c])
         if radius > 0:
-            zs = np.concatenate([_disk_points(rng, samples, radius, c), [c, 1]])
+            zs = np.concatenate([_disk_points(rng, samples, radius, c), zs])
         logs = kernels.sphder_log(F.n, F.p_float, F.log_a, zs)
         top = float(np.max(logs))
         with mpmath.workprec(max(F.precision, 53)):
             m = mpmath.exp(mpmath.mpf(top)) if top > MINUS_INFINITY else mpmath.mpf(0)
-            floor = F.n * F.a * (1 - mpmath.mpf("1e-6"))
-            floored.append(m >= floor)
+            node = F.n * F.a
+            if radius > 0:
+                m = max(m, node)
+            floored.append(m >= node * (1 - mpmath.mpf("1e-6")))
         ns.append(F.n)
         meas.append(m)
     rising = all(b > a for a, b in zip(meas, meas[1:]))

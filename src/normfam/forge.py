@@ -33,7 +33,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import mpmath
 import numpy as np
@@ -145,9 +145,11 @@ def node_conditions(n, ell, precision=53):
         return _node_conditions_at(n, root_of_unity(n, ell, precision))
 
 
+@cache
 def build_p(n):
     """The exponent (c1, c2, c3) of p = c1 u + c2 u^2 + c3 u^3, u = z^n - 1,
-    as exact Fractions.
+    as exact Fractions; cached, since every load and every record gate
+    asks for it.
 
     The node conditions at z = 1, solved in Fractions, give p', p'', p'''
     there. At z = 1, u = 0 and u^(k) = n!/(n-k)!, so the chain rule

@@ -220,6 +220,16 @@ def test_marty_blowup_at_every_center(family, center):
     assert marty_probe(Fs, center, 0.1).verdict == "blowup"
 
 
+@pytest.mark.parametrize("n", range(13, 21))
+def test_marty_blowup_beyond_float_log_rounding(n):
+    # log a reaches 5e11 at n = 14, where a float log of the node value
+    # n*a alone misses it by 5e-5 relative, beyond the probe's 1e-6
+    F = construct(n)
+    pr = marty_probe([F], 1, 0.1)
+    assert pr.verdict == "blowup"
+    assert pr.measurements[0] >= n * F.a
+
+
 def test_lemma2_validation(family):
     F = family[2]
     with pytest.raises(PointTooCloseToCircle):

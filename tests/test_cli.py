@@ -116,6 +116,22 @@ def test_verify_healthy_file(files, capsys):
     assert sub["inequality"]["max_inequality"] <= 0.5 + 1e-12
 
 
+def test_repeated_verify_keeps_heap_resident(files, capsys):
+    # the kernels free arrays of 130-180 KiB on every call; unless glibc
+    # keeps the freed heap mapped, a second verify faults it all back in
+    # (several hundred minor faults without the pad)
+    if not cli.keep_freed_heap():
+        pytest.skip("needs glibc's mallopt")
+    import resource
+
+    assert main(["verify", files[3]]) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(["verify", files[3]]) == 0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    capsys.readouterr()
+    assert faults < 100
+
+
 def test_verify_corrupted_file(files, tmp_path, capsys):
     with open(files[2], encoding="utf-8") as fh:
         rec = json.load(fh)
