@@ -32,6 +32,7 @@ from .errors import (
     CenterOffCircle,
     InvariantViolation,
     NormfamError,
+    Overflow,
     PointTooCloseToCircle,
 )
 from .forge import EPS_NODE, ConstructionConfig, construct, p_degree
@@ -42,8 +43,8 @@ OK, FAIL, USAGE = 0, 1, 2
 _M_TOP_PAD = -2
 _TOP_PAD = 64 << 20
 
-# grid exports are written this many rows at a time, so that no list or
-# string of the whole export is ever built
+# grid exports are computed and written this many points at a time, so
+# that no array, list or string of the whole export is ever built
 CSV_CHUNK = 8192
 
 # one canonical complex syntax: a+bi with no spaces (bare reals allowed)
@@ -174,21 +175,34 @@ def cmd_grid(args):
     except ValueError as exc:
         _err(str(exc))
         return USAGE
-    zs = spec.points()
-    if args.what == "ratio":
-        zs = zs[np.abs(zs**F.n - 1.0) > EPS_NODE]  # poles-adjacent zone excluded
-        vals = kernels.ratio_log(F.n, F.p_float, zs)
-    elif args.what == "fk":
-        vals = kernels.fk(F.n, F.p_float, F.log_a, zs)
-    else:
-        vals = kernels.sphder_log(F.n, F.p_float, F.log_a, zs)
-    keep = np.isfinite(vals)
     try:
-        write_csv(args.export, zs[keep], vals[keep])
+        write_csv(args.export, _grid_rows(F, args.what, spec))
+    except Overflow as exc:
+        _err(f"{args.file}: {exc}")
+        return FAIL
     except OSError as exc:
         _err(f"{args.export}: {exc}")
         return USAGE
     return OK
+
+
+def _grid_rows(F, what, spec):
+    """(points, values) of a grid export, CSV_CHUNK points at a time, so
+    that no array holds the whole grid. Rows at -inf (log 0) are dropped;
+    a value of +inf or NaN raises Overflow."""
+    for zs in spec.chunks(CSV_CHUNK):
+        if what == "ratio":
+            with np.errstate(over="ignore"):
+                zs = zs[np.abs(zs**F.n - 1.0) > EPS_NODE]  # poles-adjacent zone excluded
+            vals = kernels.ratio_log(F.n, F.p_float, zs)
+        elif what == "fk":
+            vals = kernels.fk(F.n, F.p_float, F.log_a, zs)
+        else:
+            vals = kernels.sphder_log(F.n, F.p_float, F.log_a, zs)
+        if not np.all(vals < np.inf):  # +inf or NaN
+            raise Overflow(f"{what} overflows binary64 at order {F.n}")
+        keep = vals > -np.inf
+        yield zs[keep], vals[keep]
 
 
 def _split(a):
@@ -234,13 +248,20 @@ _TEMPLATE = np.frombuffer(
 ).reshape(3, 25)
 
 
-def write_csv(path, zs, vals):
-    """re,im,value rows with 17 significant digits, CSV_CHUNK at a time."""
+def write_csv(path, chunks):
+    """re,im,value rows with 17 significant digits, written one (points,
+    values) pair of `chunks` at a time. When `chunks` or a write raises,
+    the file is removed before the error propagates: no partial export
+    is left behind."""
     with open(path, "wb") as fh:
-        fh.write(b"re,im,value\n")
-        for i in range(0, len(vals), CSV_CHUNK):
-            z, v = zs[i : i + CSV_CHUNK], vals[i : i + CSV_CHUNK]
-            fh.write(csv_rows(np.stack([z.real, z.imag, v], axis=1)))
+        try:
+            fh.write(b"re,im,value\n")
+            for zs, vals in chunks:
+                fh.write(csv_rows(np.stack([zs.real, zs.imag, vals], axis=1)))
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise
 
 
 def _times_pow10(a, s):

@@ -105,6 +105,25 @@ def test_grid_spec_points():
     assert np.all((np.abs(ann) >= 1.2) & (np.abs(ann) <= 1.8))
 
 
+@pytest.mark.parametrize(
+    "region, radii", [("disk", (2.0,)), ("annulus", (1.2, 1.8)), ("circle", (1.5,))]
+)
+def test_grid_spec_chunks_concatenate_to_points(region, radii):
+    # 50 points is no multiple of 7; chunks of 49, 50 and 55 cover the
+    # one-short, exact and oversized last chunk
+    spec = GridSpec(region, radii, 50, seed=11)
+    whole = spec.points()
+    for size in (1, 7, 49, 50, 55):
+        parts = list(spec.chunks(size))
+        assert [p.size for p in parts[:-1]] == [size] * (len(parts) - 1)
+        assert 1 <= parts[-1].size <= size
+        got = np.concatenate(parts)
+        # bit for bit: the same float64 words, signed zeros included
+        assert got.view(np.uint64).tolist() == whole.view(np.uint64).tolist(), size
+    with pytest.raises(ValueError):
+        next(spec.chunks(0))
+
+
 def test_verify_inequality_family(family):
     for n, F in family.items():
         rep = verify_inequality(F, 10000, 1e-12)
@@ -124,6 +143,18 @@ def test_verify_inequality_trivial_member(family):
     # f_1 = a (z - 1) has vanishing second derivative everywhere
     rep = verify_inequality(family[1], 2000, 1e-12)
     assert rep.passed and rep.max_inequality == 0.0
+
+
+@pytest.mark.parametrize("n", [200, 10**6])
+def test_verify_inequality_names_overflow(n):
+    # gated records whose jet overflows binary64: |p'|^2 near |z| = 2 at
+    # n = 200 (fk is +inf there), z^n at n = 10^6 (NaN everywhere)
+    F = CounterexampleFunction(n, build_p(n), 2 * n, 0, 1)
+    rep = verify_inequality(F, 2000, 1e-12)
+    assert not rep.passed
+    assert math.isnan(rep.max_inequality)
+    assert rep.notes.endswith("so the grid overflows binary64")
+    assert abs(rep.worst_point) <= 2.0
 
 
 def test_verify_inequality_validation(family):

@@ -9,9 +9,11 @@ import sys
 import numpy as np
 import pytest
 
-from normfam import cli
-from normfam.analysis import DEFAULT_SEED
+from normfam import cli, kernels, storage
+from normfam.analysis import DEFAULT_SEED, GridSpec
 from normfam.cli import main, parse_complex, parse_n_range, parse_region, write_csv
+from normfam.errors import Overflow
+from normfam.forge import EPS_NODE
 
 
 @pytest.fixture(scope="module")
@@ -303,6 +305,140 @@ def test_grid_bad_arguments(files, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.fixture(scope="module")
+def order_200(tmp_path_factory):
+    """A gated record of order 200 (a = 2n, c_hat = 0, m_hat = 1) whose
+    jet overflows binary64 near |z| = 2: |p'|^2 is +inf there."""
+    rec = {
+        "schema_version": 3,
+        "n": 200,
+        "precision_bits": 53,
+        "a": "400",
+        "c_hat": "0",
+        "m_hat": "1",
+        "construction_config": {"grid_m": 1024, "seed": None},
+    }
+    path = tmp_path_factory.mktemp("f200") / "f200.json"
+    path.write_text(json.dumps(rec), encoding="utf-8")
+    return str(path)
+
+
+def test_grid_refuses_overflow(order_200, tmp_path, capsys):
+    # about a third of the disk overflows fk and ratio, so the first chunk
+    # already does; not even the header may survive
+    for what in ("fk", "ratio"):
+        out = tmp_path / f"{what}.csv"
+        assert main(["grid", order_200, "--what", what, "--region", "disk:2",
+                     "--resolution", str(3 * cli.CSV_CHUNK), "--export", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{what} overflows binary64 at order 200" in err
+        assert not out.exists()
+    # sphder is never +inf there, only -inf (log 0) at a few points: those
+    # rows are dropped and the export succeeds
+    out = tmp_path / "sphder.csv"
+    assert main(["grid", order_200, "--what", "sphder", "--region", "disk:2",
+                 "--resolution", "100000", "--export", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert 100_000 - 100 < len(lines) < 100_001
+    assert all(math.isfinite(float(line.split(",")[2])) for line in lines[1:])
+
+
+def test_csv_writer_removes_partial_file(tmp_path):
+    # rows written before the chunks fail must not survive as an export
+    def chunks():
+        yield np.array([1 + 2j]), np.array([3.0])
+        raise Overflow("fk overflows binary64 at order 200")
+
+    out = tmp_path / "g.csv"
+    with pytest.raises(Overflow):
+        write_csv(out, chunks())
+    assert not out.exists()
+
+
+def _spy_kernels(monkeypatch):
+    """Record the point count of every grid kernel call."""
+    sizes = []
+    for name in ("fk", "ratio_log", "sphder_log"):
+        kernel = getattr(cli.kernels, name)
+        monkeypatch.setattr(
+            cli.kernels, name, lambda *a, kernel=kernel: sizes.append(len(a[-1])) or kernel(*a)
+        )
+    return sizes
+
+
+@pytest.mark.parametrize("what", ["fk", "ratio", "sphder"])
+def test_grid_streams_chunks(files, tmp_path, monkeypatch, what):
+    # no kernel call, and so no array of the export, holds more than
+    # CSV_CHUNK points, whatever the resolution
+    sizes = _spy_kernels(monkeypatch)
+    N = 3 * cli.CSV_CHUNK + 5
+    out = tmp_path / "g.csv"
+    assert main(["grid", files[3], "--what", what, "--region", "disk:2",
+                 "--resolution", str(N), "--export", str(out)]) == 0
+    assert len(sizes) == 4 and max(sizes) <= cli.CSV_CHUNK
+    if what != "ratio":
+        assert sum(sizes) == N
+
+
+@pytest.mark.parametrize("what", ["fk", "ratio", "sphder"])
+@pytest.mark.parametrize("region, resolution", [("disk:2", 100), ("circle:1", 60)])
+def test_grid_chunks_match_whole_array(family, tmp_path, monkeypatch, what, region, resolution):
+    # with chunks of 7 points the export is the whole-array one: points(),
+    # the ratio mask, one kernel call, the finite rows as %.17g; circle:1
+    # at 60 points passes through all six nodes of f_6
+    F = family[6]
+    path = str(tmp_path / "f6.json")
+    storage.save_function(F, 1024, path)
+    name, radii = parse_region(region)
+    zs = GridSpec(name, radii, resolution).points()
+    if what == "ratio":
+        zs = zs[np.abs(zs**6 - 1.0) > EPS_NODE]
+        vals = kernels.ratio_log(6, F.p_float, zs)
+    else:
+        kernel = kernels.fk if what == "fk" else kernels.sphder_log
+        vals = kernel(6, F.p_float, F.log_a, zs)
+    keep = np.isfinite(vals)
+    want = "re,im,value\n" + "".join(
+        f"{z.real:.17g},{z.imag:.17g},{v:.17g}\n" for z, v in zip(zs[keep], vals[keep])
+    )
+    monkeypatch.setattr(cli, "CSV_CHUNK", 7)
+    sizes = _spy_kernels(monkeypatch)
+    out = tmp_path / "g.csv"
+    assert main(["grid", path, "--what", what, "--region", region,
+                 "--resolution", str(resolution), "--export", str(out)]) == 0
+    assert out.read_bytes() == want.encode("utf-8")
+    assert len(sizes) == -(-resolution // 7) and max(sizes) <= 7
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's")
+def test_grid_memory_does_not_grow_with_resolution(files, tmp_path):
+    # a child that exports 5*10^5 points must peak within 40 MB of one that
+    # only imports normfam and loads the record; a whole-grid export
+    # (about 210 bytes per point at once) grew by about 100 MB here
+    child = (
+        "import resource, sys\n"
+        "from normfam import cli, storage\n"
+        "storage.load_function(sys.argv[1])\n"
+        "if len(sys.argv) > 2:\n"
+        "    assert cli.main(['grid', sys.argv[1], '--what', 'fk', '--region', 'disk:2',\n"
+        "                     '--resolution', '500000', '--export', sys.argv[2]]) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+
+    def peak_kib(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", child, files[3], *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout)
+
+    base = peak_kib()
+    out = tmp_path / "big.csv"
+    grown = peak_kib(str(out))
+    assert out.stat().st_size > 500_000 * 50
+    assert grown - base < 40 * 1024
+
+
 def test_sweep_low_orders(tmp_path, capsys):
     out = tmp_path / "sweep.json"
     assert main(["sweep", "--n-range", "1..3", "-o", str(out)]) == 0
@@ -343,14 +479,13 @@ def test_console_entry_point(tmp_path):
         assert json.load(fh)["n"] == 1
 
 
-def test_csv_writer_matches_row_fstring(tmp_path, monkeypatch):
+def test_csv_writer_matches_row_fstring(tmp_path):
     # the chunked writer must produce the bytes of the per-row f-string,
-    # signed zeros and extreme exponents included, across chunk borders;
-    # exact ties m / 2^q (18 significant digits ending in 5) round half to
-    # even, 10^k and its neighbours get the right exponent, and the
-    # fk-like values near 1e-200, centred in the list, make chunks whose
-    # fields are all written in scientific notation
-    monkeypatch.setattr("normfam.cli.CSV_CHUNK", 3)
+    # signed zeros and extreme exponents included, across chunk borders
+    # (chunks of 3 rows); exact ties m / 2^q (18 significant digits ending
+    # in 5) round half to even, 10^k and its neighbours get the right
+    # exponent, and the fk-like values near 1e-200, centred in the list,
+    # make chunks whose fields are all written in scientific notation
     ties = [s * ((10**17 // 5**q + j) | 1) / 2**q for q in range(2, 25) for j in (1, 3, 5) for s in (1, -1)]
     decades = [y for k in range(-6, 19) for x in [float(f"1e{k}")]
                for y in (math.nextafter(x, 0), x, math.nextafter(x, math.inf))]
@@ -362,12 +497,12 @@ def test_csv_writer_matches_row_fstring(tmp_path, monkeypatch):
     zs = np.array([complex(a, b) for a, b in zip(parts, reversed(parts))])
     vals = np.array(parts[3:] + parts[:3])
     new = tmp_path / "new.csv"
-    write_csv(new, zs, vals)
+    write_csv(new, [(zs[i : i + 3], vals[i : i + 3]) for i in range(0, zs.size, 3)])
     want = "re,im,value\n" + "".join(
         f"{z.real:.17g},{z.imag:.17g},{v:.17g}\n" for z, v in zip(zs, vals)
     )
     assert new.read_bytes() == want.encode("utf-8")
-    write_csv(new, zs[:0], vals[:0])
+    write_csv(new, [])
     assert new.read_bytes() == b"re,im,value\n"
 
 
