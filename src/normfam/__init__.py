@@ -3,10 +3,10 @@ obeying |f''| <= 1 + |f|^3 on the disk |z| < 2 whose spherical derivatives
 blow up along the unit circle, so no normality criterion can tame them.
 
 Construction (the exact exponent p_n = c1 u + c2 u^2 + c3 u^3 in
-u = z^n - 1, pinned by vanishing-derivative conditions at the n-th roots
-of unity) lives in `forge`; numerical verification of the
-claimed properties lives in `analysis`; `storage` persists records as
-lossless JSON; `cli` wraps everything for the shell.
+u = z^n - 1, three rationals in closed form in n) lives in `forge`;
+numerical verification of the claimed properties lives in `analysis`;
+`storage` persists records as lossless JSON; `cli` wraps everything for
+the shell.
 """
 
 from .analysis import (
@@ -24,7 +24,6 @@ from .analysis import (
 from .errors import (
     CenterOffCircle,
     DuplicateNodes,
-    IndexOutOfRange,
     InvariantViolation,
     NonPositiveM,
     NormfamError,
@@ -39,8 +38,6 @@ from .forge import (
     build_p,
     construct,
     f_jet,
-    node_conditions,
-    root_of_unity,
 )
 from .storage import load_function, save_function
 
@@ -51,8 +48,6 @@ __all__ = [
     "build_p",
     "construct",
     "f_jet",
-    "node_conditions",
-    "root_of_unity",
     "GridSpec",
     "VerificationReport",
     "ProbeResult",
@@ -67,7 +62,6 @@ __all__ = [
     "save_function",
     "NormfamError",
     "DuplicateNodes",
-    "IndexOutOfRange",
     "Overflow",
     "NonPositiveM",
     "OrderTooLow",

@@ -16,6 +16,7 @@ conditions are decided exactly, on the rational jet of h at z = 1.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -103,10 +104,11 @@ class GridSpec:
 class VerificationReport:
     """Outcome of one verification sweep.
 
-    passed always means: max_inequality within the op's slack of 1 and
-    every node residual within the op's node tolerance (recorded in
-    notes; verify_node_jets tolerates none).  Ops that have no separate node check leave node_residuals
-    empty, which satisfies the condition vacuously.
+    passed means the op's own test holds, as its notes state:
+    max_inequality within the op's slack of 1 for verify_inequality,
+    a node residual of exactly 0 for verify_node_jets, the interior max
+    within the boundary max for max_modulus_check.  node_residuals holds
+    the value at the node z = 1 where the op measures one, else nothing.
     """
 
     passed: bool
@@ -216,14 +218,18 @@ def marty_probe(Fs, center, radius, samples=2048, seed=DEFAULT_SEED):
     """Max spherical derivative near one boundary point, per function.
 
     The grid is seeded-uniform in the disk around `center` plus the
-    center itself, measured by exp of their largest float log of f^#,
-    plus the node z = 1, whose exact value n*a stands for the nearest
-    node's by rotation invariance of f^#; radius 0 degenerates to the
-    single point {center}.  n*a is an mpmath product, because a float log
-    of it misses by more than 1e-6 relative from n = 14 on (5e-5 there).
-    Measurements are arbitrary-precision reals (they outgrow binary64
-    quickly).  Verdict is "blowup" when every measurement clears that
-    floor n*a (within relative 1e-6) and the sequence increases.
+    center itself, measured by exp of their largest float log of f^#;
+    radius 0 degenerates to the single point {center}.  The node nearest
+    the center, e^{2 pi i k/n} with k = round(n t / 2 pi), t = arg(center),
+    joins the grid when it lies in the closed disk, that is when its chord
+    2 |sin(t/2 - pi k/n)| is at most the radius: there f = 0 and f^# = n*a
+    exactly by rotation invariance, taken as an mpmath product, because a
+    float log of it misses by more than 1e-6 relative from n = 14 on
+    (5e-5 there).  Measurements are arbitrary-precision reals (they
+    outgrow binary64 quickly).  Verdict is "blowup" when every measurement
+    clears the node value n*a (within relative 1e-6) and the sequence
+    increases; a disk without a node clears it only by a sample next to
+    one.
     """
     c = complex(center)
     if abs(abs(c) - 1.0) > 1e-6:
@@ -231,6 +237,7 @@ def marty_probe(Fs, center, radius, samples=2048, seed=DEFAULT_SEED):
     if radius < 0:
         raise ValueError("radius must be >= 0")
     rng = np.random.default_rng(seed)
+    arg = cmath.phase(c)
     ns, meas, floored = [], [], []
     for F in Fs:
         zs = np.array([c])
@@ -238,10 +245,12 @@ def marty_probe(Fs, center, radius, samples=2048, seed=DEFAULT_SEED):
             zs = np.concatenate([_disk_points(rng, samples, radius, c), zs])
         logs = kernels.sphder_log(F.n, F.p_float, F.log_a, zs)
         top = float(np.max(logs))
-        with mpmath.workprec(max(F.precision, 53)):
+        k = round(F.n * arg / (2.0 * math.pi))
+        gap = 2.0 * abs(math.sin(arg / 2.0 - math.pi * k / F.n))
+        with mpmath.workprec(F.precision):
             m = mpmath.exp(mpmath.mpf(top)) if top > MINUS_INFINITY else mpmath.mpf(0)
             node = F.n * F.a
-            if radius > 0:
+            if gap <= radius:
                 m = max(m, node)
             floored.append(m >= node * (1 - mpmath.mpf("1e-6")))
         ns.append(F.n)
@@ -276,7 +285,7 @@ def lemma2_probe(Fs, points, orders):
     bound_ok = True
     series = {(z, l): [] for z in pts for l in orders}
     for F in Fs:
-        with mpmath.workprec(max(F.precision, 53)):
+        with mpmath.workprec(F.precision):
             for z in pts:
                 hj = h_jet(F.n, F.p, mpmath.mpc(z), max(orders))
                 for l in orders:

@@ -9,10 +9,6 @@ class DuplicateNodes(NormfamError):
     """Two interpolation nodes coincide within tolerance."""
 
 
-class IndexOutOfRange(NormfamError):
-    """Node index outside [0, n-1]."""
-
-
 class Overflow(NormfamError):
     """Re(p(z)) exceeds the safe exponent budget for the active precision."""
 

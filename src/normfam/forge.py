@@ -6,13 +6,14 @@ Those conditions are invariant under z -> e^{2 pi i/n} z, so their unique
 interpolant of degree <= 4n-1 is a polynomial in z^n: with u = z^n - 1,
 
     p_n = c1 u + c2 u^2 + c3 u^3,
+    c1 = -(n-1)/(2n),  c2 = (n-1)(5n-1)/(24 n^2),  c3 = -(n-1)(3n-1)/(24 n^2),
 
-and the rational c_k follow exactly from the conditions at z = 1 (n = 2
-gives -1/4, 3/32, -5/96). p is that triple of Fractions and is fixed by
-n alone, so function files do not store it: build_p(n) derives it, and
-a record's gate demands p == build_p(n). Every evaluation is a Horner
-step in u, O(1) per point whatever n. f_n depends on z only through
-z^n, so anything checked at the node z = 1 holds at all n nodes.
+the solution of the conditions at z = 1 for every n (n = 2 gives -1/4,
+3/32, -5/96). p is that triple of Fractions and is fixed by n alone, so
+function files do not store it: build_p(n) derives it, and a record's
+gate demands p == build_p(n). Every evaluation is a Horner step in u,
+O(1) per point whatever n. f_n depends on z only through z^n, so
+anything checked at the node z = 1 holds at all n nodes.
 
 The scaling a_n = max(sqrt(2 n c_n), 2n / m_n, 1) then forces
 |f''| <= 1 + |f|^3 on the closed disk of radius 2 with margin 1/n, and
@@ -23,23 +24,23 @@ c_n and a_n explode with n (log a_6 is around 2.7e4), so the three
 magnitude fields of a constructed record are mpmath reals with unbounded
 exponent, and every grid scan works on logarithms in double precision.
 At z = 1, u = 0 and every derivative of u is an integer, so h_jet at
-Fraction(1) is exact: the node conditions are decided in rational
-arithmetic. A record's precision sets only the digits its magnitudes
-are stored with and the precision of f_jet and of the probes (python
-complex at 53 bits, mpmath.mpc above).
+Fraction(1) is exact: a record's node_residual decides the node
+conditions in rational arithmetic. A record's precision sets only the
+digits its magnitudes are stored with and the mpmath precision of f_jet
+and of the probes.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 
 import mpmath
 import numpy as np
 
 from . import kernels
-from .errors import IndexOutOfRange, InvariantViolation, NonPositiveM, Overflow
+from .errors import InvariantViolation, NonPositiveM, Overflow
 
 EPS_NODE = 1e-3
 MINUS_INFINITY = float("-inf")
@@ -73,17 +74,6 @@ class Jet:
 
 
 @dataclass(frozen=True)
-class NodeConditions:
-    """Derivative values prescribed for p_n at one root of unity: the
-    unique choice killing h'', h''' and h'''' there."""
-
-    node: complex
-    p1: complex
-    p2: complex
-    p3: complex
-
-
-@dataclass(frozen=True)
 class ConstructionConfig:
     precision: int = 53
     grid_m: int = 1024
@@ -95,75 +85,26 @@ class ConstructionConfig:
             raise ValueError("grid_m must be at least 64")
 
 
-def g_jet(n, z, J):
-    """Jet of g(z) = z^n - 1 by the power rule."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if J < 0:
-        raise ValueError("J must be >= 0")
-    return Jet(J, tuple(kernels.u_jet(n, z, J)))
-
-
-def root_of_unity(n, ell, precision=53):
-    """exp(2 pi i ell / n); exact for ell = 0, and mpmath's sinpi/cospi
-    keep the axis nodes exact at high precision."""
-    if precision <= 53:
-        return cmath.exp(2j * math.pi * ell / n)
-    with mpmath.workprec(precision):
-        return mpmath.expjpi(mpmath.mpf(2 * ell) / n)
-
-
-def _node_conditions_at(n, z):
-    g = g_jet(n, z, 4)
-    g1, g2, g3, g4 = g[1], g[2], g[3], g[4]
-    p1 = -g2 / (2 * g1)
-    p2 = -(g3 + 3 * g2 * p1 + 3 * g1 * p1**2) / (3 * g1)
-    p3 = -(
-        g4
-        + 4 * g3 * p1
-        + 6 * g2 * p2
-        + 6 * g2 * p1**2
-        + 12 * g1 * p1 * p2
-        + 4 * g1 * p1**3
-    ) / (4 * g1)
-    return NodeConditions(z, p1, p2, p3)
-
-
-def node_conditions(n, ell, precision=53):
-    """p', p'', p''' at the ell-th n-th root of unity, solved sequentially
-    from the vanishing of h'', then h''', then h''''.
-
-    Expanding h = g e^p by Leibniz and dividing out e^p != 0, each
-    condition is linear in the highest derivative of p with coefficient
-    g' != 0, so the triangular system determines (p1, p2, p3) uniquely.
-    """
-    if not 0 <= ell <= n - 1:
-        raise IndexOutOfRange(f"node index {ell} outside [0, {n - 1}]")
-    if precision <= 53:
-        return _node_conditions_at(n, root_of_unity(n, ell))
-    with mpmath.workprec(precision):
-        return _node_conditions_at(n, root_of_unity(n, ell, precision))
-
-
-@cache
 def build_p(n):
     """The exponent (c1, c2, c3) of p = c1 u + c2 u^2 + c3 u^3, u = z^n - 1,
-    as exact Fractions; cached, since every load and every record gate
-    asks for it.
+    as exact Fractions:
 
-    The node conditions at z = 1, solved in Fractions, give p', p'', p'''
-    there. At z = 1, u = 0 and u^(k) = n!/(n-k)!, so the chain rule
+        c1 = -(n-1)/(2n),  c2 = (n-1)(5n-1)/(24 n^2),  c3 = -(n-1)(3n-1)/(24 n^2).
+
+    They solve the node conditions at z = 1 for every n. There u = 0 and
+    u^(k) = n!/(n-k)!, so h'' = h''' = h'''' = 0 is a triangular system in
+    p', p'', p''', and the chain rule
     p' = c1 u', p'' = 2 c2 u'^2 + c1 u'', p''' = 6 c3 u'^3 + 6 c2 u' u'' + c1 u'''
-    is a triangular system for the c_k.
+    is one in the c_k.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    nc = _node_conditions_at(n, Fraction(1))
-    d1, d2, d3 = n, n * (n - 1), n * (n - 1) * (n - 2)
-    c1 = nc.p1 / d1
-    c2 = (nc.p2 - c1 * d2) / (2 * d1**2)
-    c3 = (nc.p3 - 6 * c2 * d1 * d2 - c1 * d3) / (6 * d1**3)
-    return (c1, c2, c3)
+    m, d = n - 1, 24 * n * n
+    return (
+        Fraction(-m, 2 * n),
+        Fraction(m * (5 * n - 1), d),
+        Fraction(-m * (3 * n - 1), d),
+    )
 
 
 def p_degree(n, p):
@@ -303,7 +244,7 @@ def estimate_c(n, p, M=1024):
         # one point of |z| = 2, where |u| >= 2^n - 1 >= 1, in python complex:
         # numpy calls on one-point arrays would double the cost of estimate_c
         u = kernels.u_jet(n, 2.0 * cmath.exp(1j * t), 2)
-        return float(kernels.ratio_log_jets(u, kernels.p_from_u(c, u)))
+        return float(kernels.ratio_log_from_jets(u, kernels.p_from_u(c, u)))
 
     best = _golden_max(f, theta[i] - step, theta[i] + step, _GOLDEN_TOL)
     best = max(best, float(logs[i]))
@@ -369,6 +310,10 @@ class CounterexampleFunction:
     def __post_init__(self):
         if self.n < 1:
             raise InvariantViolation("n must be >= 1")
+        if not 53 <= self.precision <= MAX_PRECISION:
+            raise InvariantViolation(
+                f"precision {self.precision} is outside 53..{MAX_PRECISION} bits"
+            )
         # the node conditions hold exactly for build_p(n) and for no other
         # cubic in u, so exact equality is the whole node gate
         want = build_p(self.n)
@@ -425,17 +370,8 @@ def construct(n, cfg=ConstructionConfig()):
 
 
 def f_jet(F, z, J):
-    """Jet of f = a h. Double-precision records refuse magnitudes beyond
-    the float range (callers then work with log|h| from kernels.h_log
-    and log a); high-precision records return mpmath scalars instead."""
+    """Jet of f = a h as mpmath.mpc values at the record's precision, since
+    a overflows binary64 from order 5 on."""
     hj = h_jet(F.n, F.p, z, J)
-    if F.precision <= 53:
-        af = float(F.a)
-        if not math.isfinite(af):
-            raise Overflow(f"a_n = exp({F.log_a:.6g}) exceeds the float range")
-        vals = tuple(af * complex(v) for v in hj.values)
-        if not all(cmath.isfinite(v) for v in vals):
-            raise Overflow("a * h overflows the float range at this point")
-        return Jet(J, vals)
     with mpmath.workprec(F.precision):
         return Jet(J, tuple(F.a * mpmath.mpc(v) for v in hj.values))

@@ -7,11 +7,11 @@ complex products whatever n: the jet of p follows from the jet of u by
 the chain rule. Every kernel takes its points as its last argument.
 The jet functions below (u_jet, p_from_u, b2) take numpy arrays and
 scalars (python complex, mpmath.mpc, Fraction), and forge's scalar jets
-use them too; ratio_log_jets takes arrays and python complex. Only array
-values are independent of the array size: numpy rounds a complex product
-of 0-d or python scalars differently from its array loop, so a point
-evaluated as a scalar can differ in its last bits from the same point
-inside an array.
+use them too; ratio_log_from_jets takes arrays and python complex. Only
+array values are independent of the array size: numpy rounds a complex
+product of 0-d or python scalars differently from its array loop, so a
+point evaluated as a scalar can differ in its last bits from the same
+point inside an array.
 
 All magnitude arithmetic is done on logarithms: the family's scaling
 constants overflow binary64 from order 5 on, so |f| and |f|^3 never
@@ -104,7 +104,7 @@ def b2(u, p):
     return u[2] + 2.0 * u1p1 + u[0] * q
 
 
-def ratio_log_jets(u, p):
+def ratio_log_from_jets(u, p):
     """log |h''/h^3| = log|b2| - 2 Re p - 3 log|g| from the order-2 jets of
     g = u and of p, arrays and scalars alike; -inf where b2 vanishes."""
     return np.log(np.abs(b2(u, p))) - 2.0 * p[0].real - 3.0 * np.log(np.abs(u[0]))
@@ -117,7 +117,7 @@ def ratio_log(n, c, zs):
     before asking.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return ratio_log_jets(*_jets(n, c, zs, 2))
+        return ratio_log_from_jets(*_jets(n, c, zs, 2))
 
 
 def h_log(n, c, zs):

@@ -9,6 +9,7 @@ import json
 
 import mpmath
 import sympy
+from conftest import root_of_unity
 
 from normfam.analysis import (
     lemma2_probe,
@@ -17,7 +18,7 @@ from normfam.analysis import (
     verify_inequality,
     verify_node_jets,
 )
-from normfam.forge import construct, f_jet, p_jet, root_of_unity
+from normfam.forge import construct, f_jet, p_jet
 from normfam.storage import function_to_json, parse_function
 
 ORDERS = range(1, 7)

@@ -235,20 +235,38 @@ def test_marty_degenerate_radius(family):
     pr = marty_probe([F], 1 + 0j, 0.0)
     with mpmath.workprec(120):
         assert abs(mpmath.log(pr.measurements[0]) - mpmath.log(F.a * 2)) <= 1e-12
+    # -1 is a node of order 14, where a float log of n*a misses by 6e-5
+    F = construct(14)
+    pr = marty_probe([F], -1 + 0j, 0.0)
+    assert pr.verdict == "blowup" and pr.measurements[0] == 14 * F.a
 
 
 def test_marty_off_node_center(family):
-    pr = marty_probe([family[n] for n in (2, 4, 6)], cmath.exp(0.5j), 0.3)
+    # the center is no node, but the node 1 lies in the disk, 0.49 away
+    pr = marty_probe([family[n] for n in (2, 4, 6)], cmath.exp(0.5j), 0.6)
     assert pr.verdict == "blowup"
 
 
-@pytest.mark.parametrize("center", [1j, cmath.exp(0.6j * math.pi), -1 + 0j])
-def test_marty_blowup_at_every_center(family, center):
-    # the node value a*n is taken at z = 1, exact whatever node is nearest
-    # the center (a binary64 e^{2 pi i l/n} leaves u near 1e-16, not 0)
-    Fs = [family[3], family[5]]
-    Fs += [construct(n, ConstructionConfig(precision=128)) for n in (8, 12)]
-    assert marty_probe(Fs, center, 0.1).verdict == "blowup"
+def test_marty_counts_no_node_outside_the_disk(family):
+    # the node nearest i is e^{2 pi i/5}, 0.31 away from it: the disk of
+    # radius 0.05 holds no node, and its samples stay below n*a
+    pr = marty_probe([family[5]], 1j, 0.05)
+    assert pr.verdict == "inconclusive"
+    assert pr.measurements[0] < 5 * family[5].a
+
+
+@pytest.fixture(scope="module")
+def ladder():
+    """The records n = 7..12 at 128 bits, whose node chords
+    2 sin(pi/(2n)) are 0.445 or less."""
+    return [construct(n, ConstructionConfig(precision=128)) for n in range(7, 13)]
+
+
+@pytest.mark.parametrize("center", [1 + 0j, 1j, cmath.exp(0.6j * math.pi), -1 + 0j])
+def test_marty_blowup_at_every_center(ladder, center):
+    # every disk of radius 0.5 about a point of the unit circle holds a
+    # node of these orders, where f^# = n*a exactly
+    assert marty_probe(ladder, center, 0.5).verdict == "blowup"
 
 
 @pytest.mark.parametrize("n", range(13, 21))

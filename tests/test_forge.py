@@ -8,9 +8,9 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
+from conftest import node_conditions, root_of_unity, solved_exponent
 
 from normfam import (
-    IndexOutOfRange,
     InvariantViolation,
     NonPositiveM,
     Overflow,
@@ -19,6 +19,7 @@ from normfam import analysis, forge, kernels
 from normfam.cpoly import HermiteSpec, eval_jet, hermite_interpolate
 from normfam.forge import (
     EPS_NODE,
+    MAX_PRECISION,
     MINUS_INFINITY,
     ConstructionConfig,
     CounterexampleFunction,
@@ -31,12 +32,9 @@ from normfam.forge import (
     estimate_m,
     exp_jet,
     f_jet,
-    g_jet,
     h_jet,
-    node_conditions,
     p_float,
     p_jet,
-    root_of_unity,
 )
 
 ZERO_P = (Fraction(0),) * 3
@@ -49,22 +47,22 @@ def sample_disk(rng, radius=2.0):
             return z
 
 
-# g_jet
+# the jet of g = u = z^n - 1, kernels.u_jet
 
 
 def test_g_jet_cubic_at_one():
-    assert g_jet(3, 1, 2).values == (0, 3, 6)
+    assert kernels.u_jet(3, 1, 2) == [0, 3, 6]
 
 
 def test_g_jet_linear():
-    assert g_jet(1, 5, 2).values == (4, 1, 0)
+    assert kernels.u_jet(1, 5, 2) == [4, 1, 0]
 
 
 def test_g_jet_square_at_minus_one():
-    assert g_jet(2, -1, 1).values == (0, -2)
+    assert kernels.u_jet(2, -1, 1) == [0, -2]
 
 
-# node_conditions
+# the node conditions, solved directly in conftest: the exponent's oracle
 
 
 def test_node_conditions_order_one():
@@ -81,13 +79,6 @@ def test_node_conditions_order_two():
     assert abs(nc.node - (-1)) < 1e-15
     for got, want in zip((nc.p1, nc.p2, nc.p3), (0.5, 0.25, 0.25)):
         assert abs(got - want) <= 1e-12
-
-
-def test_node_index_bounds():
-    with pytest.raises(IndexOutOfRange):
-        node_conditions(3, 3)
-    with pytest.raises(IndexOutOfRange):
-        node_conditions(3, -1)
 
 
 def test_nodes_are_roots_of_unity():
@@ -171,6 +162,48 @@ def test_build_p_closed_forms(exponents):
     for n, p in exponents.items():
         assert p[0] == Fraction(-(n - 1), 2 * n)
     assert exponents[12] == (Fraction(-11, 24), Fraction(649, 3456), Fraction(-385, 3456))
+
+
+def test_build_p_rejects_order_zero():
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            build_p(n)
+
+
+def test_build_p_matches_fraction_solve():
+    for n in range(1, 201):
+        p = build_p(n)
+        assert all(isinstance(c, Fraction) for c in p)
+        assert p == solved_exponent(n), n
+
+
+def test_closed_form_solves_node_conditions_for_symbolic_n():
+    # expand h = u e^p in w = z - 1 up to w^4 with n a symbol: at z = 1,
+    # u = sum_k binom(n, k) w^k. The coefficients of w^2, w^3, w^4 of h
+    # vanish for one (c1, c2, c3) only, and it is the closed form
+    n = sympy.symbols("n", positive=True)
+    c = sympy.symbols("c1:4")
+    u = [0] + [sympy.ff(n, k) / math.factorial(k) for k in range(1, 5)]
+    uk, q = u, [0] * 5
+    for ck in c:
+        q = [x + ck * y for x, y in zip(q, uk)]
+        uk = _series_mul(uk, u)
+    e = qk = [1, 0, 0, 0, 0]
+    for k in range(1, 5):
+        qk = _series_mul(qk, q)
+        e = [x + y / math.factorial(k) for x, y in zip(e, qk)]
+    h = _series_mul(u, e)
+    sols = sympy.solve(h[2:], c, dict=True)
+    want = (
+        -(n - 1) / (2 * n),
+        (n - 1) * (5 * n - 1) / (24 * n**2),
+        -(n - 1) * (3 * n - 1) / (24 * n**2),
+    )
+    assert len(sols) == 1
+    for ck, w in zip(c, want):
+        assert sympy.simplify(sols[0][ck] - w) == 0
+    for k in (1, 2, 7, 144):
+        assert build_p(k) == tuple(Fraction(str(w.subs(n, k))) for w in want)
 
 
 def test_cubic_matches_hermite_oracle(exponents):
@@ -377,7 +410,7 @@ def full_circle_log_c(n, p, M):
 
     def f(t):
         u = kernels.u_jet(n, 2.0 * cmath.exp(1j * t), 2)
-        return float(kernels.ratio_log_jets(u, kernels.p_from_u(c, u)))
+        return float(kernels.ratio_log_from_jets(u, kernels.p_from_u(c, u)))
 
     best = forge._golden_max(f, theta[i] - step, theta[i] + step, forge._GOLDEN_TOL)
     return max(best, float(logs[i]))
@@ -628,9 +661,20 @@ def test_f_jet_node_values(family):
             assert abs(f1 - af * n) <= 1e-10 * af * n
 
 
-def test_f_jet_overflow_for_large_orders(family):
-    with pytest.raises(Overflow):
-        f_jet(family[5], 0, 1)
+def test_f_jet_beyond_float_range(family):
+    # a_5 overflows binary64; the jet is mpmath at the record's precision
+    F = family[5]
+    fj = f_jet(F, 0, 1)
+    assert all(isinstance(v, mpmath.mpc) for v in fj.values)
+    want = F.a * abs(h_jet(5, F.p, 0, 0)[0])
+    assert abs(abs(fj[0]) - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("bits", [52, MAX_PRECISION + 1])
+def test_gate_rejects_precision_out_of_range(family, bits):
+    F = family[3]
+    with pytest.raises(InvariantViolation, match="precision"):
+        CounterexampleFunction(3, F.p, F.a, F.c_hat, F.m_hat, bits)
 
 
 def test_default_record_obeys_inequality_at_exact_node(family):

@@ -8,9 +8,10 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
+from conftest import root_of_unity
 
 from normfam import kernels
-from normfam.forge import EPS_NODE, construct, h_jet, root_of_unity
+from normfam.forge import EPS_NODE, construct, h_jet
 
 
 def grid_points(rng, count, radius=2.0):

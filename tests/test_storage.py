@@ -6,7 +6,7 @@ import json
 import mpmath
 import pytest
 
-from normfam import forge, storage
+from normfam import storage
 from normfam.analysis import ProbeResult, VerificationReport, marty_probe
 from normfam.errors import InvariantViolation
 from normfam.forge import ConstructionConfig, construct
@@ -77,20 +77,6 @@ def test_save_and_load_files(tmp_path, family):
     assert_identical(family[2], G)
     storage.save_function(G, gm, path)
     assert path.read_bytes() == first
-
-
-def test_loading_twice_builds_exponent_once(tmp_path, family, monkeypatch):
-    # the parser and the record gate each ask for build_p(n) on every load
-    path = tmp_path / "f5.json"
-    storage.save_function(family[5], 1024, path)
-    solve, solved = forge._node_conditions_at, []
-    monkeypatch.setattr(
-        forge, "_node_conditions_at", lambda n, z: solved.append(n) or solve(n, z)
-    )
-    forge.build_p.cache_clear()
-    for _ in range(2):
-        assert_identical(family[5], storage.load_function(path)[0])
-    assert solved == [5]
 
 
 @pytest.mark.parametrize(
