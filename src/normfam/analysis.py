@@ -55,8 +55,8 @@ class GridSpec:
         want = 2 if self.region == "annulus" else 1
         if len(self.radii) != want:
             raise ValueError(f"{self.region} takes {want} radius value(s)")
-        if any(r <= 0 for r in self.radii):
-            raise ValueError("radii must be positive")
+        if not all(0 < r < math.inf for r in self.radii):  # NaN fails too
+            raise ValueError("radii must be positive and finite")
         if self.region == "annulus" and self.radii[0] >= self.radii[1]:
             raise ValueError("annulus radii must increase")
         if self.resolution < 1:
@@ -170,6 +170,8 @@ def verify_inequality(F, samples=10000, tol=1e-12, seed=DEFAULT_SEED):
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if not 0 <= tol < math.inf:  # NaN fails too
+        raise ValueError("tol must be finite and >= 0")
     rng = np.random.default_rng(seed)
     zs = np.concatenate(
         [
@@ -234,8 +236,8 @@ def marty_probe(Fs, center, radius, samples=2048, seed=DEFAULT_SEED):
     c = complex(center)
     if abs(abs(c) - 1.0) > 1e-6:
         raise CenterOffCircle(f"|{c}| = {abs(c):.8f} is not 1 within 1e-6")
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
+    if not 0 <= radius < math.inf:  # NaN fails too
+        raise ValueError("radius must be finite and >= 0")
     rng = np.random.default_rng(seed)
     arg = cmath.phase(c)
     ns, meas, floored = [], [], []

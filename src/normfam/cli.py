@@ -128,7 +128,11 @@ def cmd_verify(args):
     F, _, code = _load(args.file)
     if code != OK:
         return code
-    ineq = verify_inequality(F, args.samples, args.tol, seed=args.seed)
+    try:
+        ineq = verify_inequality(F, args.samples, args.tol, seed=args.seed)
+    except ValueError as exc:
+        _err(str(exc))
+        return USAGE
     nodes = verify_node_jets(F)
     maxmod = max_modulus_check(F)
     report = storage.report_file(
@@ -218,7 +222,7 @@ def _split(a):
 _I4 = np.arange(10_000)
 _DIGITS4 = (ord("0") + _I4[:, None] // np.array([1000, 100, 10, 1]) % 10).astype(np.uint8)
 _DIGITS4 = _DIGITS4.view(np.uint32).ravel()
-_TZ4 = sum(_I4 % 10**j == 0 for j in range(1, 5)).astype(np.int64)
+_TZ4 = sum(_I4 % 10**j == 0 for j in range(1, 5)).astype(np.int8)
 _POW = np.array([10**s for s in range(23)], dtype=np.float64)
 _POW_HI, _POW_LO = _split(_POW)
 
@@ -246,6 +250,11 @@ _LAYOUT = _source_row_layouts()
 _TEMPLATE = np.frombuffer(
     b"".join(b"0000" + bytes(17) + b"-." + sep + bytes(1) for sep in (b",", b",", b"\n")), np.uint8
 ).reshape(3, 25)
+# fields per gather block: its (_BLOCK, 25) index array, 400 KB, stays in
+# cache; one index array for a whole chunk would take 200 bytes per field
+_BLOCK = 2048
+# the offset of each field's source row within a block
+_BLOCK_ROWS = np.arange(0, 25 * _BLOCK, 25)[:, None]
 
 
 def write_csv(path, chunks):
@@ -272,21 +281,10 @@ def _times_pow10(a, s):
     return p, e
 
 
-def csv_rows(x):
-    """The bytes of "%.17g,%.17g,%.17g\n" % tuple(row) for each row of the
-    float array x of shape (m, 3), as one uint8 array.
-
-    For 9e-5 <= |v| < 1e17 the 17 significant digits d and the decimal
-    exponent k of v are found exactly. With s = 16 - k in 0..21,
-    |v| 10^s = p + e exactly (Dekker's two-product); p >= 2^53 is an even
-    integer, so d = p + rint(e) is rounded half to even, as %.17g does. A
-    guess of k from log10 that is off by one fails 10^16 <= floor(p + e)
-    < 10^17 and is redone. The fields with k in -4..16, which %.17g writes
-    in fixed notation, and the zeros are gathered from the digit tables;
-    the rest (non-finite, |v| < 1e-4, |v| >= 1e17) go through one
-    %-format call."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    n = x.size
+def _decimal(x):
+    """(d, k, slow) for the float array x: the 17 significant digits d and
+    the decimal exponent k of each v in x, exact for 9e-5 <= |v| < 1e17,
+    0 and 0 at zeros, and a mask of the fields left to %-format."""
     a = np.abs(x)
     fast = (a >= 9e-5) & (a < 1e17)
     a = np.where(fast, a, 1.0)
@@ -301,27 +299,83 @@ def csv_rows(x):
     d[up], k[up] = 10**16, k[up] + 1
     zero = x == 0
     d[zero], k[zero] = 0, 0
-    slow = ~(fast | zero) | (k < -4) | (k > 16)
+    return d, k, ~(fast | zero) | (k < -4) | (k > 16)
 
-    r = d % 10**16
-    g = np.stack([r // 10**12, r // 10**8 % 10**4, r // 10**4 % 10**4, r % 10**4], axis=1)
+
+def _source_rows(x):
+    """(src, layout, slow) for the flat float array x of 3m fields: each
+    field's 25-byte source row, _TEMPLATE with its 17 digits filled in;
+    the row of _LAYOUT that writes the field from it; and the mask of the
+    fields left to %-format."""
+    n = x.size
+    d, k, slow = _decimal(x)
+    # d = lead 10^16 + g0 10^12 + g1 10^8 + g2 10^4 + g3. One int64
+    # division splits d into halves below 10^9 and the rest runs in int32,
+    # where no product exceeds 9 10^8: an int32 array times 10^8 would
+    # wrap, under numpy 1.24's value-based promotion as under NEP 50
+    hi = d // 10**8
+    lo = (d - hi * 10**8).astype(np.int32)
+    hi = hi.astype(np.int32)
+    lead = hi // 10**8
+    hi -= lead * 10**8
+    g = np.empty((n, 4), np.int32)
+    np.floor_divide(hi, 10**4, out=g[:, 0])
+    np.subtract(hi, g[:, 0] * 10**4, out=g[:, 1])
+    np.floor_divide(lo, 10**4, out=g[:, 2])
+    np.subtract(lo, g[:, 2] * 10**4, out=g[:, 3])
     tz = _TZ4[g[:, 3]] + (g[:, 3] == 0) * (
         _TZ4[g[:, 2]] + (g[:, 2] == 0) * (_TZ4[g[:, 1]] + (g[:, 1] == 0) * _TZ4[g[:, 0]])
     )
     src = np.empty((n // 3, 3, 25), np.uint8)
     src[:] = _TEMPLATE
     src = src.reshape(n, 25)
-    src[:, 4] = ord("0") + d // 10**16
+    src[:, 4] = ord("0") + lead
     src[:, 5:21] = _DIGITS4[g].view(np.uint8).reshape(n, 16)
-    layout = (np.signbit(x) * 21 + k + 4) * 17 + 16 - tz
-    gather = _LAYOUT.take(layout, axis=0, mode="clip")
-    gather += np.arange(0, 25 * n, 25)[:, None]
-    out = src.ravel().take(gather)
+    return src, (np.signbit(x) * 21 + k + 4) * 17 + 16 - tz, slow
 
+
+def _gather(src, layout):
+    """out[i, t] = src[i, _LAYOUT[layout[i], t]], taken _BLOCK rows at a
+    time through one reused index array. mode="clip" keeps take from
+    buffering `out`; it also clamps the layouts of the %-formatted fields,
+    which may lie outside _LAYOUT and whose bytes csv_rows overwrites."""
+    n = layout.size
+    out = np.empty((n, 25), np.uint8)
+    index = np.empty((min(n, _BLOCK), 25), _LAYOUT.dtype)
+    for j in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - j)
+        _LAYOUT.take(layout[j : j + m], axis=0, out=index[:m], mode="clip")
+        index[:m] += _BLOCK_ROWS[:m]
+        src[j : j + m].ravel().take(index[:m], out=out[j : j + m], mode="clip")
+    return out
+
+
+def csv_rows(x):
+    """The bytes of "%.17g,%.17g,%.17g\n" % tuple(row) for each row of the
+    float array x of shape (m, 3), as one uint8 array.
+
+    For 9e-5 <= |v| < 1e17 the 17 significant digits d and the decimal
+    exponent k of v are found exactly. With s = 16 - k in 0..21,
+    |v| 10^s = p + e exactly (Dekker's two-product); p >= 2^53 is an even
+    integer, so d = p + rint(e) is rounded half to even, as %.17g does. A
+    guess of k from log10 that is off by one fails 10^16 <= floor(p + e)
+    < 10^17 and is redone. The fields with k in -4..16, which %.17g writes
+    in fixed notation, and the zeros are gathered from the digit tables:
+    d is split into its lead digit and four groups of four digits in int32,
+    the groups' ASCII digits fill a 25-byte source row from _DIGITS4, and
+    the row of _LAYOUT for the field's sign, k and digit count picks each
+    output byte from it. The gather runs over blocks of _BLOCK fields, so
+    its index array (8 bytes per output byte) stays in cache and does not
+    grow with the chunk. The rest (non-finite, |v| < 1e-4, |v| >= 1e17)
+    go through one %-format call."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    src, layout, slow = _source_rows(x)
+    out = _gather(src, layout)
+    del src, layout  # freed before the compaction, where the encoder peaks
     i = np.flatnonzero(slow)
     text = ("%.17g " * i.size % tuple(x[i].tolist())).split()
     out[i, :24] = np.array(text, dtype="S24").view(np.uint8).reshape(i.size, 24)
-    out[i, 24] = src[i, 23]
+    out[i, 24] = _TEMPLATE[i % 3, 23]
     return out[out != 0]
 
 

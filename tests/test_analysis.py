@@ -158,8 +158,12 @@ def test_verify_inequality_names_overflow(n):
 
 
 def test_verify_inequality_validation(family):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
         verify_inequality(family[2], 0, 1e-12)
+    # a NaN or infinite tolerance would pass any finite grid
+    for tol in (math.nan, -1e-12, math.inf):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            verify_inequality(family[2], 10, tol)
 
 
 def test_verify_node_jets_family(family):

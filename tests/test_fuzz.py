@@ -4,6 +4,7 @@ files round-trip exactly at any precision, and grid CSV rows are the
 bytes of %.17g for every float."""
 
 import json
+import math
 
 import mpmath
 import numpy as np
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normfam import storage
-from normfam.cli import csv_rows, parse_complex, parse_n_range, parse_region
+from normfam import cli, storage
+from normfam.analysis import GridSpec
+from normfam.cli import csv_rows, main, parse_complex, parse_n_range, parse_region
 from normfam.errors import InvariantViolation
 from normfam.forge import CounterexampleFunction, build_p, choose_a
 
@@ -139,3 +141,65 @@ def test_csv_rows_are_17g_text(rows):
     # st.floats() draws nan, +-inf, +-0 and subnormals too
     want = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
     assert csv_rows(np.array(rows)).tobytes() == want.encode("ascii")
+
+
+def test_csv_rows_dense_across_gather_blocks():
+    # one call of more than three gather blocks and a ragged tail: every
+    # decimal exponent from -5 to 17, both signs, 1-17 significant digits,
+    # runs of nines that round up to the next power of ten, the neighbours
+    # of each power of ten, zeros, subnormals and non-finite values
+    rng = np.random.default_rng(12)
+    vals = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072009e-308]
+    vals += (rng.integers(1, 2**52, 40) * 5e-324).tolist()
+    for k in range(-5, 18):
+        for digits in range(1, 18):
+            for m in rng.integers(10 ** (digits - 1), 10**digits, 8).tolist():
+                vals.append(float(f"{m}e{k - digits + 1}"))
+        vals += [float("9" * L + f"e{k - L + 1}") for L in range(15, 21)]
+        x = float(f"1e{k}")
+        vals += [math.nextafter(x, 0), x, math.nextafter(x, math.inf)]
+    vals += [-v for v in vals]
+    rng.shuffle(vals)
+    vals += vals[: -len(vals) % 3]
+    x = np.array(vals).reshape(-1, 3)
+    assert x.size > 3 * cli._BLOCK and x.size % cli._BLOCK
+    want = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in x.tolist())
+    assert csv_rows(x).tobytes() == want.encode("ascii")
+
+
+@pytest.fixture(scope="module")
+def f2_file(record_dir, family):
+    path = record_dir / "f2_cli.json"
+    storage.save_function(family[2], 1024, path)
+    return str(path)
+
+
+# st.floats() alone seldom draws a non-finite value
+radii_values = st.sampled_from((math.nan, math.inf, -math.inf, 0.0, 1.0)) | st.floats()
+
+
+@settings(max_examples=MANY, deadline=None)
+@given(st.sampled_from(("disk", "circle", "annulus")), st.tuples(radii_values, radii_values))
+def test_grid_spec_takes_only_finite_positive_radii(region, pair):
+    radii = pair if region == "annulus" else pair[:1]
+    try:
+        GridSpec(region, radii, 4)
+    except ValueError:
+        return
+    assert all(0 < r < math.inf for r in radii)
+
+
+@pytest.mark.parametrize("region", ["disk:nan", "disk:inf", "circle:nan", "annulus:1:inf", "annulus:nan:2"])
+def test_grid_refuses_non_finite_radii(f2_file, tmp_path, capsys, region):
+    out = tmp_path / "g.csv"
+    assert main(["grid", f2_file, "--what", "fk", "--region", region,
+                 "--resolution", "10", "--export", str(out)]) == 2
+    assert capsys.readouterr().err == "error: radii must be positive and finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf", "-inf", "-0.1"])
+def test_marty_refuses_non_finite_radius(f2_file, capsys, radius):
+    assert main(["probe", "marty", f2_file, f"--radius={radius}"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: radius must be finite and >= 0\n")
