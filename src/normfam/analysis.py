@@ -161,9 +161,9 @@ def verify_inequality(F, samples=10000, tol=1e-12, seed=DEFAULT_SEED):
     1e-2 of the node z = 1 plus that node itself, which stand for all n
     nodes by rotation invariance; the node cluster is where numerator
     and denominator both nearly vanish, the regime most likely to
-    expose a bad construction.  Huge |f| is handled inside the kernel
-    by switching to the upper bound |f''| / |f|^3, so |f| itself never
-    overflows.  passed means the overall max is <= 1 + tol.  A value of
+    expose a bad construction.  The kernel works on logs and takes
+    log(1 + |f|^3) as a logaddexp, so |f| itself never overflows.
+    passed means the overall max is <= 1 + tol.  A value of
     +inf or NaN means a term of the jet overflows binary64 (|p'|^2 near
     |z| = 2 at n = 200, z^n at n = 10^6) and the sweep measures nothing:
     it then fails with max_inequality NaN at the first such point.
@@ -220,10 +220,12 @@ def marty_probe(Fs, center, radius, samples=2048, seed=DEFAULT_SEED):
     """Max spherical derivative near one boundary point, per function.
 
     The grid is seeded-uniform in the disk around `center` plus the
-    center itself, measured by exp of their largest float log of f^#;
-    radius 0 degenerates to the single point {center}.  The node nearest
-    the center, e^{2 pi i k/n} with k = round(n t / 2 pi), t = arg(center),
-    joins the grid when it lies in the closed disk, that is when its chord
+    center itself, drawn once and shared by every function, so that no
+    measurement depends on the other functions; each is exp of the
+    largest float log of f^# on the grid.  Radius 0 degenerates to the
+    single point {center}.  The node nearest the center, e^{2 pi i k/n}
+    with k = round(n t / 2 pi), t = arg(center), joins the grid when it
+    lies in the closed disk, that is when its chord
     2 |sin(t/2 - pi k/n)| is at most the radius: there f = 0 and f^# = n*a
     exactly by rotation invariance, taken as an mpmath product, because a
     float log of it misses by more than 1e-6 relative from n = 14 on
@@ -238,13 +240,10 @@ def marty_probe(Fs, center, radius, samples=2048, seed=DEFAULT_SEED):
         raise CenterOffCircle(f"|{c}| = {abs(c):.8f} is not 1 within 1e-6")
     if not 0 <= radius < math.inf:  # NaN fails too
         raise ValueError("radius must be finite and >= 0")
-    rng = np.random.default_rng(seed)
+    zs = np.append(_disk_points(np.random.default_rng(seed), samples, radius, c), c)
     arg = cmath.phase(c)
     ns, meas, floored = [], [], []
     for F in Fs:
-        zs = np.array([c])
-        if radius > 0:
-            zs = np.concatenate([_disk_points(rng, samples, radius, c), zs])
         logs = kernels.sphder_log(F.n, F.p_float, F.log_a, zs)
         top = float(np.max(logs))
         k = round(F.n * arg / (2.0 * math.pi))

@@ -89,17 +89,16 @@ def _err(msg):
 
 
 def _load(path):
-    """(F, grid_m, exit_code): parse problems are usage errors, invariant
+    """(F, exit_code): parse problems are usage errors, invariant
     violations are verification failures."""
     try:
-        F, grid_m = storage.load_function(path)
-        return F, grid_m, OK
+        return storage.load_function(path)[0], OK
     except InvariantViolation as exc:
         _err(f"{path}: stored function fails its invariants: {exc}")
-        return None, None, FAIL
+        return None, FAIL
     except (OSError, ValueError) as exc:
         _err(f"{path}: {exc}")
-        return None, None, USAGE
+        return None, USAGE
 
 
 def cmd_construct(args):
@@ -125,7 +124,7 @@ def cmd_construct(args):
 
 
 def cmd_verify(args):
-    F, _, code = _load(args.file)
+    F, code = _load(args.file)
     if code != OK:
         return code
     try:
@@ -151,7 +150,7 @@ def cmd_verify(args):
 def cmd_probe(args):
     Fs = []
     for path in args.files:
-        F, _, code = _load(path)
+        F, code = _load(path)
         if code != OK:
             return code
         Fs.append(F)
@@ -170,7 +169,7 @@ def cmd_probe(args):
 
 
 def cmd_grid(args):
-    F, _, code = _load(args.file)
+    F, code = _load(args.file)
     if code != OK:
         return code
     try:

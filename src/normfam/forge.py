@@ -22,7 +22,8 @@ simple zero of f_n.
 
 c_n and a_n explode with n (log a_6 is around 2.7e4), so the three
 magnitude fields of a constructed record are mpmath reals with unbounded
-exponent, and every grid scan works on logarithms in double precision.
+exponent, and every scan, the refinement of c_hat included, evaluates
+logarithms in double precision on arrays, through the kernels module.
 At z = 1, u = 0 and every derivative of u is an integer, so h_jet at
 Fraction(1) is exact: a record's node_residual decides the node
 conditions in rational arithmetic. A record's precision sets only the
@@ -47,9 +48,9 @@ MINUS_INFINITY = float("-inf")
 MAX_PRECISION = 4096  # bits
 
 _EXP_BUDGET = 700.0  # |Re p| beyond this overflows e^p in binary64
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-_GOLDEN_TOL = 1e-8
+_ARC_ZOOM = 64  # estimate_c's refinement rounds each shrink the arc this much
+_ARC_STEPS = np.arange(-_ARC_ZOOM, _ARC_ZOOM + 1)
+_ARC_TOL = 1e-8  # radians; estimate_c refines until its arc is this short
 
 
 def _is_mp(x):
@@ -176,26 +177,6 @@ def h_jet(n, p, z, J):
     return Jet(J, tuple(vals))
 
 
-def _golden_max(f, lo, hi, tol):
-    # golden-section search, mirrored for a maximum
-    a, b = lo, hi
-    h = b - a
-    c, d = a + _INVPHI2 * h, a + _INVPHI * h
-    fc, fd = f(c), f(d)
-    while h > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + _INVPHI2 * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = f(d)
-    return max(fc, fd)
-
-
 def distinct_angles(n, K):
     """The angles m 2 pi / lcm(n, K), m = 0..K // (2g), g = gcd(n, K): those
     of [0, pi/n] that stand for the K angles 2 pi j / K.
@@ -219,35 +200,34 @@ def estimate_c(n, p, M=1024):
     by the vanishing of h'' there), so by the maximum principle only the
     circle |z| = 2 needs searching: the M / 2 + 1 of its M*n equispaced
     angles that lie in [0, pi/n] (distinct_angles; rotation and reflection
-    carry them onto the rest), then golden-section refinement of the
-    bracketing arc down to 1e-8 radians. The arc may reach past an end of
-    [0, pi/n], where the reflection repeats the values inside. Returned as
-    an mpmath real since c_n overflows binary64 from n = 4 on; 0 when every
-    sampled log is -inf (n = 1). A sampled log of +inf or NaN, which b2
-    gives at every point from n = 145 on, raises Overflow.
+    carry them onto the rest). The best of them is refined on the arc of
+    two steps around it: 2 _ARC_ZOOM + 1 angles across the arc, which then
+    narrows to two of their steps around the best, until it is shorter
+    than _ARC_TOL radians. The arc may reach past an end of [0, pi/n],
+    where the reflection repeats the values inside. Returned as an mpmath
+    real since c_n overflows binary64 from n = 4 on; 0 when every sampled
+    log is -inf (n = 1). A sampled log of +inf or NaN, which b2 gives at
+    every point from n = 145 on, raises Overflow.
     """
     if M < 64:
         raise ValueError("M must be at least 64")
     K = M * max(1, n)
     theta = distinct_angles(n, K)
-    zs = 2.0 * np.exp(1j * theta)
     c = p_float(p)
-    logs = kernels.ratio_log(n, c, zs)
+    logs = kernels.ratio_log(n, c, 2.0 * np.exp(1j * theta))
     if not np.all(logs < math.inf):  # a +inf or NaN
         raise Overflow(f"log|h''/h^3| on |z| = 2 overflows binary64 at order {n}")
     if np.all(logs == MINUS_INFINITY):
         return mpmath.mpf(0)
     i = int(np.argmax(logs))
+    best = float(logs[i])
     step = 2.0 * math.pi / K
-
-    def f(t):
-        # one point of |z| = 2, where |u| >= 2^n - 1 >= 1, in python complex:
-        # numpy calls on one-point arrays would double the cost of estimate_c
-        u = kernels.u_jet(n, 2.0 * cmath.exp(1j * t), 2)
-        return float(kernels.ratio_log_from_jets(u, kernels.p_from_u(c, u)))
-
-    best = _golden_max(f, theta[i] - step, theta[i] + step, _GOLDEN_TOL)
-    best = max(best, float(logs[i]))
+    while 2.0 * step > _ARC_TOL:
+        step /= _ARC_ZOOM
+        theta = theta[i] + step * _ARC_STEPS
+        logs = kernels.ratio_log(n, c, 2.0 * np.exp(1j * theta))
+        i = int(np.argmax(logs))
+        best = max(best, float(logs[i]))
     return mpmath.exp(mpmath.mpf(best))
 
 

@@ -4,26 +4,20 @@ precision.
 The exponent enters as the float triple c = (c1, c2, c3) of
 p = c1 u + c2 u^2 + c3 u^3 with u = z^n - 1, so a point costs a few
 complex products whatever n: the jet of p follows from the jet of u by
-the chain rule. Every kernel takes its points as its last argument.
-The jet functions below (u_jet, p_from_u, b2) take numpy arrays and
-scalars (python complex, mpmath.mpc, Fraction), and forge's scalar jets
-use them too; ratio_log_from_jets takes arrays and python complex. Only
-array values are independent of the array size: numpy rounds a complex
-product of 0-d or python scalars differently from its array loop, so a
-point evaluated as a scalar can differ in its last bits from the same
-point inside an array.
+the chain rule. Every kernel takes its points as its last argument, a
+1-D numpy array, and a point's value is independent of the array it
+sits in. normfam computes every binary64 value of h and its derivatives
+here, forge's c_hat and m_hat scans included; u_jet and p_from_u also
+serve forge's exact (Fraction) and mpmath jets.
 
 All magnitude arithmetic is done on logarithms: the family's scaling
 constants overflow binary64 from order 5 on, so |f| and |f|^3 never
-materialize as floats. The three-way branch on t = k*log|f| evaluates
-log_num - log(1+|f|^k) to relative accuracy ~e^-35 at worst.
+materialize as floats; log(1 + |f|^k) is np.logaddexp(0, k log|f|).
 """
 
 import math
 
 import numpy as np
-
-_BRANCH_CUT = 35.0  # |t| beyond this, 1+e^t collapses to 1 or e^t at double precision
 
 
 def active_backend():
@@ -104,20 +98,16 @@ def b2(u, p):
     return u[2] + 2.0 * u1p1 + u[0] * q
 
 
-def ratio_log_from_jets(u, p):
-    """log |h''/h^3| = log|b2| - 2 Re p - 3 log|g| from the order-2 jets of
-    g = u and of p, arrays and scalars alike; -inf where b2 vanishes."""
-    return np.log(np.abs(b2(u, p))) - 2.0 * p[0].real - 3.0 * np.log(np.abs(u[0]))
-
-
 def ratio_log(n, c, zs):
-    """log |h''/h^3| pointwise; -inf where the numerator vanishes.
+    """log |h''/h^3| = log|b2| - 2 Re p - 3 log|g| pointwise; -inf where
+    the numerator vanishes.
 
     Points where g = 0 produce +-inf/nan; callers mask near-node points
     before asking.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return ratio_log_from_jets(*_jets(n, c, zs, 2))
+        u, p = _jets(n, c, zs, 2)
+        return np.log(np.abs(b2(u, p))) - 2.0 * p[0].real - 3.0 * np.log(np.abs(u[0]))
 
 
 def h_log(n, c, zs):
@@ -128,16 +118,12 @@ def h_log(n, c, zs):
 
 
 def fk(n, c, log_a, zs):
-    """|f''| / (1 + |f|^3) pointwise, branch-safe for any magnitude."""
+    """|f''| / (1 + |f|^3) pointwise, for any magnitude of f."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u, p = _jets(n, c, zs, 2)
         log_num = log_a + np.log(np.abs(b2(u, p))) + p[0].real
         t = 3.0 * (log_a + np.log(np.abs(u[0])) + p[0].real)
-        hi = np.exp(log_num - t)
-        lo = np.exp(log_num)
-        mid = lo / (1.0 + np.exp(t))
-        out = np.where(t > _BRANCH_CUT, hi, np.where(t < -_BRANCH_CUT, lo, mid))
-        return np.where(np.isneginf(log_num), 0.0, out)
+        return np.exp(log_num - np.logaddexp(0.0, t))
 
 
 def sphder_log(n, c, log_a, zs):
@@ -146,7 +132,4 @@ def sphder_log(n, c, log_a, zs):
         (u0, u1), (p0, p1) = _jets(n, c, zs, 1)
         log_num = log_a + np.log(np.abs(u1 + u0 * p1)) + p0.real
         t = 2.0 * (log_a + np.log(np.abs(u0)) + p0.real)
-        corr = np.where(
-            t > _BRANCH_CUT, t, np.where(t < -_BRANCH_CUT, 0.0, np.log1p(np.exp(t)))
-        )
-        return log_num - corr
+        return log_num - np.logaddexp(0.0, t)

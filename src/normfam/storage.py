@@ -20,9 +20,10 @@ from datetime import datetime, timezone
 
 import mpmath
 
-from .forge import MAX_PRECISION, CounterexampleFunction, build_p
+from .forge import MAX_PRECISION, ConstructionConfig, CounterexampleFunction, build_p
 
 SCHEMA_VERSION = 3
+MAGNITUDES = ("a", "c_hat", "m_hat")
 
 
 def _strip(s):
@@ -111,18 +112,31 @@ def save_function(F, grid_m, path):
         fh.write(function_to_json(F, grid_m).encode("utf-8"))
 
 
+def _typed(fields, key, kind):
+    # json reads 3.7, true and "53" as float, bool and str, which int()
+    # would take as 3, 1 and 53; a magnitude written as a JSON number was
+    # rounded to binary64 on the way in
+    x = fields[key]
+    if type(x) is not kind:
+        what = "integer" if kind is int else "string"
+        raise ValueError(f"{key} = {x!r} is not a JSON {what}")
+    return x
+
+
 def parse_function(record):
     """Rebuild (F, grid_m) from a function-file dict.
 
     The exponent is build_p(n). Raises ValueError on any malformed
-    content: another schema_version, a stored p, an n below 1, non-finite
-    magnitudes, a precision outside 53..MAX_PRECISION bits. The rebuilt
-    record runs the full construction invariants, so a file whose
-    numbers no longer satisfy them raises InvariantViolation instead.
+    content: another schema_version, a stored p, an n, precision_bits or
+    grid_m that is not a JSON integer, an n below 1, a magnitude that is
+    not a decimal string of a finite number, a precision outside
+    53..MAX_PRECISION bits, a grid_m below 64. The rebuilt record runs
+    the full construction invariants, so a file whose numbers no longer
+    satisfy them raises InvariantViolation instead.
     """
     try:
         version = record["schema_version"]
-        if version != SCHEMA_VERSION:
+        if type(version) is not int or version != SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported schema_version {version!r}; this version reads "
                 f"schema {SCHEMA_VERSION} (rebuild the file with normfam construct)"
@@ -131,21 +145,20 @@ def parse_function(record):
             # a schema-2 file relabelled as schema 3 would otherwise have
             # its exponent silently replaced by build_p(n)
             raise ValueError("schema 3 stores no p (it is derived from n); remove the entry")
-        n = int(record["n"])
-        precision = int(record["precision_bits"])
+        n = _typed(record, "n", int)
+        precision = _typed(record, "precision_bits", int)
         if precision < 53:
             raise ValueError(f"precision_bits {precision} is below 53")
         if precision > MAX_PRECISION:
             raise ValueError(f"precision_bits {precision} is above {MAX_PRECISION}")
         with mpmath.workprec(precision):
-            a = mpmath.mpf(record["a"])
-            c_hat = mpmath.mpf(record["c_hat"])
-            m_hat = mpmath.mpf(record["m_hat"])
-        grid_m = int(record["construction_config"]["grid_m"])
+            a, c_hat, m_hat = (mpmath.mpf(_typed(record, k, str)) for k in MAGNITUDES)
+        grid_m = _typed(record["construction_config"], "grid_m", int)
+        ConstructionConfig(precision, grid_m)  # refuses a grid_m below 64
     except (KeyError, TypeError, IndexError, OverflowError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed function file: {exc!r}") from exc
     # the invariant gate compares with < and >, which NaN and inf slip past
-    for name, x in (("a", a), ("c_hat", c_hat), ("m_hat", m_hat)):
+    for name, x in zip(MAGNITUDES, (a, c_hat, m_hat)):
         if not mpmath.isfinite(x):
             raise ValueError(f"{name} = {x} is not finite")
     return CounterexampleFunction(n, build_p(n), a, c_hat, m_hat, precision), grid_m

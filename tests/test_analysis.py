@@ -259,6 +259,15 @@ def test_marty_counts_no_node_outside_the_disk(family):
     assert pr.measurements[0] < 5 * family[5].a
 
 
+def test_marty_measurement_independent_of_the_other_files(family):
+    # every function is measured on the same seeded disk sample, so f_6
+    # measures the same alone and after f_1..f_5; the disk around i holds
+    # no node, so the measurement is a sample maximum
+    alone = marty_probe([family[6]], 1j, 0.05).measurements[0]
+    last = marty_probe([family[n] for n in range(1, 7)], 1j, 0.05).measurements[-1]
+    assert last == alone
+
+
 @pytest.fixture(scope="module")
 def ladder():
     """The records n = 7..12 at 128 bits, whose node chords

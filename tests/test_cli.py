@@ -172,7 +172,10 @@ def test_verify_bad_options_exit_two(files, capsys, option, msg):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("a", "inf"), ("a", "1/0"), ("precision_bits", -5), ("p", "nan"), ("p", "1/0"), ("p", "0.5")],
+    [
+        ("a", "inf"), ("a", "1/0"), ("precision_bits", -5), ("p", "nan"), ("p", "1/0"),
+        ("p", "0.5"), ("n", 3.7), ("n", True), ("precision_bits", "53"), ("a", 1e300),
+    ],
 )
 def test_verify_bad_numbers_exit_two(files, tmp_path, capsys, key, value):
     with open(files[3], encoding="utf-8") as fh:

@@ -1,6 +1,5 @@
 """Node conditions, exponent polynomial, scaling, and jet evaluation."""
 
-import cmath
 import math
 from fractions import Fraction
 
@@ -396,7 +395,7 @@ def test_estimate_c_order_one():
 
 
 def full_circle_log_c(n, p, M):
-    """log c_hat from all M*n angles of |z| = 2 and the same golden
+    """log c_hat from all M*n angles of |z| = 2 and the same arc
     refinement: the scan estimate_c made before it kept only the first M,
     kept as an oracle."""
     K = M * max(1, n)
@@ -406,14 +405,15 @@ def full_circle_log_c(n, p, M):
     if not np.any(np.isfinite(logs)):
         return MINUS_INFINITY
     i = int(np.argmax(logs))
+    best = float(logs[i])
     step = 2.0 * math.pi / K
-
-    def f(t):
-        u = kernels.u_jet(n, 2.0 * cmath.exp(1j * t), 2)
-        return float(kernels.ratio_log_from_jets(u, kernels.p_from_u(c, u)))
-
-    best = forge._golden_max(f, theta[i] - step, theta[i] + step, forge._GOLDEN_TOL)
-    return max(best, float(logs[i]))
+    while 2.0 * step > forge._ARC_TOL:
+        step /= forge._ARC_ZOOM
+        theta = theta[i] + step * np.arange(-forge._ARC_ZOOM, forge._ARC_ZOOM + 1)
+        logs = kernels.ratio_log(n, c, 2.0 * np.exp(1j * theta))
+        i = int(np.argmax(logs))
+        best = max(best, float(logs[i]))
+    return best
 
 
 def test_estimate_c_matches_full_circle(exponents):
@@ -463,7 +463,7 @@ def test_scans_evaluate_one_sector(family, monkeypatch):
     for n in (1, 2, 5, 12):
         seen.clear()
         estimate_c(n, build_p(n), 128)
-        assert seen == [128 // 2 + 1], n
+        assert seen[0] == 128 // 2 + 1, n
     for n, F in family.items():
         for res in (64, 512):
             seen.clear()
@@ -471,6 +471,30 @@ def test_scans_evaluate_one_sector(family, monkeypatch):
             inner, boundary = seen
             assert boundary == res // (2 * math.gcd(n, res)) + 1, (n, res)
             assert 0 < inner <= max(8, res // 8) * boundary
+
+
+def test_estimate_c_evaluates_only_arrays(monkeypatch):
+    # every binary64 value of estimate_c comes from the array kernels: no
+    # kernel is ever handed a python or numpy scalar point
+    points = {
+        "ratio_log": lambda n, c, zs: [zs],
+        "u_jet": lambda n, z, J: [z],
+        "p_from_u": lambda c, u: u,
+        "b2": lambda u, p: [*u, *p],
+    }
+    seen = []
+    for name, args_points in points.items():
+        def spy(*args, _f=getattr(kernels, name), _name=name, _pts=args_points):
+            seen.extend((_name, x) for x in _pts(*args))
+            return _f(*args)
+
+        monkeypatch.setattr(kernels, name, spy)
+    for n in (1, 2, 5, 12):
+        seen.clear()
+        estimate_c(n, build_p(n), 128)
+        assert {name for name, _ in seen} == set(points), n
+        for name, x in seen:
+            assert isinstance(x, np.ndarray) and x.ndim == 1, (n, name, x)
 
 
 def test_estimate_c_refuses_overflowed_scan():

@@ -103,6 +103,10 @@ def test_parse_function_raises_only_documented_errors(family, data):
     except (ValueError, InvariantViolation):
         return
     assert F.p == build_p(F.n)
+    # an accepted record holds JSON integers and decimal strings only
+    assert type(rec["n"]) is int and type(rec["precision_bits"]) is int
+    assert type(grid_m) is int and grid_m >= 64
+    assert all(isinstance(rec[k], str) for k in storage.MAGNITUDES)
 
 
 @pytest.fixture(scope="module")

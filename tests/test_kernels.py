@@ -1,8 +1,9 @@
 """Grid kernels agree with the mpmath scalar jets and with an exact
-mpmath oracle across all magnitude branches."""
+mpmath oracle across every magnitude of f."""
 
 import functools
 import math
+import types
 
 import mpmath
 import numpy as np
@@ -93,8 +94,8 @@ def test_ratio_log_matches_scalar_path(family, rng):
 
 
 def test_fk_matches_mpmath_oracle(family, rng):
-    # exercises all three branches: tiny |f| near nodes, huge |f| near the
-    # rim for large n, moderate |f| in between; at distance 1e-4 from a
+    # exercises every magnitude of f: tiny |f| near nodes, huge |f| near
+    # the rim for large n, moderate |f| in between; at distance 1e-4 from a
     # node the numerator sits next to its own triple zero and double
     # precision keeps only ~6 digits of it (the value itself is ~1e-8,
     # so the slack is irrelevant for any inequality check)
@@ -121,6 +122,29 @@ def test_sphder_log_matches_mpmath_oracle(family, rng):
             with mpmath.workprec(120):
                 want = float(mpmath.log(mp_oracle(F, z, "sph")))
             assert abs(g - want) <= 1e-8 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("t", [-700.0, -36.0, -35.0, -34.0, 34.0, 35.0, 36.0, 700.0])
+def test_fk_and_sphder_across_the_log1p_range(exponents, t):
+    # fk and sphder_log divide by 1 + |f|^k = 1 + e^t; log_a is chosen so
+    # that t takes each value, next to |t| = 35, where 1 + e^t rounds to 1
+    # or to e^t, and at the ends of the binary64 exponent range
+    zs = np.array([0.5 + 0.3j, 1.3 * np.exp(0.4j), -0.6 + 0.2j, 0.1j])
+    for n in (2, 3, 6):
+        c = tuple(float(x) for x in exponents[n])
+        for z, log_h in zip(zs, kernels.h_log(n, c, zs)):
+            for kind, k in (("fk", 3), ("sph", 2)):
+                log_a = t / k - log_h
+                rec = types.SimpleNamespace(n=n, p=exponents[n], a=mpmath.exp(log_a))
+                with mpmath.workprec(120):
+                    want = mp_oracle(rec, z, kind)
+                    log_want = float(mpmath.log(want))
+                if kind == "fk":
+                    got = kernels.fk(n, c, log_a, np.array([z]))[0]
+                    assert abs(got / float(want) - 1.0) <= 1e-12, (n, z)
+                else:
+                    got = kernels.sphder_log(n, c, log_a, np.array([z]))[0]
+                    assert abs(got - log_want) <= 1e-14 * max(1.0, abs(log_want)), (n, z)
 
 
 def test_h_log_matches_plain_evaluation(family, rng):
@@ -153,12 +177,7 @@ def test_short_jets_match_order_two_path(exponents, rng):
             b1 = g1 + g0 * p1
             log_num = log_a + np.log(np.abs(b1)) + p0.real
             t = 2.0 * (log_a + np.log(np.abs(g0)) + p0.real)
-            corr = np.where(
-                t > kernels._BRANCH_CUT,
-                t,
-                np.where(t < -kernels._BRANCH_CUT, 0.0, np.log1p(np.exp(t))),
-            )
-            sph_want = log_num - corr
+            sph_want = log_num - np.logaddexp(0.0, t)
         assert np.array_equal(kernels.h_log(n, c, zs), h_want)
         assert np.array_equal(kernels.sphder_log(n, c, log_a, zs), sph_want)
 

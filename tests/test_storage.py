@@ -130,6 +130,30 @@ def test_malformed_records_raise_value_error(family, mangle):
         storage.parse_function(rec)
 
 
+@pytest.mark.parametrize(
+    "key, value, msg",
+    [
+        ("n", 3.7, "not a JSON integer"),
+        ("n", True, "not a JSON integer"),
+        ("precision_bits", "53", "not a JSON integer"),
+        ("grid_m", -5, "at least 64"),
+        ("grid_m", 0.5, "not a JSON integer"),
+        ("a", 1e300, "not a JSON string"),
+        ("schema_version", 3.0, "unsupported schema_version"),
+    ],
+)
+def test_loosely_typed_fields_rejected(family, key, value, msg):
+    # int() would load 3.7 as 3, true as 1 and "53" as 53; a JSON number
+    # magnitude was rounded to binary64 before it reached the parser
+    rec = storage.function_record(family[3], 1024)
+    if key == "grid_m":
+        rec["construction_config"]["grid_m"] = value
+    else:
+        rec[key] = value
+    with pytest.raises(ValueError, match=msg):
+        storage.parse_function(rec)
+
+
 @pytest.mark.parametrize("key", ["a", "c_hat", "m_hat"])
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
 def test_non_finite_magnitude_rejected(family, key, value):
