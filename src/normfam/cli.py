@@ -25,6 +25,7 @@ from .analysis import (
     lemma2_probe,
     marty_probe,
     max_modulus_check,
+    off_nodes,
     verify_inequality,
     verify_node_jets,
 )
@@ -35,7 +36,7 @@ from .errors import (
     Overflow,
     PointTooCloseToCircle,
 )
-from .forge import EPS_NODE, ConstructionConfig, construct, p_degree
+from .forge import ConstructionConfig, construct, p_degree
 
 OK, FAIL, USAGE = 0, 1, 2
 
@@ -195,8 +196,7 @@ def _grid_rows(F, what, spec):
     a value of +inf or NaN raises Overflow."""
     for zs in spec.chunks(CSV_CHUNK):
         if what == "ratio":
-            with np.errstate(over="ignore"):
-                zs = zs[np.abs(zs**F.n - 1.0) > EPS_NODE]  # poles-adjacent zone excluded
+            zs = off_nodes(F.n, zs)
             vals = kernels.ratio_log(F.n, F.p_float, zs)
         elif what == "fk":
             vals = kernels.fk(F.n, F.p_float, F.log_a, zs)

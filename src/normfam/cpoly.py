@@ -2,12 +2,13 @@
 and Hermite (osculatory) interpolation via confluent divided differences.
 
 Nothing at run time uses this module: the package's exponent is the
-exact cubic in u = z^n - 1 that forge solves for. It is kept as an
-independent oracle, against which the tests check that the degree
+exact cubic in u = z^n - 1 that forge gives in closed form. It is kept
+as an independent oracle, against which the tests check that the degree
 <= 4n-1 Hermite interpolant of the node conditions is that cubic.
 
 Scalars are duck-typed: python complex and mpmath.mpc both work, so the
-same code runs in double precision or under an mpmath.workprec context.
+same code runs in double precision or under an mpmath.workprec context
+(the oracle comparison runs at 256 bits).
 """
 
 from dataclasses import dataclass
@@ -108,21 +109,3 @@ def hermite_interpolate(spec):
         coeffs.append(col[0])
     return NewtonPolynomial(tuple(seq[:-1]), tuple(coeffs))
 
-
-def to_monomial(P):
-    """Monomial coefficients c0..cd with sum(ck z^k) = P(z).
-
-    Exists for export only; trailing coefficients that are exactly zero
-    are trimmed so the zero polynomial comes out as [0].
-    """
-    mono = [P.coeffs[-1]]
-    for i in range(len(P.centers) - 1, -1, -1):
-        x = P.centers[i]
-        nxt = [-x * m for m in mono] + [mono[-1]]
-        for k in range(1, len(mono)):
-            nxt[k] += mono[k - 1]
-        nxt[0] += P.coeffs[i]
-        mono = nxt
-    while len(mono) > 1 and mono[-1] == 0:
-        mono.pop()
-    return mono

@@ -10,7 +10,7 @@ class DuplicateNodes(NormfamError):
 
 
 class Overflow(NormfamError):
-    """Re(p(z)) exceeds the safe exponent budget for the active precision."""
+    """A binary64 log in a scan or a grid (estimate_c, grid) is +inf or NaN."""
 
 
 class NonPositiveM(NormfamError):

@@ -24,14 +24,14 @@ c_n and a_n explode with n (log a_6 is around 2.7e4), so the three
 magnitude fields of a constructed record are mpmath reals with unbounded
 exponent, and every scan, the refinement of c_hat included, evaluates
 logarithms in double precision on arrays, through the kernels module.
-At z = 1, u = 0 and every derivative of u is an integer, so h_jet at
-Fraction(1) is exact: a record's node_residual decides the node
-conditions in rational arithmetic. A record's precision sets only the
-digits its magnitudes are stored with and the mpmath precision of f_jet
-and of the probes.
+The scalar jets are exact at a Fraction point and mpmath.mpc at the
+working precision elsewhere. At z = 1, u = 0 and every derivative of u
+is an integer, so a record's node_residual decides the node conditions
+in rational arithmetic. A record's precision sets only the digits its
+magnitudes are stored with and the mpmath precision of f_jet and of the
+probes.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,18 +43,12 @@ import numpy as np
 from . import kernels
 from .errors import InvariantViolation, NonPositiveM, Overflow
 
-EPS_NODE = 1e-3
 MINUS_INFINITY = float("-inf")
 MAX_PRECISION = 4096  # bits
 
-_EXP_BUDGET = 700.0  # |Re p| beyond this overflows e^p in binary64
 _ARC_ZOOM = 64  # estimate_c's refinement rounds each shrink the arc this much
 _ARC_STEPS = np.arange(-_ARC_ZOOM, _ARC_ZOOM + 1)
 _ARC_TOL = 1e-8  # radians; estimate_c refines until its arc is this short
-
-
-def _is_mp(x):
-    return isinstance(x, (mpmath.mpf, mpmath.mpc))
 
 
 @dataclass(frozen=True)
@@ -119,45 +113,30 @@ def p_float(p):
     return tuple(float(c) for c in p)
 
 
-def _coeffs_like(p, z):
-    # the c_k rounded once to the working precision of z; a Fraction z
-    # keeps them exact
-    if isinstance(z, Fraction):
-        return p
-    if _is_mp(z):
-        return tuple(mpmath.mpf(c.numerator) / c.denominator for c in p)
-    return p_float(p)
-
-
 def _gp_jets(n, p, z, J):
-    # the jets of g = u = z^n - 1 and of p, up to order J <= 4, at z
+    # the jets of g = u = z^n - 1 and of p, up to order J <= 4, at z: exact
+    # at a Fraction z, else z and the c_k in mpmath at the working precision
     if not 0 <= J <= 4:
         raise ValueError("J must be in 0..4")
+    if not isinstance(z, Fraction):
+        z = mpmath.mpc(z)
+        p = tuple(mpmath.mpf(c.numerator) / c.denominator for c in p)
     u = kernels.u_jet(n, z, J)
-    return u, kernels.p_from_u(_coeffs_like(p, z), u)
+    return u, kernels.p_from_u(p, u)
 
 
 def p_jet(n, p, z, J):
     """Jet of p at z, orders J <= 4, by the chain rule through the jet of
-    u = z^n - 1. The c_k are rounded once to the working precision of z,
-    or kept exact for a Fraction z."""
+    u = z^n - 1; exact at a Fraction z, mpmath.mpc elsewhere."""
     return Jet(J, tuple(_gp_jets(n, p, z, J)[1]))
 
 
 def exp_jet(p_jet):
     """Jet of e^p from the jet of p, by the derivative recursion
-    E_j = sum_i binom(j-1, i) p^(j-i) E_i. E_0 = 1 exactly where p is
-    exactly 0, so an exact jet of p (Fractions) gives an exact jet."""
+    E_j = sum_i binom(j-1, i) p^(j-i) E_i, from E_0 = 1 where p is exactly 0
+    (so a jet of Fractions stays exact) and from mpmath.exp(p) elsewhere."""
     v0 = p_jet.values[0]
-    rep = v0.real
-    if not _is_mp(rep) and abs(float(rep)) > _EXP_BUDGET:
-        raise Overflow(f"Re(p) = {float(rep):.6g} exceeds the double exponent budget")
-    if _is_mp(v0):
-        E = [mpmath.exp(v0)]
-    elif v0 == 0:
-        E = [1]
-    else:
-        E = [cmath.exp(complex(v0))]
+    E = [1 if v0 == 0 else mpmath.exp(v0)]
     for j in range(1, p_jet.order + 1):
         E.append(
             sum(math.comb(j - 1, i) * p_jet.values[j - i] * E[i] for i in range(j))
@@ -167,8 +146,8 @@ def exp_jet(p_jet):
 
 def h_jet(n, p, z, J):
     """Jet of h = g e^p by the Leibniz rule h^(m) = sum binom(m,j) g^(m-j) E_j,
-    orders J <= 4. At z = Fraction(1) every value is an exact Fraction
-    (there u = 0, so p = 0 and e^p = 1)."""
+    orders J <= 4, in the arithmetic of p_jet. At z = Fraction(1) every
+    value is an exact Fraction (there u = 0, so p = 0 and e^p = 1)."""
     g, pj = _gp_jets(n, p, z, J)
     E = exp_jet(Jet(J, tuple(pj)))
     vals = []
@@ -350,8 +329,8 @@ def construct(n, cfg=ConstructionConfig()):
 
 
 def f_jet(F, z, J):
-    """Jet of f = a h as mpmath.mpc values at the record's precision, since
-    a overflows binary64 from order 5 on."""
-    hj = h_jet(F.n, F.p, z, J)
+    """Jet of f = a h as mpmath.mpc values, since a overflows binary64 from
+    order 5 on; all of it, h's jet included, runs at the record's precision."""
     with mpmath.workprec(F.precision):
-        return Jet(J, tuple(F.a * mpmath.mpc(v) for v in hj.values))
+        hj = h_jet(F.n, F.p, z, J)
+        return Jet(J, tuple(mpmath.mpc(F.a * v) for v in hj.values))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from normfam.analysis import (
+    EPS_NODE,
     GridSpec,
     ProbeResult,
     fk_value,
@@ -23,7 +24,6 @@ from normfam.analysis import (
 from normfam import kernels
 from normfam.errors import CenterOffCircle, OrderTooLow, PointTooCloseToCircle
 from normfam.forge import (
-    EPS_NODE,
     MINUS_INFINITY,
     ConstructionConfig,
     CounterexampleFunction,

@@ -14,10 +14,9 @@ import numpy as np
 import pytest
 
 from normfam import cli, kernels, storage
-from normfam.analysis import DEFAULT_SEED, GridSpec
+from normfam.analysis import DEFAULT_SEED, EPS_NODE, GridSpec
 from normfam.cli import main, parse_complex, parse_n_range, parse_region, write_csv
 from normfam.errors import Overflow
-from normfam.forge import EPS_NODE
 
 
 @pytest.fixture(scope="module")

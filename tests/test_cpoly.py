@@ -1,5 +1,5 @@
-"""Newton-form jets, Hermite interpolation, monomial export: the oracle
-that the exact cubic exponent is checked against."""
+"""Newton-form jets and Hermite interpolation: the oracle that the exact
+cubic exponent is checked against."""
 
 import mpmath
 import numpy as np
@@ -11,7 +11,6 @@ from normfam.cpoly import (
     NewtonPolynomial,
     eval_jet,
     hermite_interpolate,
-    to_monomial,
 )
 
 
@@ -129,42 +128,6 @@ def test_spec_requires_order_three():
 def test_jet_length_checked():
     with pytest.raises(ValueError):
         Jet(3, (1, 2, 3))
-
-
-# to_monomial
-
-
-def test_monomial_zero():
-    spec = HermiteSpec((1, -1), (jet3(0, 0, 0, 0), jet3(0, 0, 0, 0)))
-    assert to_monomial(hermite_interpolate(spec)) == [0]
-
-
-def test_monomial_linear():
-    assert to_monomial(NewtonPolynomial((1,), (3, 2))) == [1, 2]
-
-
-def test_monomial_difference_of_squares():
-    assert to_monomial(NewtonPolynomial((1, -1), (0, 0, 1))) == [-1, 0, 1]
-
-
-def test_monomial_round_trip():
-    # moderate degrees: expansion error scales with the Newton term sizes,
-    # and the export polynomials this exists for stay in that regime
-    rng = np.random.default_rng(42)
-    for deg in range(0, 10):
-        centers = tuple(sample_disk(rng) for _ in range(deg))
-        coeffs = tuple(
-            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(deg + 1)
-        )
-        P = NewtonPolynomial(centers, coeffs)
-        mono = to_monomial(P)
-        for _ in range(100):
-            z = sample_disk(rng)
-            direct = eval_jet(P, z, 0).values[0]
-            horner = 0j
-            for c in reversed(mono):
-                horner = horner * z + c
-            assert abs(horner - direct) <= 1e-8 * max(1.0, abs(direct))
 
 
 # properties

@@ -15,9 +15,9 @@ from normfam import (
     Overflow,
 )
 from normfam import analysis, forge, kernels
+from normfam.analysis import EPS_NODE
 from normfam.cpoly import HermiteSpec, eval_jet, hermite_interpolate
 from normfam.forge import (
-    EPS_NODE,
     MAX_PRECISION,
     MINUS_INFINITY,
     ConstructionConfig,
@@ -269,8 +269,11 @@ def test_exp_jet_constant_exponent():
 
 
 def test_exp_jet_overflow_guard():
-    with pytest.raises(Overflow):
-        exp_jet(Jet(1, (800 + 0j, 1)))
+    # e^800 overflows binary64; a python complex exponent is taken in
+    # mpmath like an mpmath one
+    E = exp_jet(Jet(1, (800 + 0j, 1)))
+    assert isinstance(E.values[0], mpmath.mpc)
+    assert E.values[0].real > 0 and mpmath.isfinite(E.values[0])
     with mpmath.workprec(80):
         E = exp_jet(Jet(1, (mpmath.mpc(800), mpmath.mpc(1))))
         assert E.values[0].real > 0 and mpmath.isfinite(E.values[0])
@@ -299,6 +302,18 @@ def test_h_jet_exact_at_one(n):
     hj = h_jet(n, build_p(n), Fraction(1), 4)
     assert all(isinstance(v, Fraction) for v in hj.values)
     assert hj.values == (0, n, 0, 0, 0)
+
+
+@pytest.mark.parametrize("z", [0.5 + 0.25j, np.complex128(1.9), 1 + 0j, 0, 2.0])
+def test_h_jet_is_mpmath_off_fractions(family, z):
+    # no scalar jet runs in binary64: a python or numpy point becomes an
+    # mpmath.mpc, the node z = 1 and far points where e^p leaves binary64
+    # included
+    for n in (1, 3, 6):
+        for J in (0, 2, 4):
+            hj = h_jet(n, family[n].p, z, J)
+            assert all(isinstance(v, mpmath.mpc) for v in hj.values), (n, J)
+            assert all(mpmath.isfinite(v) for v in hj.values)
 
 
 def test_exp_jet_exact_where_p_vanishes():
@@ -372,10 +387,7 @@ def test_log_space_consistency_where_direct_is_representable(family):
             z = sample_disk(rng)
             if abs(z**n - 1) <= 10 * EPS_NODE:
                 continue
-            try:
-                hj = h_jet(n, F.p, z, 2)
-            except Overflow:
-                continue
+            hj = h_jet(n, F.p, z, 2)
             denom = abs(hj.values[0]) ** 3
             if denom == 0 or not math.isfinite(denom):
                 continue
@@ -711,6 +723,37 @@ def test_default_record_obeys_inequality_at_exact_node(family):
         f0, f2 = F.a * abs(hj[0]), F.a * abs(hj[2])
         assert f2 <= 1 + f0**3
         assert f2 <= mpmath.mpf("1e-10")
+
+
+@pytest.fixture(scope="module")
+def record_12_128():
+    return construct(12, ConstructionConfig(precision=128))
+
+
+def test_f_jet_runs_at_record_precision(record_12_128):
+    # h's jet runs at the record's 128 bits too, not at 53: f'' agrees with
+    # a 256-bit evaluation far below binary64's rounding
+    F = record_12_128
+    z = mpmath.mpc(0.5, 0.25)
+    fj = f_jet(F, z, 2)
+    with mpmath.workprec(256):
+        want = F.a * h_jet(12, F.p, z, 2)[2]
+        assert abs(fj[2] - want) <= mpmath.mpf("1e-30") * abs(want)
+
+
+def test_f_jet_exact_node(family):
+    # at Fraction(1) h's jet is exact, (0, n, 0), and f's is (0, n a, 0)
+    F = family[3]
+    fj = f_jet(F, Fraction(1), 2)
+    assert fj.values == (0, 3 * F.a, 0)
+    assert all(isinstance(v, mpmath.mpc) for v in fj.values)
+
+
+def test_f_jet_where_e_p_leaves_double_range(record_12_128):
+    # Re p(1.9) is about -1.2e9 at n = 12, far past binary64's exponent
+    fj = f_jet(record_12_128, 1.9, 2)
+    assert all(mpmath.isfinite(v) for v in fj.values)
+    assert fj.values[0] != 0 and fj.values[2] != 0
 
 
 def test_f_jet_high_precision_record():

@@ -12,7 +12,8 @@ import sympy
 from conftest import root_of_unity
 
 from normfam import kernels
-from normfam.forge import EPS_NODE, construct, h_jet
+from normfam.analysis import EPS_NODE
+from normfam.forge import construct, h_jet
 
 
 def grid_points(rng, count, radius=2.0):
