@@ -3,7 +3,8 @@ obeying |f''| <= 1 + |f|^3 on the disk |z| < 2 whose spherical derivatives
 blow up along the unit circle, so no normality criterion can tame them.
 
 Construction (the exact exponent p_n = c1 u + c2 u^2 + c3 u^3 in
-u = z^n - 1, three rationals in closed form in n) lives in `forge`;
+u = z^n - 1, three rationals in closed form in n, and the cubic S_n of
+h''/h^3 = n z^(n-2) S_n(u) e^(-2p)) lives in `forge`;
 numerical verification of the claimed properties lives in `analysis`;
 `storage` persists records as lossless JSON; `cli` wraps everything for
 the shell.
@@ -36,6 +37,7 @@ from .forge import (
     CounterexampleFunction,
     Jet,
     build_p,
+    build_s,
     construct,
     f_jet,
 )
@@ -46,6 +48,7 @@ __all__ = [
     "ConstructionConfig",
     "CounterexampleFunction",
     "build_p",
+    "build_s",
     "construct",
     "f_jet",
     "GridSpec",

@@ -31,7 +31,6 @@ from .forge import MINUS_INFINITY, distinct_angles, h_jet
 # (and the CLI) may override
 DEFAULT_SEED = 1729
 
-EPS_NODE = 1e-3  # the scans' node neighborhoods are |z^n - 1| <= EPS_NODE
 _NEAR_NODE_COUNT = 1000
 _NEAR_NODE_RADIUS = 1e-2
 
@@ -155,13 +154,6 @@ def _disk_points(rng, count, radius, center=0j):
     return center + r * np.exp(1j * th)
 
 
-def off_nodes(n, zs):
-    """The points of zs with |z^n - 1| > EPS_NODE, where the scans of
-    log|h''/h^3| stay off the nodes."""
-    with np.errstate(over="ignore"):
-        return zs[np.abs(zs**n - 1.0) > EPS_NODE]
-
-
 def verify_inequality(F, samples=10000, tol=1e-12, seed=DEFAULT_SEED):
     """Sweep |f''| / (1 + |f|^3) over the disk of radius 2.
 
@@ -169,12 +161,14 @@ def verify_inequality(F, samples=10000, tol=1e-12, seed=DEFAULT_SEED):
     1e-2 of the node z = 1 plus that node itself, which stand for all n
     nodes by rotation invariance; the node cluster is where numerator
     and denominator both nearly vanish, the regime most likely to
-    expose a bad construction.  The kernel works on logs and takes
-    log(1 + |f|^3) as a logaddexp, so |f| itself never overflows.
-    passed means the overall max is <= 1 + tol.  A value of
-    +inf or NaN means a term of the jet overflows binary64 (|p'|^2 near
-    |z| = 2 at n = 200, z^n at n = 10^6) and the sweep measures nothing:
-    it then fails with max_inequality NaN at the first such point.
+    expose a bad construction.  The kernel works on logs, takes |f''| in
+    the factored form a n |z|^(n-2) |u|^3 |S_n(u)| e^(Re p), so the triple
+    zero of h'' at a node is exact, and takes log(1 + |f|^3) as a
+    logaddexp, so |f| itself never overflows.  passed means the overall
+    max is <= 1 + tol.  A value of +inf or NaN means a term overflows
+    binary64 (S_n(u) near |z| = 2 from n = 340 on, z^n at n = 10^6) and
+    the sweep measures nothing: it then fails with max_inequality NaN at
+    the first such point.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -188,7 +182,7 @@ def verify_inequality(F, samples=10000, tol=1e-12, seed=DEFAULT_SEED):
             np.ones(1, dtype=complex),
         ]
     )
-    vals = kernels.fk(F.n, F.p_float, F.log_a, zs)
+    vals = kernels.fk(F.n, F.p_float, F.s_float, F.log_a, zs)
     bounded = vals < math.inf  # False at +inf and NaN
     overflow = not bounded.all()
     i = int(np.argmin(bounded)) if overflow else int(np.argmax(vals))
@@ -238,10 +232,10 @@ def marty_probe(Fs, center, radius, samples=2048, seed=DEFAULT_SEED):
     exactly by rotation invariance, taken as an mpmath product, because a
     float log of it misses by more than 1e-6 relative from n = 14 on
     (5e-5 there).  Measurements are arbitrary-precision reals (they
-    outgrow binary64 quickly).  Verdict is "blowup" when every measurement
-    clears the node value n*a (within relative 1e-6) and the sequence
-    increases; a disk without a node clears it only by a sample next to
-    one.
+    outgrow binary64 quickly) and keep the order of Fs.  Verdict is
+    "blowup" when every measurement clears the node value n*a (within
+    relative 1e-6) and they increase with n, whatever the order of Fs; a
+    disk without a node clears it only by a sample next to one.
     """
     c = complex(center)
     if abs(abs(c) - 1.0) > 1e-6:
@@ -264,7 +258,8 @@ def marty_probe(Fs, center, radius, samples=2048, seed=DEFAULT_SEED):
             floored.append(m >= node * (1 - mpmath.mpf("1e-6")))
         ns.append(F.n)
         meas.append(m)
-    rising = all(b > a for a, b in zip(meas, meas[1:]))
+    by_n = [m for _, m in sorted(zip(ns, meas), key=lambda t: t[0])]
+    rising = all(b > a for a, b in zip(by_n, by_n[1:]))
     verdict = "blowup" if (all(floored) and rising) else "inconclusive"
     return ProbeResult(tuple(ns), tuple(meas), verdict)
 
@@ -319,13 +314,16 @@ def max_modulus_check(F, resolution=512):
     h''/h^3 can only have poles at the nodes, and it has one at every
     node exactly when the node residual of verify_node_jets is nonzero:
     then the check fails at once with worst_point 1 and an infinite
-    max_inequality.  Otherwise the quotient is entire and attains its
-    maximum modulus on the boundary circle, so an interior value of a
-    polar grid (off the node neighborhoods) above the boundary grid max
-    (beyond relative 1e-6) flags an evaluation fault.  Both grids keep
-    the resolution // (2 gcd(n, resolution)) + 1 of their equispaced
-    angles that lie in [0, pi/n] (distinct_angles; rotation and reflection
-    carry them onto the rest).  Comparison happens on the log scale.
+    max_inequality.  Otherwise p = build_p(n), the only cubic meeting the
+    node conditions, so kernels.ratio_log's factored form holds and is
+    finite at the nodes; the quotient is entire and attains its maximum
+    modulus on the boundary circle, so an interior value of a polar grid
+    (every point of it, the nodes' neighborhoods included) above the
+    boundary grid max (beyond relative 1e-6) flags an evaluation fault.
+    Both grids keep the resolution // (2 gcd(n, resolution)) + 1 of their
+    equispaced angles that lie in [0, pi/n] (distinct_angles; rotation and
+    reflection carry them onto the rest).  Comparison happens on the log
+    scale.
     max_inequality reports the clamped quotient interior / (boundary * (1 + 1e-6)).
     A log maximum of +inf or NaN means the grid overflows binary64 and
     measures nothing: the check then fails with max_inequality NaN.
@@ -343,9 +341,8 @@ def max_modulus_check(F, resolution=512):
     radii = np.linspace(0.05, 1.98, nr)
     th = distinct_angles(F.n, resolution)
     inner = (radii[:, None] * np.exp(1j * th)[None, :]).ravel()
-    inner = off_nodes(F.n, inner)
-    log_in = kernels.ratio_log(F.n, F.p_float, inner)
-    log_bd = kernels.ratio_log(F.n, F.p_float, 2.0 * np.exp(1j * th))
+    log_in = kernels.ratio_log(F.n, F.p_float, F.s_float, inner)
+    log_bd = kernels.ratio_log(F.n, F.p_float, F.s_float, 2.0 * np.exp(1j * th))
     i = int(np.argmax(log_in))
     li, worst = float(log_in[i]), complex(inner[i])
     lb = float(np.max(log_bd))
@@ -363,7 +360,7 @@ def max_modulus_check(F, resolution=512):
     notes = (
         f"node residual exactly 0; {th.size} of {resolution} angles, standing "
         f"for all by rotation and reflection: interior {inner.size} polar points "
-        f"(radii <= 1.98, node neighborhoods of radius {EPS_NODE:g} excluded), "
+        f"(radii <= 1.98, none excluded), "
         f"boundary {th.size} points on |z|=2; "
         f"log maxima {li:.6g} vs {lb:.6g}, relative slack 1e-6"
     )

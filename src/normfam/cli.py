@@ -25,7 +25,6 @@ from .analysis import (
     lemma2_probe,
     marty_probe,
     max_modulus_check,
-    off_nodes,
     verify_inequality,
     verify_node_jets,
 )
@@ -196,10 +195,9 @@ def _grid_rows(F, what, spec):
     a value of +inf or NaN raises Overflow."""
     for zs in spec.chunks(CSV_CHUNK):
         if what == "ratio":
-            zs = off_nodes(F.n, zs)
-            vals = kernels.ratio_log(F.n, F.p_float, zs)
+            vals = kernels.ratio_log(F.n, F.p_float, F.s_float, zs)
         elif what == "fk":
-            vals = kernels.fk(F.n, F.p_float, F.log_a, zs)
+            vals = kernels.fk(F.n, F.p_float, F.s_float, F.log_a, zs)
         else:
             vals = kernels.sphder_log(F.n, F.p_float, F.log_a, zs)
         if not np.all(vals < np.inf):  # +inf or NaN

@@ -102,6 +102,31 @@ def build_p(n):
     )
 
 
+def build_s(n):
+    """The cubic (s0, s1, s2, s3) of S_n(u) = s0 + s1 u + s2 u^2 + s3 u^3 as
+    exact Fractions, with h'' = n z^(n-2) u^3 S_n(u) e^p:
+
+        s0 = -(n-1)(251n^3 - 109n^2 + n + 1) / (144 n^3),
+        s1 = (n-1)^2 (17n^2 - 2n - 1) / (72 n^3),
+        s2 = -(n-1)^2 (3n-1)(11n-1) / (192 n^3),
+        s3 = (n-1)^2 (3n-1)^2 / (64 n^3).
+
+    With w = z^n and d_k = d^k p / du^k, the chain rule gives
+    h'' e^-p = n z^(n-2) Q(u), Q = (n-1)(1 + u d1) + n w (2 d1 + u (d2 + d1^2)),
+    a sextic in u. For p = build_p(n) the node conditions make it vanish
+    to order 3 at u = 0, and Q = u^3 S_n(u). S_1 = 0: h_1'' = 0.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    m, d = n - 1, n**3
+    return (
+        Fraction(-m * (251 * n**3 - 109 * n**2 + n + 1), 144 * d),
+        Fraction(m * m * (17 * n * n - 2 * n - 1), 72 * d),
+        Fraction(-m * m * (3 * n - 1) * (11 * n - 1), 192 * d),
+        Fraction(m * m * (3 * n - 1) ** 2, 64 * d),
+    )
+
+
 def p_degree(n, p):
     """Degree in z of p = c1 u + c2 u^2 + c3 u^3: k n for the highest
     nonzero c_k, 0 for p = 0."""
@@ -109,7 +134,8 @@ def p_degree(n, p):
 
 
 def p_float(p):
-    """(c1, c2, c3) rounded to binary64, the form the grid kernels take."""
+    """Exact coefficients (build_p's or build_s's) rounded to binary64, the
+    form the grid kernels take."""
     return tuple(float(c) for c in p)
 
 
@@ -175,25 +201,25 @@ def distinct_angles(n, K):
 def estimate_c(n, p, M=1024):
     """Grid estimate of c_n = max over the closed 2-disk of |h''/h^3|.
 
-    h''/h^3 is entire (the triple zeros of h^3 at the nodes are killed
-    by the vanishing of h'' there), so by the maximum principle only the
-    circle |z| = 2 needs searching: the M / 2 + 1 of its M*n equispaced
-    angles that lie in [0, pi/n] (distinct_angles; rotation and reflection
-    carry them onto the rest). The best of them is refined on the arc of
-    two steps around it: 2 _ARC_ZOOM + 1 angles across the arc, which then
-    narrows to two of their steps around the best, until it is shorter
-    than _ARC_TOL radians. The arc may reach past an end of [0, pi/n],
+    h''/h^3 = n z^(n-2) S_n(u) e^(-2p) is entire (build_s: the triple
+    zeros of h^3 at the nodes are those of h''), so by the maximum
+    principle only the circle |z| = 2 needs searching: the M / 2 + 1 of
+    its M*n equispaced angles that lie in [0, pi/n] (distinct_angles;
+    rotation and reflection carry them onto the rest). The best of them
+    is refined on the arc of two steps around it: 2 _ARC_ZOOM + 1 angles
+    across the arc, which then narrows to two of their steps around the
+    best, until it is shorter than _ARC_TOL radians. The arc may reach past an end of [0, pi/n],
     where the reflection repeats the values inside. Returned as an mpmath
     real since c_n overflows binary64 from n = 4 on; 0 when every sampled
-    log is -inf (n = 1). A sampled log of +inf or NaN, which b2 gives at
-    every point from n = 145 on, raises Overflow.
+    log is -inf (n = 1). A sampled log of +inf or NaN, which S_n(u) gives
+    at every point from n = 340 on, raises Overflow.
     """
     if M < 64:
         raise ValueError("M must be at least 64")
     K = M * max(1, n)
     theta = distinct_angles(n, K)
-    c = p_float(p)
-    logs = kernels.ratio_log(n, c, 2.0 * np.exp(1j * theta))
+    c, s = p_float(p), p_float(build_s(n))
+    logs = kernels.ratio_log(n, c, s, 2.0 * np.exp(1j * theta))
     if not np.all(logs < math.inf):  # a +inf or NaN
         raise Overflow(f"log|h''/h^3| on |z| = 2 overflows binary64 at order {n}")
     if np.all(logs == MINUS_INFINITY):
@@ -204,7 +230,7 @@ def estimate_c(n, p, M=1024):
     while 2.0 * step > _ARC_TOL:
         step /= _ARC_ZOOM
         theta = theta[i] + step * _ARC_STEPS
-        logs = kernels.ratio_log(n, c, 2.0 * np.exp(1j * theta))
+        logs = kernels.ratio_log(n, c, s, 2.0 * np.exp(1j * theta))
         i = int(np.argmax(logs))
         best = max(best, float(logs[i]))
     return mpmath.exp(mpmath.mpf(best))
@@ -306,6 +332,11 @@ class CounterexampleFunction:
     def p_float(self):
         """(c1, c2, c3) in binary64 for the grid kernels."""
         return p_float(self.p)
+
+    @cached_property
+    def s_float(self):
+        """(s0, s1, s2, s3) of build_s(n) in binary64 for the grid kernels."""
+        return p_float(build_s(self.n))
 
     @cached_property
     def node_residual(self):

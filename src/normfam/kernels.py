@@ -4,9 +4,11 @@ precision.
 The exponent enters as the float triple c = (c1, c2, c3) of
 p = c1 u + c2 u^2 + c3 u^3 with u = z^n - 1, so a point costs a few
 complex products whatever n: the jet of p follows from the jet of u by
-the chain rule. Every kernel takes its points as its last argument, a
-1-D numpy array, and a point's value is independent of the array it
-sits in. normfam computes every binary64 value of h and its derivatives
+the chain rule. h'' takes no jet: it is n z^(n-2) u^3 S_n(u) e^p with
+the float cubic s = (s0, s1, s2, s3) of forge.build_s, so ratio_log and
+fk carry its triple zero at every node exactly. Every kernel takes its
+points as its last argument, a 1-D numpy array, and a point's value is
+independent of the array it sits in. normfam computes every binary64 value of h and its derivatives
 here, forge's c_hat and m_hat scans included; u_jet and p_from_u also
 serve forge's exact (Fraction) and mpmath jets.
 
@@ -89,25 +91,37 @@ def _jets(n, c, zs, order):
     return u, p_from_u(c, u)
 
 
-def b2(u, p):
-    """h'' e^{-p} = g'' + 2 g' p' + g (p'' + p'^2) from the jets of g = u
-    and of p, order 2; array products multiply names, as in p_from_u."""
-    u1p1 = u[1] * p[1]
-    q = p[1] * p[1]
-    q = p[2] + q
-    return u[2] + 2.0 * u1p1 + u[0] * q
+def _factored(n, c, s, zs):
+    # (log|h'' e^-p| - 3 log|u|, u, p) at every point: by the node
+    # conditions h'' = n z^(n-2) u^3 S_n(u) e^p (forge.build_s), so the
+    # first is log n + (n-2) log|z| + log|S_n(u)|, with no cancelling sum.
+    # u = z^(n-2) z z - 1 rounds as in u_jet; p and S_n are Horner steps
+    # in u. n <= 2 takes no log|z| term: z^0 = 1 at n = 2, and S_1 = 0
+    z = np.asarray(zs, dtype=np.complex128)
+    m = min(n, 2)
+    w = z ** (n - m)
+    for _ in range(m):
+        w = w * z
+    u = w - 1
+    (p,) = p_from_u(c, [u])
+    s0, s1, s2, s3 = s
+    q = s2 + s3 * u
+    q = s1 + u * q
+    q = s0 + u * q
+    log_r = math.log(n) + np.log(np.abs(q))
+    if n > 2:
+        log_r += (n - 2) * np.log(np.abs(z))
+    return log_r, u, p
 
 
-def ratio_log(n, c, zs):
-    """log |h''/h^3| = log|b2| - 2 Re p - 3 log|g| pointwise; -inf where
-    the numerator vanishes.
-
-    Points where g = 0 produce +-inf/nan; callers mask near-node points
-    before asking.
-    """
+def ratio_log(n, c, s, zs):
+    """log |h''/h^3| = log n + (n-2) log|z| + log|S_n(u)| - 2 Re p
+    pointwise, from the exponent c and the cubic s = (s0, s1, s2, s3) of
+    forge.build_s(n); finite at the nodes, where h''/h^3 is, and -inf
+    where h'' vanishes (everywhere at n = 1)."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u, p = _jets(n, c, zs, 2)
-        return np.log(np.abs(b2(u, p))) - 2.0 * p[0].real - 3.0 * np.log(np.abs(u[0]))
+        log_r, _, p = _factored(n, c, s, zs)
+        return log_r - 2.0 * p.real
 
 
 def h_log(n, c, zs):
@@ -117,12 +131,15 @@ def h_log(n, c, zs):
         return np.log(np.abs(u0)) + p0.real
 
 
-def fk(n, c, log_a, zs):
-    """|f''| / (1 + |f|^3) pointwise, for any magnitude of f."""
+def fk(n, c, s, log_a, zs):
+    """|f''| / (1 + |f|^3) pointwise, for any magnitude of f, from
+    |f''| = a n |z|^(n-2) |u|^3 |S_n(u)| e^(Re p): 0 where u rounds to 0,
+    as at the node z = 1."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u, p = _jets(n, c, zs, 2)
-        log_num = log_a + np.log(np.abs(b2(u, p))) + p[0].real
-        t = 3.0 * (log_a + np.log(np.abs(u[0])) + p[0].real)
+        log_r, u, p = _factored(n, c, s, zs)
+        log_u = np.log(np.abs(u))
+        log_num = log_a + log_r + 3.0 * log_u + p.real
+        t = 3.0 * (log_a + log_u + p.real)
         return np.exp(log_num - np.logaddexp(0.0, t))
 
 

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from normfam import cli, kernels, storage
-from normfam.analysis import DEFAULT_SEED, EPS_NODE, GridSpec
+from normfam.analysis import DEFAULT_SEED, GridSpec
 from normfam.cli import main, parse_complex, parse_n_range, parse_region, write_csv
 from normfam.errors import Overflow
+from normfam.forge import build_s
 
 
 @pytest.fixture(scope="module")
@@ -87,12 +88,23 @@ def test_construct_rejects_bad_orders(tmp_path, capsys):
 
 
 def test_construct_refuses_overflowed_scan(tmp_path, capsys):
-    # the c_hat scan overflows binary64 from n = 145 on; n = 144 builds
-    out = tmp_path / "f145.json"
-    assert main(["construct", "-n", "145", "-o", str(out)]) == 1
+    # the c_hat scan overflows binary64 from n = 340 on; n = 339 builds
+    out = tmp_path / "f340.json"
+    assert main(["construct", "-n", "340", "-o", str(out)]) == 1
     assert "construction failed" in capsys.readouterr().err
     assert not out.exists()
-    assert main(["construct", "-n", "144", "-o", str(tmp_path / "f144.json")]) == 0
+    assert main(["construct", "-n", "339", "-o", str(tmp_path / "f339.json")]) == 0
+
+
+@pytest.mark.parametrize("n", [200, 339])
+def test_high_orders_construct_and_verify(n, tmp_path, capsys):
+    # orders the jet form of h'' overflowed (from n = 145 on) now pass
+    # every check of verify, up to the last order whose scans fit binary64
+    out = str(tmp_path / f"f{n}.json")
+    assert main(["construct", "-n", str(n), "-o", out]) == 0
+    assert main(["verify", out]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert all(r["passed"] for r in report.values())
 
 
 def test_construct_is_deterministic(tmp_path):
@@ -281,17 +293,20 @@ def test_grid_trivial_fk_circle(files, tmp_path):
         assert abs(complex(float(re_), float(im_))) == pytest.approx(2.0)
 
 
-def test_grid_ratio_masks_nodes(files, tmp_path):
-    # circle:1 at resolution 8 passes through both nodes of f_2; the
-    # ratio has poles there, so exactly those two rows must be absent
+def test_grid_ratio_keeps_nodes(files, tmp_path):
+    # circle:1 at resolution 8 passes through both nodes of f_2; h''/h^3
+    # is entire and finite there, so every row is kept, the nodes' too
     out = tmp_path / "g.csv"
     assert main(["grid", files[2], "--what", "ratio", "--region", "circle:1",
                  "--resolution", "8", "--export", str(out)]) == 0
     lines = out.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 7
-    pts = [complex(float(r), float(i)) for r, i, _ in
-           (line.split(",") for line in lines[1:])]
-    assert all(min(abs(z - 1), abs(z + 1)) > 1e-4 for z in pts)
+    assert len(lines) == 9
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    pts = [complex(r, i) for r, i, _ in rows]
+    assert pts[0] == 1 and abs(pts[4] + 1) < 1e-15
+    assert all(math.isfinite(v) for _, _, v in rows)
+    # at the node 1, h''/h^3 = n S_n(0) = 2 s0 exactly: u = 0 and p = 0
+    assert rows[0][2] == pytest.approx(math.log(2 * abs(float(build_s(2)[0]))), abs=1e-15)
 
 
 def test_grid_sphder_disk(files, tmp_path):
@@ -324,22 +339,27 @@ def test_grid_bad_arguments(files, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.fixture(scope="module")
-def order_200(tmp_path_factory):
-    """A gated record of order 200 (a = 2n, c_hat = 0, m_hat = 1) whose
-    jet overflows binary64 near |z| = 2: |p'|^2 is +inf there."""
+def _gated_record(directory, n):
+    """A gated record of order n (a = 2n, c_hat = 0, m_hat = 1)."""
     rec = {
         "schema_version": 3,
-        "n": 200,
+        "n": n,
         "precision_bits": 53,
-        "a": "400",
+        "a": str(2 * n),
         "c_hat": "0",
         "m_hat": "1",
         "construction_config": {"grid_m": 1024, "seed": None},
     }
-    path = tmp_path_factory.mktemp("f200") / "f200.json"
+    path = directory / f"f{n}.json"
     path.write_text(json.dumps(rec), encoding="utf-8")
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def order_340(tmp_path_factory):
+    """A gated record of order 340, the first whose fk and ratio kernels
+    overflow binary64 near |z| = 2: S_n(u) is +inf there."""
+    return _gated_record(tmp_path_factory.mktemp("f340"), 340)
 
 
 def test_csv_rows_memory_stays_below_the_whole_chunk_gather():
@@ -360,19 +380,20 @@ def test_csv_rows_memory_stays_below_the_whole_chunk_gather():
     assert peak < 6e6, peak
 
 
-def test_grid_refuses_overflow(order_200, tmp_path, capsys):
-    # about a third of the disk overflows fk and ratio, so the first chunk
-    # already does; not even the header may survive
+def test_grid_refuses_overflow(order_340, tmp_path, capsys):
+    # about 0.2 % of the disk, next to |z| = 2, overflows fk and ratio, so
+    # the first chunk already does; not even the header may survive
     for what in ("fk", "ratio"):
         out = tmp_path / f"{what}.csv"
-        assert main(["grid", order_200, "--what", what, "--region", "disk:2",
+        assert main(["grid", order_340, "--what", what, "--region", "disk:2",
                      "--resolution", str(3 * cli.CSV_CHUNK), "--export", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"{what} overflows binary64 at order 200" in err
+        assert err.startswith("error: ") and f"{what} overflows binary64 at order 340" in err
         assert not out.exists()
-    # sphder is never +inf there, only -inf (log 0) at a few points: those
-    # rows are dropped and the export succeeds
+    # at n = 200 sphder is never +inf, only -inf (log 0) at a few points:
+    # those rows are dropped and the export succeeds
     out = tmp_path / "sphder.csv"
+    order_200 = _gated_record(tmp_path, 200)
     assert main(["grid", order_200, "--what", "sphder", "--region", "disk:2",
                  "--resolution", "100000", "--export", str(out)]) == 0
     lines = out.read_text(encoding="utf-8").splitlines()
@@ -393,29 +414,29 @@ def test_csv_writer_removes_partial_file(tmp_path):
 
 
 @pytest.mark.skipif(not hasattr(os, "symlink"), reason="no symlinks")
-def test_failed_export_through_a_symlink_leaves_no_rows(order_200, tmp_path, capsys):
+def test_failed_export_through_a_symlink_leaves_no_rows(order_340, tmp_path, capsys):
     # the partial export is removed at the target, not the link in front of it
     target, link = tmp_path / "target.csv", tmp_path / "link.csv"
     target.write_bytes(b"old\n")
     link.symlink_to(target)
-    assert main(["grid", order_200, "--what", "fk", "--region", "disk:2",
+    assert main(["grid", order_340, "--what", "fk", "--region", "disk:2",
                  "--resolution", str(3 * cli.CSV_CHUNK), "--export", str(link)]) == 1
-    assert "fk overflows binary64 at order 200" in capsys.readouterr().err
+    assert "fk overflows binary64 at order 340" in capsys.readouterr().err
     assert not target.exists()
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
-def test_failed_export_to_a_fifo_keeps_the_fifo(order_200, tmp_path, capsys):
+def test_failed_export_to_a_fifo_keeps_the_fifo(order_340, tmp_path, capsys):
     fifo = tmp_path / "export.fifo"
     os.mkfifo(fifo)
     reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
     try:
-        assert main(["grid", order_200, "--what", "fk", "--region", "disk:2",
+        assert main(["grid", order_340, "--what", "fk", "--region", "disk:2",
                      "--resolution", str(3 * cli.CSV_CHUNK), "--export", str(fifo)]) == 1
     finally:
         os.close(reader)
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "fk overflows binary64 at order 200" in err
+    assert err.startswith("error: ") and "fk overflows binary64 at order 340" in err
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
 
@@ -475,27 +496,26 @@ def test_grid_streams_chunks(files, tmp_path, monkeypatch, what):
     assert main(["grid", files[3], "--what", what, "--region", "disk:2",
                  "--resolution", str(N), "--export", str(out)]) == 0
     assert len(sizes) == 4 and max(sizes) <= cli.CSV_CHUNK
-    if what != "ratio":
-        assert sum(sizes) == N
+    assert sum(sizes) == N
 
 
 @pytest.mark.parametrize("what", ["fk", "ratio", "sphder"])
 @pytest.mark.parametrize("region, resolution", [("disk:2", 100), ("circle:1", 60)])
 def test_grid_chunks_match_whole_array(family, tmp_path, monkeypatch, what, region, resolution):
     # with chunks of 7 points the export is the whole-array one: points(),
-    # the ratio mask, one kernel call, the finite rows as %.17g; circle:1
-    # at 60 points passes through all six nodes of f_6
+    # one kernel call, the finite rows as %.17g; circle:1 at 60 points
+    # passes through all six nodes of f_6
     F = family[6]
     path = str(tmp_path / "f6.json")
     storage.save_function(F, 1024, path)
     name, radii = parse_region(region)
     zs = GridSpec(name, radii, resolution).points()
     if what == "ratio":
-        zs = zs[np.abs(zs**6 - 1.0) > EPS_NODE]
-        vals = kernels.ratio_log(6, F.p_float, zs)
+        vals = kernels.ratio_log(6, F.p_float, F.s_float, zs)
+    elif what == "fk":
+        vals = kernels.fk(6, F.p_float, F.s_float, F.log_a, zs)
     else:
-        kernel = kernels.fk if what == "fk" else kernels.sphder_log
-        vals = kernel(6, F.p_float, F.log_a, zs)
+        vals = kernels.sphder_log(6, F.p_float, F.log_a, zs)
     keep = np.isfinite(vals)
     want = "re,im,value\n" + "".join(
         f"{z.real:.17g},{z.imag:.17g},{v:.17g}\n" for z, v in zip(zs[keep], vals[keep])

@@ -15,7 +15,6 @@ from normfam import (
     Overflow,
 )
 from normfam import analysis, forge, kernels
-from normfam.analysis import EPS_NODE
 from normfam.cpoly import HermiteSpec, eval_jet, hermite_interpolate
 from normfam.forge import (
     MAX_PRECISION,
@@ -24,6 +23,7 @@ from normfam.forge import (
     CounterexampleFunction,
     Jet,
     build_p,
+    build_s,
     choose_a,
     construct,
     distinct_angles,
@@ -205,6 +205,65 @@ def test_closed_form_solves_node_conditions_for_symbolic_n():
         assert build_p(k) == tuple(Fraction(str(w.subs(n, k))) for w in want)
 
 
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_add(*ps):
+    return [sum(p[k] for p in ps if k < len(p)) for k in range(max(map(len, ps)))]
+
+
+def test_s_is_q_over_u_cubed_in_fractions():
+    # Q = (n-1)(1 + u d1) + n w (2 d1 + u (d2 + d1^2)), w = u + 1, from the
+    # chain rule, as exact coefficient lists in u: u^3 S_n for n = 1..200
+    u, w = [0, 1], [1, 1]
+    for n in range(1, 201):
+        c1, c2, c3 = build_p(n)
+        s = build_s(n)
+        assert all(isinstance(x, Fraction) for x in s)
+        d1, d2 = [c1, 2 * c2, 3 * c3], [2 * c2, 6 * c3]
+        inner = _poly_add([2 * x for x in d1], _poly_mul(u, _poly_add(d2, _poly_mul(d1, d1))))
+        q = _poly_add(
+            [(n - 1) * x for x in _poly_add([1], _poly_mul(u, d1))],
+            [n * x for x in _poly_mul(w, inner)],
+        )
+        assert q == [0, 0, 0, *s], n
+    assert build_s(1) == (0, 0, 0, 0)
+
+
+def test_s_factors_h2_for_symbolic_n():
+    # h'' e^-p / (n z^(n-2)) from sympy's own derivative of
+    # h = (z^n - 1) e^p with n a symbol, rewritten in u = z^n - 1 by
+    # z = (u + 1)^(1/n), is u^3 times the closed-form cubic of build_s
+    n = sympy.symbols("n", positive=True, integer=True)
+    z, u = sympy.symbols("z u", positive=True)
+    c1, c2, c3 = (
+        -(n - 1) / (2 * n),
+        (n - 1) * (5 * n - 1) / (24 * n**2),
+        -(n - 1) * (3 * n - 1) / (24 * n**2),
+    )
+    g = z**n - 1
+    p = c1 * g + c2 * g**2 + c3 * g**3
+    q = sympy.diff(g * sympy.exp(p), z, 2) * sympy.exp(-p) / (n * z ** (n - 2))
+    q = sympy.expand(sympy.powsimp(sympy.expand(q), force=True))
+    q = sympy.powdenest(sympy.expand(q.subs(z, (u + 1) ** (1 / n))), force=True)
+    assert q.free_symbols == {n, u}
+    want = (
+        -(n - 1) * (251 * n**3 - 109 * n**2 + n + 1) / (144 * n**3),
+        (n - 1) ** 2 * (17 * n**2 - 2 * n - 1) / (72 * n**3),
+        -(n - 1) ** 2 * (3 * n - 1) * (11 * n - 1) / (192 * n**3),
+        (n - 1) ** 2 * (3 * n - 1) ** 2 / (64 * n**3),
+    )
+    S = sum(sk * u**k for k, sk in enumerate(want))
+    assert sympy.simplify(sympy.expand(q - u**3 * S)) == 0
+    for k in (1, 2, 7, 339):
+        assert build_s(k) == tuple(Fraction(str(x.subs(n, k))) for x in want)
+
+
 def test_cubic_matches_hermite_oracle(exponents):
     # the degree <= 4n-1 Hermite interpolant of the node conditions, built
     # at 256 bits from confluent divided differences, is the cubic in u
@@ -366,15 +425,17 @@ def test_simple_zeros_preserved(family):
 
 
 def test_ratio_log_sentinel_order_one():
-    assert kernels.ratio_log(1, p_float(ZERO_P), 0.5) == MINUS_INFINITY
+    s = p_float(build_s(1))
+    assert kernels.ratio_log(1, p_float(ZERO_P), s, 0.5) == MINUS_INFINITY
 
 
 def test_ratio_log_matches_direct_quotient():
     p = build_p(2)
-    for z in (2 + 0j, 1 + 2 * EPS_NODE, 0.5 + 1.2j):
-        hj = h_jet(2, p, z, 2)
-        direct = math.log(abs(hj.values[2]) / abs(hj.values[0]) ** 3)
-        got = kernels.ratio_log(2, p_float(p), z)
+    for z in (2 + 0j, 1.002 + 0j, 1 + 1e-9j, 0.5 + 1.2j):
+        with mpmath.workprec(200):
+            hj = h_jet(2, p, z, 2)
+            direct = float(mpmath.log(abs(hj.values[2]) / abs(hj.values[0]) ** 3))
+        got = kernels.ratio_log(2, p_float(p), p_float(build_s(2)), z)
         assert abs(math.expm1(got - direct)) <= 1e-6
 
 
@@ -385,16 +446,13 @@ def test_log_space_consistency_where_direct_is_representable(family):
         checked = 0
         while checked < 15:
             z = sample_disk(rng)
-            if abs(z**n - 1) <= 10 * EPS_NODE:
+            with mpmath.workprec(200):  # h'' cancels near the nodes
+                hj = h_jet(n, F.p, z, 2)
+                denom = abs(hj.values[0]) ** 3
+                direct = abs(hj.values[2]) / denom if denom else mpmath.inf
+            if direct == 0 or not mpmath.isfinite(direct):
                 continue
-            hj = h_jet(n, F.p, z, 2)
-            denom = abs(hj.values[0]) ** 3
-            if denom == 0 or not math.isfinite(denom):
-                continue
-            direct = abs(hj.values[2]) / denom
-            if direct == 0 or not math.isfinite(direct):
-                continue
-            got = kernels.ratio_log(n, F.p_float, z)
+            got = kernels.ratio_log(n, F.p_float, F.s_float, z)
             assert abs(math.expm1(got - math.log(direct))) <= 1e-6
             checked += 1
 
@@ -412,8 +470,8 @@ def full_circle_log_c(n, p, M):
     kept as an oracle."""
     K = M * max(1, n)
     theta = np.linspace(0.0, 2.0 * math.pi, K, endpoint=False)
-    c = p_float(p)
-    logs = kernels.ratio_log(n, c, 2.0 * np.exp(1j * theta))
+    c, s = p_float(p), p_float(build_s(n))
+    logs = kernels.ratio_log(n, c, s, 2.0 * np.exp(1j * theta))
     if not np.any(np.isfinite(logs)):
         return MINUS_INFINITY
     i = int(np.argmax(logs))
@@ -422,7 +480,7 @@ def full_circle_log_c(n, p, M):
     while 2.0 * step > forge._ARC_TOL:
         step /= forge._ARC_ZOOM
         theta = theta[i] + step * np.arange(-forge._ARC_ZOOM, forge._ARC_ZOOM + 1)
-        logs = kernels.ratio_log(n, c, 2.0 * np.exp(1j * theta))
+        logs = kernels.ratio_log(n, c, s, 2.0 * np.exp(1j * theta))
         i = int(np.argmax(logs))
         best = max(best, float(logs[i]))
     return best
@@ -467,9 +525,9 @@ def test_scans_evaluate_one_sector(family, monkeypatch):
     seen = []
     ratio_log = kernels.ratio_log
 
-    def spy(n, c, zs):
+    def spy(n, c, s, zs):
         seen.append(len(zs))
-        return ratio_log(n, c, zs)
+        return ratio_log(n, c, s, zs)
 
     monkeypatch.setattr(kernels, "ratio_log", spy)
     for n in (1, 2, 5, 12):
@@ -489,10 +547,9 @@ def test_estimate_c_evaluates_only_arrays(monkeypatch):
     # every binary64 value of estimate_c comes from the array kernels: no
     # kernel is ever handed a python or numpy scalar point
     points = {
-        "ratio_log": lambda n, c, zs: [zs],
-        "u_jet": lambda n, z, J: [z],
+        "ratio_log": lambda n, c, s, zs: [zs],
+        "_factored": lambda n, c, s, zs: [zs],
         "p_from_u": lambda c, u: u,
-        "b2": lambda u, p: [*u, *p],
     }
     seen = []
     for name, args_points in points.items():
@@ -510,12 +567,13 @@ def test_estimate_c_evaluates_only_arrays(monkeypatch):
 
 
 def test_estimate_c_refuses_overflowed_scan():
-    # from n = 145 on b2 overflows binary64 at every point of |z| = 2, so
-    # every sampled log is +inf; n = 1 has h'' = 0, every log is -inf
-    for n in (145, 200):
+    # from n = 340 on S_n(u) overflows binary64 at every point of |z| = 2,
+    # so every sampled log is +inf (and NaN once Re p overflows too);
+    # n = 1 has h'' = 0, every log is -inf
+    for n in (340, 400):
         with pytest.raises(Overflow):
             estimate_c(n, build_p(n), 64)
-    assert 0 < estimate_c(144, build_p(144), 64) < mpmath.inf
+    assert 0 < estimate_c(339, build_p(339), 64) < mpmath.inf
     assert estimate_c(1, build_p(1), 64) == 0
 
 
@@ -535,9 +593,7 @@ def test_estimate_c_dominates_interior_samples(family):
         count = 0
         while count < 500:
             z = sample_disk(rng)
-            if abs(z**n - 1) <= EPS_NODE:
-                continue
-            assert kernels.ratio_log(n, F.p_float, z) <= bound
+            assert kernels.ratio_log(n, F.p_float, F.s_float, z) <= bound
             count += 1
 
 

@@ -12,8 +12,7 @@ import sympy
 from conftest import root_of_unity
 
 from normfam import kernels
-from normfam.analysis import EPS_NODE
-from normfam.forge import construct, h_jet
+from normfam.forge import build_p, build_s, construct, h_jet, p_float
 
 
 def grid_points(rng, count, radius=2.0):
@@ -21,15 +20,6 @@ def grid_points(rng, count, radius=2.0):
     while len(pts) < count:
         z = complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
         if abs(z) <= radius:
-            pts.append(z)
-    return np.array(pts, dtype=np.complex128)
-
-
-def off_node_points(rng, n, count):
-    pts = []
-    while len(pts) < count:
-        z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        if abs(z) <= 2 and abs(z**n - 1) > EPS_NODE:
             pts.append(z)
     return np.array(pts, dtype=np.complex128)
 
@@ -77,8 +67,8 @@ def test_ratio_log_matches_scalar_path(family, rng):
     # the scalar path is log|h''| - 3 log|h| on h_jet's exp-form jet at
     # 160 bits, with the exact c_k: no e^p-free log form, no binary64
     for n, F in family.items():
-        zs = off_node_points(rng, n, 50)
-        grid = kernels.ratio_log(n, F.p_float, zs)
+        zs = grid_points(rng, 50)
+        grid = kernels.ratio_log(n, F.p_float, F.s_float, zs)
         hlog = kernels.h_log(n, F.p_float, zs)
         for z, got, lh in zip(zs, grid, hlog):
             with mpmath.workprec(160):
@@ -87,9 +77,8 @@ def test_ratio_log_matches_scalar_path(family, rng):
             if want == float("-inf"):
                 assert got == float("-inf")
             else:
-                # the kernel's rounding is amplified both by the largest
-                # log in the difference (|log h| reaches ~5e4 at n=6) and
-                # by cancellation inside the second-derivative combination
+                # the kernel's rounding is amplified by the largest log in
+                # the difference (|log h| reaches ~5e4 at n=6)
                 scale = max(1.0, abs(want), 3.0 * abs(lh))
                 assert abs(got - want) <= 1e-10 * scale
 
@@ -97,20 +86,17 @@ def test_ratio_log_matches_scalar_path(family, rng):
 def test_fk_matches_mpmath_oracle(family, rng):
     # exercises every magnitude of f: tiny |f| near nodes, huge |f| near
     # the rim for large n, moderate |f| in between; at distance 1e-4 from a
-    # node the numerator sits next to its own triple zero and double
-    # precision keeps only ~6 digits of it (the value itself is ~1e-8,
-    # so the slack is irrelevant for any inequality check)
+    # node the numerator sits next to its own triple zero, which the
+    # factored kernel carries exactly, so one tolerance serves every point
     for n, F in family.items():
         generic = grid_points(rng, 40)
         near = np.array([root_of_unity(n, ell) + 1e-4 for ell in range(n)])
         rim = 1.95 * np.exp(1j * np.linspace(0.1, 6.2, 10))
         zs = np.concatenate([generic, near, rim])
-        got = kernels.fk(n, F.p_float, F.log_a, zs)
-        rel = np.full(len(zs), 1e-8)
-        rel[len(generic) : len(generic) + len(near)] = 1e-2
-        for z, g, tol in zip(zs, got, rel):
+        got = kernels.fk(n, F.p_float, F.s_float, F.log_a, zs)
+        for z, g in zip(zs, got):
             want = float(mp_oracle(F, z, "fk"))
-            assert abs(g - want) <= tol * max(want, 1e-280)
+            assert abs(g - want) <= 1e-8 * max(want, 1e-280)
 
 
 def test_sphder_log_matches_mpmath_oracle(family, rng):
@@ -132,7 +118,7 @@ def test_fk_and_sphder_across_the_log1p_range(exponents, t):
     # or to e^t, and at the ends of the binary64 exponent range
     zs = np.array([0.5 + 0.3j, 1.3 * np.exp(0.4j), -0.6 + 0.2j, 0.1j])
     for n in (2, 3, 6):
-        c = tuple(float(x) for x in exponents[n])
+        c, s = p_float(exponents[n]), p_float(build_s(n))
         for z, log_h in zip(zs, kernels.h_log(n, c, zs)):
             for kind, k in (("fk", 3), ("sph", 2)):
                 log_a = t / k - log_h
@@ -141,7 +127,7 @@ def test_fk_and_sphder_across_the_log1p_range(exponents, t):
                     want = mp_oracle(rec, z, kind)
                     log_want = float(mpmath.log(want))
                 if kind == "fk":
-                    got = kernels.fk(n, c, log_a, np.array([z]))[0]
+                    got = kernels.fk(n, c, s, log_a, np.array([z]))[0]
                     assert abs(got / float(want) - 1.0) <= 1e-12, (n, z)
                 else:
                     got = kernels.sphder_log(n, c, log_a, np.array([z]))[0]
@@ -195,20 +181,20 @@ def test_kernels_independent_of_array_size(exponents, rng):
         2j * math.pi * rng.uniform(size=count)
     )
     kinds = {
-        "ratio_log": lambda n, c, z: kernels.ratio_log(n, c, z),
-        "h_log": lambda n, c, z: kernels.h_log(n, c, z),
-        "fk": lambda n, c, z: kernels.fk(n, c, log_a, z),
-        "sphder_log": lambda n, c, z: kernels.sphder_log(n, c, log_a, z),
-        "p_jet": lambda n, c, z: np.stack(
+        "ratio_log": lambda n, c, s, z: kernels.ratio_log(n, c, s, z),
+        "h_log": lambda n, c, s, z: kernels.h_log(n, c, z),
+        "fk": lambda n, c, s, z: kernels.fk(n, c, s, log_a, z),
+        "sphder_log": lambda n, c, s, z: kernels.sphder_log(n, c, log_a, z),
+        "p_jet": lambda n, c, s, z: np.stack(
             kernels.p_from_u(c, kernels.u_jet(n, z, 4))
         ),
     }
     for n, p in exponents.items():
-        c = tuple(float(x) for x in p)
+        c, s = tuple(float(x) for x in p), p_float(build_s(n))
         for name, kernel in kinds.items():
-            whole = kernel(n, c, zs)
+            whole = kernel(n, c, s, zs)
             for start, size in ((0, 1), (5, 7), (1001, 100), (3, 5000)):
-                part = kernel(n, c, zs[start : start + size].copy())
+                part = kernel(n, c, s, zs[start : start + size].copy())
                 want = whole[..., start : start + size]
                 assert np.array_equal(part, want, equal_nan=True), (n, name)
 
@@ -219,14 +205,14 @@ def test_kernels_dihedral_symmetry(rng):
     # the symmetry that lets the scans sample only the angles of [0, pi/n]
     for n in range(1, 13):
         F = construct(n)
-        c = F.p_float
+        c, s = F.p_float, F.s_float
         kinds = {
-            "ratio_log": lambda z: kernels.ratio_log(n, c, z),
+            "ratio_log": lambda z: kernels.ratio_log(n, c, s, z),
             "h_log": lambda z: kernels.h_log(n, c, z),
-            "fk": lambda z: kernels.fk(n, c, F.log_a, z),
+            "fk": lambda z: kernels.fk(n, c, s, F.log_a, z),
             "sphder_log": lambda z: kernels.sphder_log(n, c, F.log_a, z),
         }
-        zs = off_node_points(rng, n, 200)
+        zs = grid_points(rng, 200)
         for name, kernel in kinds.items():
             want = kernel(zs)
             fin = np.isfinite(want)  # ratio_log is -inf everywhere at n = 1
@@ -240,4 +226,53 @@ def test_kernels_dihedral_symmetry(rng):
 def test_fk_zero_where_numerator_vanishes():
     # order 1: h'' is identically zero, fk must be exactly 0 everywhere
     zs = np.array([0.3 + 0.1j, 1 + 0j, 2j])
-    assert np.all(kernels.fk(1, (0.0, 0.0, 0.0), math.log(4.0), zs) == 0.0)
+    assert np.all(kernels.fk(1, (0.0, 0.0, 0.0), (0.0,) * 4, math.log(4.0), zs) == 0.0)
+
+
+def _oracle_logs(n, z, log_a, bits=200):
+    """(log|h''/h^3|, log fk) at z from the mpmath jet of h at `bits` bits:
+    h'' there is the cancelling sum the kernels no longer form."""
+    with mpmath.workprec(bits):
+        h0, _, h2 = h_jet(n, build_p(n), mpmath.mpc(z), 2).values
+        l0, l2 = mpmath.log(abs(h0)), mpmath.log(abs(h2))
+        log_fk = log_a + l2 - mpmath.log1p(mpmath.exp(3 * (log_a + l0)))
+        return float(l2 - 3 * l0), float(log_fk)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_near_node_kernels_match_200_bit_oracle(n):
+    # at 1e-3..1e-12 from the node z = 1, where h'' and h^3 both vanish to
+    # third order: ratio_log is exact there up to rounding, and fk's only
+    # error beyond it is the binary64 rounding of u = z^n - 1 (from u_jet,
+    # as every kernel forms it), which |u|^3 in |f''| triples
+    c, s = p_float(build_p(n)), p_float(build_s(n))
+    for d in 10.0 ** -np.arange(3, 13):
+        zs = 1 + d * np.exp(1j * np.array([0.0, 1.0, 2.5, -2.0]))
+        ratio = kernels.ratio_log(n, c, s, zs)
+        u = kernels.u_jet(n, zs, 2)[0]
+        for log_a in (0.0, 6.0, 60.0):
+            fk = kernels.fk(n, c, s, log_a, zs)
+            for z, r, f, uf in zip(zs, ratio, fk, u):
+                want_r, want_fk = _oracle_logs(n, z, log_a)
+                assert abs(r - want_r) <= 1e-13, (n, d, z)
+                with mpmath.workprec(200):
+                    zz = mpmath.mpc(z)
+                    du = float(abs(uf - (zz**n - 1)) / abs(zz**n - 1))
+                tol = 1e-13 * max(1.0, log_a) + 3.01 * du
+                assert abs(math.log(f) - want_fk) <= tol, (n, d, z, log_a)
+
+
+def test_kernels_at_the_origin():
+    # h'' = n z^(n-2) u^3 S_n(u) e^p: 0 at z = 0 from n = 3 on and for n = 1
+    # (S_1 = 0), finite and nonzero at n = 2, which takes no log|z| term
+    zero = np.zeros(1, dtype=complex)
+    for n in (1, 2, 3):
+        c, s = p_float(build_p(n)), p_float(build_s(n))
+        ratio = kernels.ratio_log(n, c, s, zero)[0]
+        fk = kernels.fk(n, c, s, 6.0, zero)[0]
+        if n == 2:
+            want_r, want_fk = _oracle_logs(n, 0j, 6.0)
+            assert abs(ratio - want_r) <= 1e-14
+            assert abs(math.log(fk) - want_fk) <= 1e-14
+        else:
+            assert ratio == -math.inf and fk == 0.0, n
