@@ -24,12 +24,13 @@ c_n and a_n explode with n (log a_6 is around 2.7e4), so the three
 magnitude fields of a constructed record are mpmath reals with unbounded
 exponent, and every scan, the refinement of c_hat included, evaluates
 logarithms in double precision on arrays, through the kernels module.
-The scalar jets are exact at a Fraction point and mpmath.mpc at the
-working precision elsewhere. At z = 1, u = 0 and every derivative of u
-is an integer, so a record's node_residual decides the node conditions
-in rational arithmetic. A record's precision sets only the digits its
-magnitudes are stored with and the mpmath precision of f_jet and of the
-probes.
+The scalar jets run the chain rule through the jets of u and p (u_jet,
+p_from_u), exactly at a Fraction point and in mpmath.mpc at the working
+precision elsewhere; the array kernels take closed forms instead. At
+z = 1, u = 0 and every derivative of u is an integer, so a record's
+node_residual decides the node conditions in rational arithmetic. A
+record's precision sets only the digits its magnitudes are stored with
+and the mpmath precision of f_jet and of the probes.
 """
 
 import math
@@ -139,6 +140,35 @@ def p_float(p):
     return tuple(float(c) for c in p)
 
 
+def u_jet(n, z, J):
+    """[u, u', ..., u^(J)] of u = z^n - 1 at a scalar z:
+    u^(k) = n!/(n-k)! z^(n-k), 0 for k > n."""
+    return [z**n - 1] + [math.perm(n, k) * z ** (n - k) if k <= n else 0 for k in range(1, J + 1)]
+
+
+def p_from_u(c, u):
+    """[p, p', ..., p^(J)] of p = c1 u + c2 u^2 + c3 u^3 from the jet u of
+    u = z^n - 1, J = len(u) - 1 <= 4, by Faa di Bruno's formula with
+    d_k = d^k p / du^k (d_4 = 0)."""
+    c1, c2, c3 = c
+    u0, J = u[0], len(u) - 1
+    p = [u0 * (c1 + u0 * (c2 + c3 * u0))]
+    if J >= 1:
+        d1 = c1 + u0 * (2 * c2 + 3 * c3 * u0)
+        p.append(d1 * u[1])
+    if J >= 2:
+        d2 = 2 * c2 + 6 * c3 * u0
+        u11 = u[1] * u[1]
+        p.append(d2 * u11 + d1 * u[2])
+    if J >= 3:
+        d3 = 6 * c3
+        p.append(d3 * (u11 * u[1]) + 3 * (d2 * (u[1] * u[2])) + d1 * u[3])
+    if J >= 4:
+        q = 3 * (u[2] * u[2]) + 4 * (u[1] * u[3])
+        p.append(6 * d3 * (u11 * u[2]) + d2 * q + d1 * u[4])
+    return p
+
+
 def _gp_jets(n, p, z, J):
     # the jets of g = u = z^n - 1 and of p, up to order J <= 4, at z: exact
     # at a Fraction z, else z and the c_k in mpmath at the working precision
@@ -147,8 +177,8 @@ def _gp_jets(n, p, z, J):
     if not isinstance(z, Fraction):
         z = mpmath.mpc(z)
         p = tuple(mpmath.mpf(c.numerator) / c.denominator for c in p)
-    u = kernels.u_jet(n, z, J)
-    return u, kernels.p_from_u(p, u)
+    u = u_jet(n, z, J)
+    return u, p_from_u(p, u)
 
 
 def p_jet(n, p, z, J):

@@ -6,8 +6,7 @@ from typing import NamedTuple
 import mpmath
 import pytest
 
-from normfam import kernels
-from normfam.forge import build_p, construct
+from normfam.forge import build_p, construct, u_jet
 
 
 @pytest.fixture(scope="session")
@@ -50,7 +49,7 @@ def node_conditions_at(n, z):
     arithmetic (Fraction, complex or mpmath). Expanding h = g e^p by
     Leibniz and dividing out e^p != 0, each condition is linear in the
     highest derivative of p with coefficient g' != 0: a triangular system."""
-    _, g1, g2, g3, g4 = kernels.u_jet(n, z, 4)
+    _, g1, g2, g3, g4 = u_jet(n, z, 4)
     p1 = -g2 / (2 * g1)
     p2 = -(g3 + 3 * g2 * p1 + 3 * g1 * p1**2) / (3 * g1)
     p3 = -(

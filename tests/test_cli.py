@@ -390,15 +390,30 @@ def test_grid_refuses_overflow(order_340, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{what} overflows binary64 at order 340" in err
         assert not out.exists()
-    # at n = 200 sphder is never +inf, only -inf (log 0) at a few points:
-    # those rows are dropped and the export succeeds
+    # at n = 200 sphder is finite everywhere, next to z = 0 too, where
+    # z^(n-1) underflows binary64 but (n-1) log|z| does not: no row dropped
     out = tmp_path / "sphder.csv"
     order_200 = _gated_record(tmp_path, 200)
     assert main(["grid", order_200, "--what", "sphder", "--region", "disk:2",
                  "--resolution", "100000", "--export", str(out)]) == 0
     lines = out.read_text(encoding="utf-8").splitlines()
-    assert 100_000 - 100 < len(lines) < 100_001
+    assert len(lines) == 100_001
     assert all(math.isfinite(float(line.split(",")[2])) for line in lines[1:])
+
+
+def test_grid_refuses_sphder_overflow(tmp_path, capsys):
+    # from n = 342 on 1 + u d1(u), about 3 |c3| |u|^3, overflows binary64
+    # on |z| = 2; n = 341 is finite there
+    for n, code in ((341, 0), (342, 1)):
+        out = tmp_path / f"sphder{n}.csv"
+        assert main(["grid", _gated_record(tmp_path, n), "--what", "sphder", "--region",
+                     "circle:2", "--resolution", "4096", "--export", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: ") and "sphder overflows binary64 at order 342" in err
+            assert not out.exists()
+        else:
+            assert len(out.read_text(encoding="utf-8").splitlines()) == 4097
 
 
 def test_csv_writer_removes_partial_file(tmp_path):

@@ -34,6 +34,7 @@ from normfam.forge import (
     h_jet,
     p_float,
     p_jet,
+    u_jet,
 )
 
 ZERO_P = (Fraction(0),) * 3
@@ -46,19 +47,19 @@ def sample_disk(rng, radius=2.0):
             return z
 
 
-# the jet of g = u = z^n - 1, kernels.u_jet
+# the jet of g = u = z^n - 1, forge.u_jet
 
 
 def test_g_jet_cubic_at_one():
-    assert kernels.u_jet(3, 1, 2) == [0, 3, 6]
+    assert u_jet(3, 1, 2) == [0, 3, 6]
 
 
 def test_g_jet_linear():
-    assert kernels.u_jet(1, 5, 2) == [4, 1, 0]
+    assert u_jet(1, 5, 2) == [4, 1, 0]
 
 
 def test_g_jet_square_at_minus_one():
-    assert kernels.u_jet(2, -1, 1) == [0, -2]
+    assert u_jet(2, -1, 1) == [0, -2]
 
 
 # the node conditions, solved directly in conftest: the exponent's oracle
@@ -549,7 +550,8 @@ def test_estimate_c_evaluates_only_arrays(monkeypatch):
     points = {
         "ratio_log": lambda n, c, s, zs: [zs],
         "_factored": lambda n, c, s, zs: [zs],
-        "p_from_u": lambda c, u: u,
+        "_up": lambda n, c, zs: [zs],
+        "_horner": lambda coeffs, u: [u],
     }
     seen = []
     for name, args_points in points.items():

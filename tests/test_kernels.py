@@ -27,7 +27,7 @@ def grid_points(rng, count, radius=2.0):
 @functools.lru_cache(maxsize=None)
 def exact_jets(n, p, module="mpmath"):
     """(p, p', p'') of the record's cubic as functions of z, from sympy's
-    expansion in powers of z: independent of the kernels' chain rule."""
+    expansion in powers of z: independent of forge's chain rule."""
     z = sympy.symbols("z")
     expr = sum(
         sympy.Rational(c.numerator, c.denominator) * (z**n - 1) ** k
@@ -145,30 +145,6 @@ def test_h_log_matches_plain_evaluation(family, rng):
         assert np.allclose(got, direct, rtol=1e-10, atol=1e-12)
 
 
-def test_short_jets_match_order_two_path(exponents, rng):
-    # h_log needs only p and sphder_log only p and p'; their shorter jets
-    # must round exactly as the full order-2 jet does, so the expected
-    # values below are the kernels' formulas on that jet. numpy reuses
-    # temporaries only in arrays above 256 KiB, so the sample is large
-    # enough for a differently written expression to round differently
-    log_a = 30.0
-    count = 1 << 15
-    zs = 2.0 * np.sqrt(rng.uniform(size=count)) * np.exp(
-        2j * math.pi * rng.uniform(size=count)
-    )
-    for n, p in exponents.items():
-        c = tuple(float(x) for x in p)
-        (g0, g1, _), (p0, p1, _) = kernels._jets(n, c, zs, 2)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            h_want = np.log(np.abs(g0)) + p0.real
-            b1 = g1 + g0 * p1
-            log_num = log_a + np.log(np.abs(b1)) + p0.real
-            t = 2.0 * (log_a + np.log(np.abs(g0)) + p0.real)
-            sph_want = log_num - np.logaddexp(0.0, t)
-        assert np.array_equal(kernels.h_log(n, c, zs), h_want)
-        assert np.array_equal(kernels.sphder_log(n, c, log_a, zs), sph_want)
-
-
 def test_kernels_independent_of_array_size(exponents, rng):
     # a point's value must not depend on the array it is evaluated in:
     # above 256 KiB numpy computes x * (temporary) in the temporary's
@@ -185,9 +161,6 @@ def test_kernels_independent_of_array_size(exponents, rng):
         "h_log": lambda n, c, s, z: kernels.h_log(n, c, z),
         "fk": lambda n, c, s, z: kernels.fk(n, c, s, log_a, z),
         "sphder_log": lambda n, c, s, z: kernels.sphder_log(n, c, log_a, z),
-        "p_jet": lambda n, c, s, z: np.stack(
-            kernels.p_from_u(c, kernels.u_jet(n, z, 4))
-        ),
     }
     for n, p in exponents.items():
         c, s = tuple(float(x) for x in p), p_float(build_s(n))
@@ -230,49 +203,66 @@ def test_fk_zero_where_numerator_vanishes():
 
 
 def _oracle_logs(n, z, log_a, bits=200):
-    """(log|h''/h^3|, log fk) at z from the mpmath jet of h at `bits` bits:
-    h'' there is the cancelling sum the kernels no longer form."""
+    """(log|h''/h^3|, log fk, sphder_log) at z from the mpmath jet of h at
+    `bits` bits: h' and h'' there are the chain-rule sums the kernels no
+    longer form."""
     with mpmath.workprec(bits):
-        h0, _, h2 = h_jet(n, build_p(n), mpmath.mpc(z), 2).values
-        l0, l2 = mpmath.log(abs(h0)), mpmath.log(abs(h2))
+        h0, h1, h2 = h_jet(n, build_p(n), mpmath.mpc(z), 2).values
+        l0, l1, l2 = (mpmath.log(abs(h)) for h in (h0, h1, h2))
         log_fk = log_a + l2 - mpmath.log1p(mpmath.exp(3 * (log_a + l0)))
-        return float(l2 - 3 * l0), float(log_fk)
+        log_sph = log_a + l1 - mpmath.log1p(mpmath.exp(2 * (log_a + l0)))
+        return float(l2 - 3 * l0), float(log_fk), float(log_sph)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_near_node_kernels_match_200_bit_oracle(n):
     # at 1e-3..1e-12 from the node z = 1, where h'' and h^3 both vanish to
-    # third order: ratio_log is exact there up to rounding, and fk's only
-    # error beyond it is the binary64 rounding of u = z^n - 1 (from u_jet,
-    # as every kernel forms it), which |u|^3 in |f''| triples
+    # third order: ratio_log is exact there up to rounding, and the only
+    # error of fk and sphder_log beyond it is the binary64 rounding of
+    # u = z^n - 1 (kernels._up, which every kernel shares), which |u|^3 in
+    # |f''| triples and |f|^2 in 1 + |f|^2 doubles
     c, s = p_float(build_p(n)), p_float(build_s(n))
     for d in 10.0 ** -np.arange(3, 13):
         zs = 1 + d * np.exp(1j * np.array([0.0, 1.0, 2.5, -2.0]))
         ratio = kernels.ratio_log(n, c, s, zs)
-        u = kernels.u_jet(n, zs, 2)[0]
+        u = kernels._up(n, c, zs)[1]
         for log_a in (0.0, 6.0, 60.0):
             fk = kernels.fk(n, c, s, log_a, zs)
-            for z, r, f, uf in zip(zs, ratio, fk, u):
-                want_r, want_fk = _oracle_logs(n, z, log_a)
+            sph = kernels.sphder_log(n, c, log_a, zs)
+            for z, r, f, sp, uf in zip(zs, ratio, fk, sph, u):
+                want_r, want_fk, want_sph = _oracle_logs(n, z, log_a)
                 assert abs(r - want_r) <= 1e-13, (n, d, z)
                 with mpmath.workprec(200):
                     zz = mpmath.mpc(z)
                     du = float(abs(uf - (zz**n - 1)) / abs(zz**n - 1))
-                tol = 1e-13 * max(1.0, log_a) + 3.01 * du
-                assert abs(math.log(f) - want_fk) <= tol, (n, d, z, log_a)
+                tol = 1e-13 * max(1.0, log_a)
+                assert abs(math.log(f) - want_fk) <= tol + 3.01 * du, (n, d, z, log_a)
+                assert abs(sp - want_sph) <= tol + 2.01 * du, (n, d, z, log_a)
+
 
 
 def test_kernels_at_the_origin():
     # h'' = n z^(n-2) u^3 S_n(u) e^p: 0 at z = 0 from n = 3 on and for n = 1
-    # (S_1 = 0), finite and nonzero at n = 2, which takes no log|z| term
+    # (S_1 = 0), finite and nonzero at n = 2, which takes no log|z| term;
+    # h' = n z^(n-1) (1 + u d1) e^p: 0 there from n = 2 on, nonzero at n = 1
     zero = np.zeros(1, dtype=complex)
     for n in (1, 2, 3):
         c, s = p_float(build_p(n)), p_float(build_s(n))
         ratio = kernels.ratio_log(n, c, s, zero)[0]
         fk = kernels.fk(n, c, s, 6.0, zero)[0]
+        sph = kernels.sphder_log(n, c, 6.0, zero)[0]
+        want_r, want_fk, want_sph = _oracle_logs(n, 0j, 6.0)
         if n == 2:
-            want_r, want_fk = _oracle_logs(n, 0j, 6.0)
             assert abs(ratio - want_r) <= 1e-14
             assert abs(math.log(fk) - want_fk) <= 1e-14
         else:
             assert ratio == -math.inf and fk == 0.0, n
+        if n == 1:
+            assert abs(sph - want_sph) <= 1e-14
+        else:
+            assert sph == -math.inf, n
+    # near it at n = 200, z^199 underflows binary64 at |z| = 0.02, while
+    # (n-1) log|z| keeps the log finite, about -773.37 at log a = 0
+    sph = kernels.sphder_log(200, p_float(build_p(200)), 0.0, np.array([0.02j]))[0]
+    want_sph = _oracle_logs(200, 0.02j, 0.0)[2]
+    assert abs(sph - want_sph) <= 1e-13 * abs(want_sph), (sph, want_sph)
