@@ -4,10 +4,11 @@ Everything the construction promises is checked here: the
 second-derivative inequality |f''| / (1 + |f|^3) <= 1 on the disk of
 radius 2, the triple vanishing of h'' at the interpolation nodes, the
 blow-up of the spherical derivative along the unit circle, the decay
-of f^(l) / f^(l+1) away from that circle, and boundedness of h''/h^3
-through an interior-versus-boundary maximum comparison.  Grid sweeps
-run through the log-space kernels, so magnitudes far beyond the double
-range are compared by exponent rather than by value.  f_n depends on z
+of f^(l) / f^(l+1) away from that circle, and the closed-form bound C_n
+on |h''/h^3|, sampled on |z| = 2 and carried inward by the maximum
+principle once the exact node residual is 0.  Grid sweeps run through
+the log-space kernels, so magnitudes far beyond the double range are
+compared by exponent rather than by value.  f_n depends on z
 only through z^n, so every check near the nodes runs at the node z = 1,
 which stands for all n of them: no check costs more as n grows.  There
 u = z^n - 1 = 0 and every derivative of u is an integer, so the node
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import kernels
 from .errors import CenterOffCircle, OrderTooLow, PointTooCloseToCircle
-from .forge import MINUS_INFINITY, distinct_angles, h_jet
+from .forge import MINUS_INFINITY, distinct_angles, h_jet, log_c_bound
 
 # fixed default so repeated runs produce identical reports; callers
 # (and the CLI) may override
@@ -106,8 +107,8 @@ class VerificationReport:
 
     passed means the op's own test holds, as its notes state:
     max_inequality within the op's slack of 1 for verify_inequality,
-    a node residual of exactly 0 for verify_node_jets, the interior max
-    within the boundary max for max_modulus_check.  node_residuals holds
+    a node residual of exactly 0 for verify_node_jets, the sampled max on
+    |z| = 2 within the bound C_n for max_modulus_check.  node_residuals holds
     the value at the node z = 1 where the op measures one, else nothing.
     """
 
@@ -164,11 +165,12 @@ def verify_inequality(F, samples=10000, tol=1e-12, seed=DEFAULT_SEED):
     expose a bad construction.  The kernel works on logs, takes |f''| in
     the factored form a n |z|^(n-2) |u|^3 |S_n(u)| e^(Re p), so the triple
     zero of h'' at a node is exact, and takes log(1 + |f|^3) as a
-    logaddexp, so |f| itself never overflows.  passed means the overall
-    max is <= 1 + tol.  A value of +inf or NaN means a term overflows
-    binary64 (S_n(u) near |z| = 2 from n = 340 on, z^n at n = 10^6) and
-    the sweep measures nothing: it then fails with max_inequality NaN at
-    the first such point.
+    logaddexp, so |f| itself never overflows.  worst_point is the argmax
+    of those logs, which stay finite where every value underflows to 0.0.
+    passed means the overall max is <= 1 + tol.  A value of +inf or NaN
+    means a term overflows binary64 (S_n(u) near |z| = 2 from n = 340 on,
+    z^n at n = 10^6) and the sweep measures nothing: it then fails with
+    max_inequality NaN at the first such point.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -182,10 +184,12 @@ def verify_inequality(F, samples=10000, tol=1e-12, seed=DEFAULT_SEED):
             np.ones(1, dtype=complex),
         ]
     )
-    vals = kernels.fk(F.n, F.p_float, F.s_float, F.log_a, zs)
+    logs = kernels.fk_log(F.n, F.p_float, F.s_float, F.log_a, zs)
+    with np.errstate(over="ignore"):
+        vals = np.exp(logs)
     bounded = vals < math.inf  # False at +inf and NaN
     overflow = not bounded.all()
-    i = int(np.argmin(bounded)) if overflow else int(np.argmax(vals))
+    i = int(np.argmin(bounded)) if overflow else int(np.argmax(logs))
     passed = not overflow and bool(vals[i] <= 1.0 + tol)
     notes = (
         f"{zs.size} points: {samples} uniform in disk(0,2), "
@@ -284,7 +288,7 @@ def lemma2_probe(Fs, points, orders):
         if abs(abs(z) - 1.0) < 0.1:
             raise PointTooCloseToCircle(f"{z} is within 0.1 of the unit circle")
         if abs(z) > 1.9:
-            raise PointTooCloseToCircle(f"{z} is within 0.1 of the circle |z| = 2")
+            raise PointTooCloseToCircle(f"{z} lies outside |z| <= 1.9")
     ns, meas = [], []
     bound_ok = True
     series = {(z, l): [] for z in pts for l in orders}
@@ -309,24 +313,18 @@ def lemma2_probe(Fs, points, orders):
 
 
 def max_modulus_check(F, resolution=512):
-    """Interior max of |h''/h^3| must not beat the |z| = 2 boundary max.
+    """Sampled max of |h''/h^3| on |z| = 2 against forge.log_c_bound(n).
 
-    h''/h^3 can only have poles at the nodes, and it has one at every
-    node exactly when the node residual of verify_node_jets is nonzero:
-    then the check fails at once with worst_point 1 and an infinite
-    max_inequality.  Otherwise p = build_p(n), the only cubic meeting the
-    node conditions, so kernels.ratio_log's factored form holds and is
-    finite at the nodes; the quotient is entire and attains its maximum
-    modulus on the boundary circle, so an interior value of a polar grid
-    (every point of it, the nodes' neighborhoods included) above the
-    boundary grid max (beyond relative 1e-6) flags an evaluation fault.
-    Both grids keep the resolution // (2 gcd(n, resolution)) + 1 of their
-    equispaced angles that lie in [0, pi/n] (distinct_angles; rotation and
-    reflection carry them onto the rest).  Comparison happens on the log
-    scale.
-    max_inequality reports the clamped quotient interior / (boundary * (1 + 1e-6)).
-    A log maximum of +inf or NaN means the grid overflows binary64 and
-    measures nothing: the check then fails with max_inequality NaN.
+    h''/h^3 has a pole at every node exactly when the node residual of
+    verify_node_jets is nonzero: the check then fails at once with
+    worst_point 1 and max_inequality inf.  Otherwise it is the entire
+    n z^(n-2) S_n(u) e^(-2p), whose modulus on |z| <= 2 peaks on |z| = 2
+    (maximum principle).  One kernels.ratio_log call samples that circle
+    at its resolution // (2 gcd(n, resolution)) + 1 distinct_angles, and
+    the check passes when the log max is at most log C_n.  max_inequality
+    is the clamped quotient (sampled max) / C_n, worst_point the argmax.
+    A log of +inf or NaN means the grid overflows binary64: the check
+    then fails with max_inequality NaN.
     """
     if resolution < 64:
         raise ValueError("resolution must be >= 64")
@@ -337,33 +335,20 @@ def max_modulus_check(F, resolution=512):
             f"at each of the {F.n} nodes"
         )
         return VerificationReport(False, math.inf, 1 + 0j, (), notes)
-    nr = max(8, resolution // 8)
-    radii = np.linspace(0.05, 1.98, nr)
-    th = distinct_angles(F.n, resolution)
-    inner = (radii[:, None] * np.exp(1j * th)[None, :]).ravel()
-    log_in = kernels.ratio_log(F.n, F.p_float, F.s_float, inner)
-    log_bd = kernels.ratio_log(F.n, F.p_float, F.s_float, 2.0 * np.exp(1j * th))
-    i = int(np.argmax(log_in))
-    li, worst = float(log_in[i]), complex(inner[i])
-    lb = float(np.max(log_bd))
-    slack = math.log1p(1e-6)
-    overflow = not (li < math.inf and lb < math.inf)  # +inf or NaN
-    if overflow:
-        passed, ratio = False, math.nan
-    elif li == MINUS_INFINITY and lb == MINUS_INFINITY:
-        passed, ratio, worst = True, 0.0, 0j
-    elif lb == MINUS_INFINITY:
-        passed, ratio = False, math.inf
-    else:
-        passed = li <= lb + slack
-        ratio = math.exp(min(li - lb - slack, 700.0))
+    zs = 2.0 * np.exp(1j * distinct_angles(F.n, resolution))
+    logs = kernels.ratio_log(F.n, F.p_float, F.s_float, zs)
+    i = int(np.argmax(logs))
+    lm, bound = float(logs[i]), log_c_bound(F.n)
+    gap = 0.0 if lm == bound else bound - lm  # 0 at n = 1, where both are -inf
+    overflow = not (lm < math.inf and bound < math.inf)  # +inf or NaN
+    passed = not overflow and gap >= 0
+    ratio = 0.0 if lm == MINUS_INFINITY else math.exp(min(-gap, 700.0))
     notes = (
-        f"node residual exactly 0; {th.size} of {resolution} angles, standing "
-        f"for all by rotation and reflection: interior {inner.size} polar points "
-        f"(radii <= 1.98, none excluded), "
-        f"boundary {th.size} points on |z|=2; "
-        f"log maxima {li:.6g} vs {lb:.6g}, relative slack 1e-6"
+        f"node residual exactly 0, so the maximum principle carries |z|=2 inward; "
+        f"{zs.size} of {resolution} angles on |z|=2, standing for all by rotation and "
+        f"reflection: log max {lm:.17g}, log C_n = {bound:.17g}, gap {gap:.6g}"
     )
     if overflow:
+        ratio = math.nan
         notes += "; a log maximum is not finite, so the grid overflows binary64"
-    return VerificationReport(passed, ratio, worst, (), notes)
+    return VerificationReport(passed, ratio, complex(zs[i]), (), notes)

@@ -128,6 +128,26 @@ def build_s(n):
     )
 
 
+def log_c_bound(n):
+    """A binary64 upper bound of log C_n, C_n = n 2^(n-2) S^(U) e^(2 P(U)),
+    U = 2^n + 1, P(x) = sum |c_k| x^k (build_p), S^(x) = sum |s_k| x^k
+    (build_s): |u| <= U on |z| <= 2, so C_n >= |h''/h^3| there. Summed at
+    80 bits from the exact rationals, rounded once, raised by 1e-12 of
+    itself; -inf at n = 1 (S_1 = 0); +inf from n = 343 on, where
+    2 P(U) > 2 |c3| 2^(3n) >= 2^(3n-4) leaves binary64, before 2^n is formed."""
+    if 3 * n - 4 >= 1024:
+        return math.inf
+    U = 2**n + 1
+    P = sum(abs(c) * U**k for k, c in enumerate(build_p(n), 1))
+    S = sum(abs(s) * U**k for k, s in enumerate(build_s(n)))
+    if not S:
+        return MINUS_INFINITY
+    with mpmath.workprec(80):
+        x, y = (mpmath.mpf(q.numerator) / q.denominator for q in (n * 2**n * S / 4, 2 * P))
+        b = float(mpmath.log(x) + y)
+    return b + 1e-12 * abs(b)
+
+
 def p_degree(n, p):
     """Degree in z of p = c1 u + c2 u^2 + c3 u^3: k n for the highest
     nonzero c_k, 0 for p = 0."""

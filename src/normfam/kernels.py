@@ -10,7 +10,7 @@ kernel rounds u alike. The derivatives of h = u e^p take no jet:
     h'' = n z^(n-2) u^3 S_n(u) e^p,
 
 with the float cubic s = (s0, s1, s2, s3) of forge.build_s, so ratio_log
-and fk carry the triple zero of h'' at every node exactly, and the power
+and fk_log carry the triple zero of h'' at every node exactly, and the power
 of z enters as k log|z|, which does not underflow near z = 0 at large n.
 Every kernel takes its points as its last argument, a 1-D numpy array,
 and a point's value is independent of the array it sits in. normfam
@@ -91,16 +91,22 @@ def h_log(n, c, zs):
         return np.log(np.abs(u)) + p.real
 
 
-def fk(n, c, s, log_a, zs):
-    """|f''| / (1 + |f|^3) pointwise, for any magnitude of f, from
-    |f''| = a n |z|^(n-2) |u|^3 |S_n(u)| e^(Re p): 0 where u rounds to 0,
-    as at the node z = 1."""
+def fk_log(n, c, s, log_a, zs):
+    """log of |f''| / (1 + |f|^3) pointwise, for any magnitude of f, from
+    |f''| = a n |z|^(n-2) |u|^3 |S_n(u)| e^(Re p): -inf where u rounds to
+    0, as at the node z = 1."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_r, u, p = _factored(n, c, s, zs)
         log_u = np.log(np.abs(u))
         log_num = log_a + log_r + 3.0 * log_u + p.real
         t = 3.0 * (log_a + log_u + p.real)
-        return np.exp(log_num - np.logaddexp(0.0, t))
+        return log_num - np.logaddexp(0.0, t)
+
+
+def fk(n, c, s, log_a, zs):
+    """|f''| / (1 + |f|^3) pointwise, exp of fk_log: 0.0 below binary64's range."""
+    with np.errstate(over="ignore"):
+        return np.exp(fk_log(n, c, s, log_a, zs))
 
 
 def sphder_log(n, c, log_a, zs):

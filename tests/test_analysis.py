@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -20,7 +21,7 @@ from normfam.analysis import (
     verify_inequality,
     verify_node_jets,
 )
-from normfam import kernels
+from normfam import analysis, kernels
 from normfam.errors import CenterOffCircle, OrderTooLow, PointTooCloseToCircle
 from normfam.forge import (
     MINUS_INFINITY,
@@ -136,6 +137,26 @@ def test_verify_inequality_family(family):
             rep.max_inequality <= 1.0 + 1e-12
             and all(v <= 1.0 + 1e-12 for v in rep.node_residuals)
         )
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_verify_inequality_worst_point_by_log(n, monkeypatch):
+    # at these orders every sampled value underflows to 0.0, so only the
+    # logs tell the worst point from the others
+    seen = []
+    fk_log = kernels.fk_log
+
+    def spy(*args):
+        seen.append((args[-1], fk_log(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(kernels, "fk_log", spy)
+    rep = verify_inequality(construct(n, ConstructionConfig(precision=128)))
+    ((zs, logs),) = seen
+    assert rep.passed and rep.max_inequality == 0.0
+    i = int(np.argmax(logs))
+    assert logs[i] > MINUS_INFINITY
+    assert rep.worst_point == zs[i] != zs[0]
 
 
 def test_verify_inequality_trivial_member(family):
@@ -312,6 +333,8 @@ def test_lemma2_validation(family):
         lemma2_probe([F], [1.05], [2])
     with pytest.raises(PointTooCloseToCircle):
         lemma2_probe([F], [1.95], [2])
+    with pytest.raises(PointTooCloseToCircle, match=r"lies outside \|z\| <= 1.9"):
+        lemma2_probe([F], [5], [2])
     with pytest.raises(ValueError):
         lemma2_probe([F], [0.0], [3])
     with pytest.raises(ValueError):
@@ -374,33 +397,54 @@ def test_max_modulus_mutation(exponents):
         assert rep.worst_point == 1
 
 
+def test_max_modulus_fails_on_shifted_kernel(exponents, monkeypatch):
+    # a kernel off by a uniform factor above the gap to C_n must fail; an
+    # interior-versus-boundary comparison could not see it
+    ratio_log = kernels.ratio_log
+    for n in range(2, 13):
+        F = CounterexampleFunction(n, exponents[n], 2 * n, 0, 1)
+        rep = max_modulus_check(F, 512)
+        logs = re.search(r"log max (\S+), log C_n = (\S+),", rep.notes).groups()
+        lm, bound = map(float, logs)
+        gap = bound - lm
+        assert rep.passed and gap > 0, n
+        monkeypatch.setattr(
+            kernels, "ratio_log", lambda *a, _g=gap: ratio_log(*a) + (_g + 1.0)
+        )
+        bad = max_modulus_check(F, 512)
+        monkeypatch.setattr(kernels, "ratio_log", ratio_log)
+        assert not bad.passed and bad.max_inequality > 1.0, n
+        assert abs(abs(bad.worst_point) - 2.0) <= 1e-15
+    # an infinite bound bounds nothing, so the check cannot pass on it
+    monkeypatch.setattr(analysis, "log_c_bound", lambda n: math.inf)
+    rep = max_modulus_check(F, 512)
+    assert not rep.passed and math.isnan(rep.max_inequality)
+
+
 def test_max_modulus_matches_full_grid(exponents, monkeypatch):
-    # the log maxima of the half-sector grids against those over all 512
-    # angles, which rotation and reflection reduce to them
+    # the log max of the half-sector boundary grid against the one over all
+    # 512 angles, which rotation and reflection reduce to it
     seen = []
     ratio_log = kernels.ratio_log
 
     def spy(n, c, s, zs):
+        assert np.all(np.abs(np.abs(zs) - 2.0) <= 1e-15)  # no interior point
         out = ratio_log(n, c, s, zs)
         seen.append(float(np.max(out)))
         return out
 
     monkeypatch.setattr(kernels, "ratio_log", spy)
     th = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
-    radii = np.linspace(0.05, 1.98, 64)
     for n, p in exponents.items():
         F = CounterexampleFunction(n, p, 2 * n, 0, 1)
         seen.clear()
         assert max_modulus_check(F, 512).passed, n
-        inner = (radii[:, None] * np.exp(1j * th)[None, :]).ravel()
-        full = [
-            ratio_log(n, F.p_float, F.s_float, zs) for zs in (inner, 2.0 * np.exp(1j * th))
-        ]
-        for got, want in zip(seen, (float(np.max(v)) for v in full)):
-            if want == MINUS_INFINITY:
-                assert got == want, n
-            else:
-                assert abs(got - want) <= 1e-14 * abs(want), n
+        want = float(np.max(ratio_log(n, F.p_float, F.s_float, 2.0 * np.exp(1j * th))))
+        (got,) = seen
+        if want == MINUS_INFINITY:
+            assert got == want, n
+        else:
+            assert abs(got - want) <= 1e-14 * abs(want), n
 
 
 def test_max_modulus_fails_on_overflowed_grid():

@@ -1,6 +1,7 @@
 """Node conditions, exponent polynomial, scaling, and jet evaluation."""
 
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -32,6 +33,7 @@ from normfam.forge import (
     exp_jet,
     f_jet,
     h_jet,
+    log_c_bound,
     p_float,
     p_jet,
     u_jet,
@@ -539,9 +541,8 @@ def test_scans_evaluate_one_sector(family, monkeypatch):
         for res in (64, 512):
             seen.clear()
             analysis.max_modulus_check(F, res)
-            inner, boundary = seen
-            assert boundary == res // (2 * math.gcd(n, res)) + 1, (n, res)
-            assert 0 < inner <= max(8, res // 8) * boundary
+            # one call, on the boundary circle only
+            assert seen == [res // (2 * math.gcd(n, res)) + 1], (n, res)
 
 
 def test_estimate_c_evaluates_only_arrays(monkeypatch):
@@ -597,6 +598,38 @@ def test_estimate_c_dominates_interior_samples(family):
             z = sample_disk(rng)
             assert kernels.ratio_log(n, F.p_float, F.s_float, z) <= bound
             count += 1
+
+
+@pytest.mark.parametrize("n", list(range(1, 13)) + [200, 339])
+def test_log_c_bound_dominates_boundary_scan(n):
+    # 32 times max_modulus_check's default angles on |z| = 2, where the
+    # entire h''/h^3 attains its max modulus; n = 1 gives -inf on both sides
+    theta = distinct_angles(n, 32 * 512 * n)
+    c, sc = p_float(build_p(n)), p_float(build_s(n))
+    logs = kernels.ratio_log(n, c, sc, 2.0 * np.exp(1j * theta))
+    assert float(np.max(logs)) <= log_c_bound(n)
+
+
+def test_log_c_bound_against_c_hat():
+    # C_n loses a factor up to 2 in the log at n = 2 and tightens with n,
+    # against the refined boundary scan c_hat of the built records
+    want = {2: 2.00, 3: 1.385, 4: 1.172, 6: 1.0384, 8: 1.0093, 12: 1.00057}
+    for n, ratio in want.items():
+        F = construct(n, ConstructionConfig(precision=128 if n >= 7 else 53))
+        assert abs(log_c_bound(n) / F.log_c - ratio) <= 1e-3, n
+
+
+def test_log_c_bound_past_binary64():
+    # 2 P(U) is about 2^(3n-2): log C_342 is the last finite one, and from
+    # n = 343 on the bound is +inf before 2^n is formed, so a huge n is instant
+    assert log_c_bound(1) == MINUS_INFINITY  # S_1 = 0
+    assert 1.79e308 < log_c_bound(342) < math.inf
+    for n in (343, 10**6):
+        start = time.perf_counter()
+        assert log_c_bound(n) == math.inf
+        assert time.perf_counter() - start < 0.01, n
+    with pytest.raises(ValueError):
+        log_c_bound(0)
 
 
 def test_estimate_m_order_one():
