@@ -6,9 +6,11 @@ radius 2, the triple vanishing of h'' at the interpolation nodes, the
 blow-up of the spherical derivative along the unit circle, the decay
 of f^(l) / f^(l+1) away from that circle, and the closed-form bound C_n
 on |h''/h^3|, sampled on |z| = 2 and carried inward by the maximum
-principle once the exact node residual is 0.  Grid sweeps run through
-the log-space kernels, so magnitudes far beyond the double range are
-compared by exponent rather than by value.  f_n depends on z
+principle once the exact node residual is 0.  Sampled points are
+placed uniformly by area from uniform_draws, a SplitMix64 stream
+computed from (seed, index), so a seed fixes them on every machine.
+Grid sweeps run through the log-space kernels, so magnitudes far beyond
+the double range are compared by exponent rather than by value.  f_n depends on z
 only through z^n, so every check near the nodes runs at the node z = 1,
 which stands for all n of them: no check costs more as n grows.  There
 u = z^n - 1 = 0 and every derivative of u is an integer, so the node
@@ -36,13 +38,62 @@ _NEAR_NODE_COUNT = 1000
 _NEAR_NODE_RADIUS = 1e-2
 
 
+# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the golden gamma that
+# advances the state and the multipliers of its finalizer
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def check_seed(seed):
+    """seed as an int; ValueError unless it is an integer in [0, 2^64)."""
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
+        raise ValueError(f"--seed must be an integer in 0..2^64-1, not {seed!r}")
+    return int(seed)
+
+
+def uniform_draws(seed, start, count):
+    """Draws start .. start+count-1 of the seed's SplitMix64 stream, as
+    floats in [0, 1) with 53 random bits.
+
+    Draw i is the finalizer of the state seed + (i+1) gamma mod 2^64, the
+    (i+1)-th output of a SplitMix64 generator seeded with `seed`, so any
+    stretch of the stream is computed directly from its indices and no
+    generator state is advanced.
+    """
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= _GAMMA  # uint64 arrays wrap mod 2^64 without a warning
+    z += np.uint64(check_seed(seed))
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    return z * 2.0**-53
+
+
+def _by_area(seed, start, stride, count, radii, center=0j):
+    # `count` points uniform by area in the disk |z - center| < radii[0],
+    # or in the annulus radii[0] <= |z - center| < radii[1]: the radius from
+    # draws start.., the angle from draws start + stride..
+    u = uniform_draws(seed, start, count)
+    if len(radii) == 1:
+        r = radii[0] * np.sqrt(u)
+    else:
+        r1, r2 = radii
+        r = np.sqrt(r1 * r1 + u * (r2 * r2 - r1 * r1))
+    return center + r * np.exp(2j * np.pi * uniform_draws(seed, start + stride, count))
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Where to sample.
 
-    disk(r) and annulus(r1, r2) draw seeded uniform-by-area points, so
-    resolution is the point count; circle(r) is equispaced in angle and
-    ignores the seed.
+    disk(r) and annulus(r1, r2) place `resolution` points uniformly by
+    area, from the draws of uniform_draws(seed, ...): point i takes its
+    radius from draw i and its angle from draw resolution + i.  circle(r)
+    is equispaced in angle and ignores the seed.
     """
 
     region: str
@@ -62,43 +113,26 @@ class GridSpec:
             raise ValueError("annulus radii must increase")
         if self.resolution < 1:
             raise ValueError("resolution must be >= 1")
+        check_seed(self.seed)
 
     def points(self):
-        """Complex sample points as one flat array."""
-        if self.region == "circle":
-            k = np.arange(self.resolution)
-            return self.radii[0] * np.exp(2j * np.pi * k / self.resolution)
-        rng = np.random.default_rng(self.seed)
-        u = rng.random(self.resolution)
-        return self._place(u, 2.0 * np.pi * rng.random(self.resolution))
+        """Complex sample points as one flat array: the single chunk of
+        all of them."""
+        return next(self.chunks(self.resolution))
 
     def chunks(self, size):
-        """points() as consecutive arrays of at most `size` points, equal to
-        it bit for bit. circle slices the angle index; disk and annulus
-        draw u from one generator and theta from a second one advanced past
-        the resolution draws of u, which points() takes first."""
+        """The points as consecutive arrays of at most `size` points. A
+        point depends only on its index, so the chunks concatenate to
+        points() bit for bit whatever the size."""
         if size < 1:
             raise ValueError("chunk size must be >= 1")
         N = self.resolution
-        if self.region != "circle":
-            ru, rt = np.random.default_rng(self.seed), np.random.default_rng(self.seed)
-            rt.bit_generator.advance(N)
         for i in range(0, N, size):
             m = min(size, N - i)
             if self.region == "circle":
-                k = np.arange(i, i + m)
-                yield self.radii[0] * np.exp(2j * np.pi * k / N)
+                yield self.radii[0] * np.exp(2j * np.pi * np.arange(i, i + m) / N)
             else:
-                yield self._place(ru.random(m), 2.0 * np.pi * rt.random(m))
-
-    def _place(self, u, th):
-        # uniform draws u and angles th to points, uniform by area
-        if self.region == "disk":
-            r = self.radii[0] * np.sqrt(u)
-        else:
-            r1, r2 = self.radii
-            r = np.sqrt(r1 * r1 + u * (r2 * r2 - r1 * r1))
-        return r * np.exp(1j * th)
+                yield _by_area(self.seed, i, N, m, self.radii)
 
 
 @dataclass(frozen=True)
@@ -148,21 +182,15 @@ def spherical_derivative(jet):
     return abs(jet[1]) / (1 + abs(jet[0]) ** 2)
 
 
-def _disk_points(rng, count, radius, center=0j):
-    # uniform by area
-    r = radius * np.sqrt(rng.random(count))
-    th = 2.0 * np.pi * rng.random(count)
-    return center + r * np.exp(1j * th)
-
-
 def verify_inequality(F, samples=10000, tol=1e-12, seed=DEFAULT_SEED):
     """Sweep |f''| / (1 + |f|^3) over the disk of radius 2.
 
-    The grid is `samples` uniform points plus a dense cluster within
-    1e-2 of the node z = 1 plus that node itself, which stand for all n
-    nodes by rotation invariance; the node cluster is where numerator
-    and denominator both nearly vanish, the regime most likely to
-    expose a bad construction.  The kernel works on logs, takes |f''| in
+    The grid is `samples` points uniform by area, from draws
+    0 .. 2 samples - 1 of uniform_draws(seed, ...), plus a dense cluster
+    within 1e-2 of the node z = 1, from the next 2000 draws, plus that
+    node itself, which stand for all n nodes by rotation invariance;
+    the node cluster is where numerator and denominator both nearly
+    vanish, the regime most likely to expose a bad construction.  The kernel works on logs, takes |f''| in
     the factored form a n |z|^(n-2) |u|^3 |S_n(u)| e^(Re p), so the triple
     zero of h'' at a node is exact, and takes log(1 + |f|^3) as a
     logaddexp, so |f| itself never overflows.  worst_point is the argmax
@@ -176,11 +204,11 @@ def verify_inequality(F, samples=10000, tol=1e-12, seed=DEFAULT_SEED):
         raise ValueError("samples must be >= 1")
     if not 0 <= tol < math.inf:  # NaN fails too
         raise ValueError("tol must be finite and >= 0")
-    rng = np.random.default_rng(seed)
     zs = np.concatenate(
         [
-            _disk_points(rng, samples, 2.0),
-            _disk_points(rng, _NEAR_NODE_COUNT, _NEAR_NODE_RADIUS, 1.0),
+            _by_area(seed, 0, samples, samples, (2.0,)),
+            _by_area(seed, 2 * samples, _NEAR_NODE_COUNT, _NEAR_NODE_COUNT,
+                     (_NEAR_NODE_RADIUS,), 1.0),
             np.ones(1, dtype=complex),
         ]
     )
@@ -225,9 +253,10 @@ def verify_node_jets(F):
 def marty_probe(Fs, center, radius, samples=2048, seed=DEFAULT_SEED):
     """Max spherical derivative near one boundary point, per function.
 
-    The grid is seeded-uniform in the disk around `center` plus the
-    center itself, drawn once and shared by every function, so that no
-    measurement depends on the other functions; each is exp of the
+    The grid is `samples` points uniform by area in the disk around
+    `center`, from draws 0 .. 2 samples - 1 of uniform_draws(seed, ...),
+    plus the center itself, drawn once and shared by every function, so
+    that no measurement depends on the other functions; each is exp of the
     largest float log of f^# on the grid.  Radius 0 degenerates to the
     single point {center}.  The node nearest the center, e^{2 pi i k/n}
     with k = round(n t / 2 pi), t = arg(center), joins the grid when it
@@ -246,7 +275,7 @@ def marty_probe(Fs, center, radius, samples=2048, seed=DEFAULT_SEED):
         raise CenterOffCircle(f"|{c}| = {abs(c):.8f} is not 1 within 1e-6")
     if not 0 <= radius < math.inf:  # NaN fails too
         raise ValueError("radius must be finite and >= 0")
-    zs = np.append(_disk_points(np.random.default_rng(seed), samples, radius, c), c)
+    zs = np.append(_by_area(seed, 0, samples, samples, (radius,), c), c)
     arg = cmath.phase(c)
     ns, meas, floored = [], [], []
     for F in Fs:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from normfam.analysis import (
+    DEFAULT_SEED,
     GridSpec,
     ProbeResult,
     fk_value,
@@ -18,6 +19,7 @@ from normfam.analysis import (
     marty_probe,
     max_modulus_check,
     spherical_derivative,
+    uniform_draws,
     verify_inequality,
     verify_node_jets,
 )
@@ -79,6 +81,11 @@ def test_large_scale_asymptotics():
         assert abs(spherical_derivative(jet) - want) <= 1e-3 * want
 
 
+# outside [0, 2^64) or no integer; 2^64 would wrap to the seed 0 in the
+# stream's uint64 arithmetic
+BAD_SEEDS = (-1, 2**64, 1.5, "7", None)
+
+
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec("square", (1.0,), 10)
@@ -90,6 +97,46 @@ def test_grid_spec_validation():
         GridSpec("disk", (1.0,), 0)
     with pytest.raises(ValueError):
         GridSpec("annulus", (2.0, 1.0), 10)
+    for seed in BAD_SEEDS:
+        with pytest.raises(ValueError, match="--seed must be an integer"):
+            GridSpec("disk", (1.0,), 10, seed=seed)
+
+
+def splitmix64(seed, start):
+    """The SplitMix64 generator as published, on Python ints mod 2^64,
+    started at output `start`: yields its 64-bit outputs."""
+    state = (seed + start * 0x9E3779B97F4A7C15) % 2**64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        yield z ^ (z >> 31)
+
+
+@pytest.mark.parametrize("seed", [0, 1729, 2**64 - 1])
+@pytest.mark.parametrize("start", [0, 2**32 - 3])
+def test_uniform_draws_match_splitmix64(seed, start):
+    # draw i is output i of the generator, its top 53 bits times 2^-53;
+    # the stretch from 2^32 - 3 crosses 2^32 in the uint64 counter
+    ref = splitmix64(seed, start)
+    want = [next(ref) >> 11 for _ in range(40)]
+    got = uniform_draws(seed, start, 40)
+    assert got.dtype == np.float64
+    assert [int(v) for v in got * 2.0**53] == want
+    # a stretch starts where the one before it ends
+    tail = uniform_draws(seed, start + 15, 25)
+    assert tail.view(np.uint64).tolist() == got[15:].view(np.uint64).tolist()
+
+
+def test_uniform_draws_reference_value_and_range():
+    # the first output of SplitMix64 seeded with 0, as published
+    assert next(splitmix64(0, 0)) == 0xE220A8397B1DCDAF
+    u = uniform_draws(DEFAULT_SEED, 0, 100_000)
+    assert np.all((u >= 0.0) & (u < 1.0))
+    # mean 1/2 and variance 1/12, each to about 4 standard errors
+    assert abs(u.mean() - 0.5) < 4e-3 and abs(u.var() - 1 / 12) < 2e-3
+    assert uniform_draws(DEFAULT_SEED, 7, 0).size == 0
 
 
 def test_grid_spec_points():
@@ -103,17 +150,24 @@ def test_grid_spec_points():
     assert np.array_equal(disk, again)
     ann = GridSpec("annulus", (1.2, 1.8), 300).points()
     assert np.all((np.abs(ann) >= 1.2) & (np.abs(ann) <= 1.8))
+    # point i: radius from draw i, angle from draw 500 + i, uniform by area
+    u = uniform_draws(5, 0, 1000)
+    assert np.allclose(np.abs(disk), 2.0 * np.sqrt(u[:500]), rtol=1e-14, atol=0)
+    assert np.allclose(disk, 2.0 * np.sqrt(u[:500]) * np.exp(2j * np.pi * u[500:]), rtol=1e-14)
+    assert not np.array_equal(disk, GridSpec("disk", (2.0,), 500, seed=6).points())
 
 
 @pytest.mark.parametrize(
     "region, radii", [("disk", (2.0,)), ("annulus", (1.2, 1.8)), ("circle", (1.5,))]
 )
 def test_grid_spec_chunks_concatenate_to_points(region, radii):
-    # 50 points is no multiple of 7; chunks of 49, 50 and 55 cover the
-    # one-short, exact and oversized last chunk
-    spec = GridSpec(region, radii, 50, seed=11)
+    # 8197 points is no multiple of 7; chunks of 8192 (CSV_CHUNK), 8197
+    # and 8200 cover the short, exact and oversized last chunk
+    N = 8197
+    spec = GridSpec(region, radii, N, seed=11)
     whole = spec.points()
-    for size in (1, 7, 49, 50, 55):
+    assert whole.shape == (N,)
+    for size in (1, 7, 8192, N, N + 3):
         parts = list(spec.chunks(size))
         assert [p.size for p in parts[:-1]] == [size] * (len(parts) - 1)
         assert 1 <= parts[-1].size <= size
@@ -184,6 +238,9 @@ def test_verify_inequality_validation(family):
     for tol in (math.nan, -1e-12, math.inf):
         with pytest.raises(ValueError, match="tol must be finite and >= 0"):
             verify_inequality(family[2], 10, tol)
+    for seed in BAD_SEEDS:
+        with pytest.raises(ValueError, match="--seed must be an integer"):
+            verify_inequality(family[2], 10, seed=seed)
 
 
 def test_verify_node_jets_family(family):
@@ -230,6 +287,9 @@ def test_marty_validation(family):
         marty_probe([family[2]], 0.5 + 0j, 0.1)
     with pytest.raises(ValueError):
         marty_probe([family[2]], 1 + 0j, -0.1)
+    for seed in BAD_SEEDS:
+        with pytest.raises(ValueError, match="--seed must be an integer"):
+            marty_probe([family[2]], 1 + 0j, 0.1, seed=seed)
 
 
 def test_marty_trivial_member(family):

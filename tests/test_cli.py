@@ -181,6 +181,23 @@ def test_verify_bad_options_exit_two(files, capsys, option, msg):
     assert (out, err) == ("", f"error: {msg}\n")
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", ["verify", "marty", "grid"])
+def test_bad_seed_exits_two(files, tmp_path, capsys, command, seed):
+    # every sampling command refuses a seed outside [0, 2^64) before it
+    # draws, and the export leaves no file
+    out = tmp_path / "g.csv"
+    argv = {
+        "verify": ["verify", files[2]],
+        "marty": ["probe", "marty", files[2]],
+        "grid": ["grid", files[2], "--what", "fk", "--region", "disk:2",
+                 "--resolution", "10", "--export", str(out)],
+    }[command]
+    assert main(argv + ["--seed", seed]) == 2
+    assert capsys.readouterr() == ("", f"error: --seed must be an integer in 0..2^64-1, not {seed}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -599,6 +616,34 @@ def test_usage_errors_exit_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_sampling_imports_no_numpy_random(files, tmp_path):
+    # the seeded samples come from analysis.uniform_draws: verify, probe
+    # marty and grid load neither numpy.random nor, through secrets and
+    # hashlib, OpenSSL's libcrypto, beyond what `import numpy` loads itself.
+    # numpy 2 loads numpy.random lazily, so there none of the three may
+    # appear; numpy 1.x imports it with numpy, and the check is vacuous
+    code = f"""
+import json, sys
+import numpy
+watched = ("numpy.random", "secrets", "_hashlib")
+eager = [m for m in watched if m in sys.modules]
+from normfam.cli import main
+f = {files[2]!r}
+codes = [
+    main(["verify", f, "--samples", "100"]),
+    main(["probe", "marty", f]),
+    main(["grid", f, "--what", "fk", "--region", "disk:2", "--resolution", "100",
+          "--export", {str(tmp_path / "g.csv")!r}]),
+]
+print(json.dumps([codes, eager, [m for m in watched if m in sys.modules]]))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, eager, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert loaded == eager
 
 
 def test_console_entry_point(tmp_path):
