@@ -304,8 +304,9 @@ def lemma2_probe(Fs, points, orders):
     radius 1.9, where the family is zero-free and the quotient is
     meaningful.  Measurements are laid out row-major over (function,
     point, order) and kept in arbitrary precision; for order 2 each one
-    must fall below 1/n, for order 1 the per-point series must end
-    below its start and below 0.1 for the verdict to be "decay".
+    must fall below 1/n, for order 1 each per-point series, taken in
+    increasing n whatever the order of Fs, must end below its start and
+    below 0.1 for the verdict to be "decay".
     """
     orders = tuple(orders)
     if not orders or any(l not in (1, 2) for l in orders):
@@ -320,7 +321,7 @@ def lemma2_probe(Fs, points, orders):
             raise PointTooCloseToCircle(f"{z} lies outside |z| <= 1.9")
     ns, meas = [], []
     bound_ok = True
-    series = {(z, l): [] for z in pts for l in orders}
+    series = {z: [] for z in pts if 1 in orders}  # order 1, as (n, m) pairs
     for F in Fs:
         with mpmath.workprec(F.precision):
             for z in pts:
@@ -329,14 +330,12 @@ def lemma2_probe(Fs, points, orders):
                     m = abs(hj[l]) / (abs(hj[0]) ** (l + 1) * F.a**l)
                     ns.append(F.n)
                     meas.append(m)
-                    series[(z, l)].append(m)
-                    if l == 2 and not m <= mpmath.mpf(1) / F.n:
+                    if l == 1:
+                        series[z].append((F.n, m))
+                    elif not m <= mpmath.mpf(1) / F.n:
                         bound_ok = False
-    trend_ok = all(
-        s[-1] <= s[0] and s[-1] <= mpmath.mpf("0.1")
-        for (z, l), s in series.items()
-        if l == 1
-    )
+    by_n = [[m for _, m in sorted(s, key=lambda t: t[0])] for s in series.values()]
+    trend_ok = all(s[-1] <= s[0] and s[-1] <= mpmath.mpf("0.1") for s in by_n)
     verdict = "decay" if (bound_ok and trend_ok) else "inconclusive"
     return ProbeResult(tuple(ns), tuple(meas), verdict)
 
@@ -349,7 +348,8 @@ def max_modulus_check(F, resolution=512):
     worst_point 1 and max_inequality inf.  Otherwise it is the entire
     n z^(n-2) S_n(u) e^(-2p), whose modulus on |z| <= 2 peaks on |z| = 2
     (maximum principle).  One kernels.ratio_log call samples that circle
-    at its resolution // (2 gcd(n, resolution)) + 1 distinct_angles, and
+    at resolution // 2 + 1 distinct_angles, which stand for its
+    resolution * n equispaced angles, the resolution angles of w = z^n, and
     the check passes when the log max is at most log C_n.  max_inequality
     is the clamped quotient (sampled max) / C_n, worst_point the argmax.
     A log of +inf or NaN means the grid overflows binary64: the check

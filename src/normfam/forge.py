@@ -24,13 +24,15 @@ c_n and a_n explode with n (log a_6 is around 2.7e4), so the three
 magnitude fields of a constructed record are mpmath reals with unbounded
 exponent, and every scan, the refinement of c_hat included, evaluates
 logarithms in double precision on arrays, through the kernels module.
-The scalar jets run the chain rule through the jets of u and p (u_jet,
-p_from_u), exactly at a Fraction point and in mpmath.mpc at the working
-precision elsewhere; the array kernels take closed forms instead. At
-z = 1, u = 0 and every derivative of u is an integer, so a record's
-node_residual decides the node conditions in rational arithmetic. A
-record's precision sets only the digits its magnitudes are stored with
-and the mpmath precision of f_jet and of the probes.
+The scalar jets, of any order, are Taylor series in w = z^n: the cubic p
+shifted exactly about u, e^p by a three-term recurrence, both composed
+with (z + t)^n - z^n by Horner's rule, exactly at a Fraction point and in
+mpmath.mpc at the working precision elsewhere; the array kernels take
+closed forms instead. At z = 1, u = 0 and the coefficients C(n, j) of
+(1 + t)^n - 1 are integers, so a record's node_residual decides the node
+conditions in rational arithmetic. A record's precision sets only the
+digits its magnitudes are stored with and the mpmath precision of f_jet
+and of the probes.
 """
 
 import math
@@ -160,92 +162,75 @@ def p_float(p):
     return tuple(float(c) for c in p)
 
 
-def u_jet(n, z, J):
-    """[u, u', ..., u^(J)] of u = z^n - 1 at a scalar z:
-    u^(k) = n!/(n-k)! z^(n-k), 0 for k > n."""
-    return [z**n - 1] + [math.perm(n, k) * z ** (n - k) if k <= n else 0 for k in range(1, J + 1)]
-
-
-def p_from_u(c, u):
-    """[p, p', ..., p^(J)] of p = c1 u + c2 u^2 + c3 u^3 from the jet u of
-    u = z^n - 1, J = len(u) - 1 <= 4, by Faa di Bruno's formula with
-    d_k = d^k p / du^k (d_4 = 0)."""
-    c1, c2, c3 = c
-    u0, J = u[0], len(u) - 1
-    p = [u0 * (c1 + u0 * (c2 + c3 * u0))]
-    if J >= 1:
-        d1 = c1 + u0 * (2 * c2 + 3 * c3 * u0)
-        p.append(d1 * u[1])
-    if J >= 2:
-        d2 = 2 * c2 + 6 * c3 * u0
-        u11 = u[1] * u[1]
-        p.append(d2 * u11 + d1 * u[2])
-    if J >= 3:
-        d3 = 6 * c3
-        p.append(d3 * (u11 * u[1]) + 3 * (d2 * (u[1] * u[2])) + d1 * u[3])
-    if J >= 4:
-        q = 3 * (u[2] * u[2]) + 4 * (u[1] * u[3])
-        p.append(6 * d3 * (u11 * u[2]) + d2 * q + d1 * u[4])
-    return p
-
-
-def _gp_jets(n, p, z, J):
-    # the jets of g = u = z^n - 1 and of p, up to order J <= 4, at z: exact
-    # at a Fraction z, else z and the c_k in mpmath at the working precision
-    if not 0 <= J <= 4:
-        raise ValueError("J must be in 0..4")
+def _w_series(n, p, z, J):
+    # u = z^n - 1, the Taylor shift (P0, P1, P2, P3) of the cubic p about u,
+    # and s = [0, s_1, ..., s_r], s_j = C(n, j) z^(n-j), r = min(n, J), the
+    # coefficients of s(t) = (z + t)^n - z^n: exact at a Fraction z, else z
+    # and the c_k in mpmath at the working precision
+    if J < 0:
+        raise ValueError("jet order must be >= 0")
     if not isinstance(z, Fraction):
         z = mpmath.mpc(z)
         p = tuple(mpmath.mpf(c.numerator) / c.denominator for c in p)
-    u = u_jet(n, z, J)
-    return u, p_from_u(p, u)
+    r = min(n, J)
+    s, zk = [0] * (r + 1), z ** (n - r)
+    for j in range(r, 0, -1):
+        s[j] = math.comb(n, j) * zk
+        zk *= z
+    u = zk - 1
+    c1, c2, c3 = p
+    P = (u * (c1 + u * (c2 + c3 * u)), c1 + u * (2 * c2 + 3 * c3 * u), c2 + 3 * c3 * u, c3)
+    return u, P, s
+
+
+def _compose(f, s, J):
+    # the jet, orders 0..J, of sum_k f[k] s(t)^k at t = 0, by Horner's rule
+    # in s; s(0) = 0, so the partial sum that s^k multiplies is needed only
+    # to order J - k
+    f = (list(f) + [0] * J)[: J + 1]
+    g = [f[J]]
+    for k in range(J - 1, -1, -1):
+        g = [f[k]] + [
+            sum(s[j] * g[m - j] for j in range(1, min(m, len(s) - 1) + 1))
+            for m in range(1, J - k + 1)
+        ]
+    return Jet(J, tuple(math.factorial(m) * v for m, v in enumerate(g)))
 
 
 def p_jet(n, p, z, J):
-    """Jet of p at z, orders J <= 4, by the chain rule through the jet of
-    u = z^n - 1; exact at a Fraction z, mpmath.mpc elsewhere."""
-    return Jet(J, tuple(_gp_jets(n, p, z, J)[1]))
-
-
-def exp_jet(p_jet):
-    """Jet of e^p from the jet of p, by the derivative recursion
-    E_j = sum_i binom(j-1, i) p^(j-i) E_i, from E_0 = 1 where p is exactly 0
-    (so a jet of Fractions stays exact) and from mpmath.exp(p) elsewhere."""
-    v0 = p_jet.values[0]
-    E = [1 if v0 == 0 else mpmath.exp(v0)]
-    for j in range(1, p_jet.order + 1):
-        E.append(
-            sum(math.comb(j - 1, i) * p_jet.values[j - i] * E[i] for i in range(j))
-        )
-    return Jet(p_jet.order, tuple(E))
+    """Jet of p at z, any order J >= 0: the shifted cubic P(s) = p(u + s)
+    composed with s(t) = (z + t)^n - z^n; exact at a Fraction z,
+    mpmath.mpc elsewhere."""
+    _, P, s = _w_series(n, p, z, J)
+    return _compose(P, s, J)
 
 
 def h_jet(n, p, z, J):
-    """Jet of h = g e^p by the Leibniz rule h^(m) = sum binom(m,j) g^(m-j) E_j,
-    orders J <= 4, in the arithmetic of p_jet. At z = Fraction(1) every
-    value is an exact Fraction (there u = 0, so p = 0 and e^p = 1)."""
-    g, pj = _gp_jets(n, p, z, J)
-    E = exp_jet(Jet(J, tuple(pj)))
-    vals = []
-    for m in range(J + 1):
-        vals.append(sum(math.comb(m, j) * g[m - j] * E[j] for j in range(m + 1)))
-    return Jet(J, tuple(vals))
+    """Jet of h = u e^p at z, any order J >= 0, as a Taylor series in
+    w = z^n: E(s) = e^(P(s)) from E_0 = e^p by the recurrence
+    k E_k = sum_(j <= 3) j P_j E_(k-j), then F = (u + s) E(s), so
+    F_k = u E_k + E_(k-1), composed with s(t) like p_jet. E_0 is exactly 1
+    where p = 0, so at z = Fraction(1), where u = 0, every value is an
+    exact Fraction; elsewhere e^p is mpmath.exp at the working precision."""
+    u, P, s = _w_series(n, p, z, J)
+    E = [1 if P[0] == 0 else mpmath.exp(P[0])]
+    for k in range(1, J + 1):
+        E.append(sum(j * P[j] * E[k - j] for j in range(1, min(k, 3) + 1)) / k)
+    return _compose([u * E[0]] + [u * E[k] + E[k - 1] for k in range(1, J + 1)], s, J)
 
 
-def distinct_angles(n, K):
-    """The angles m 2 pi / lcm(n, K), m = 0..K // (2g), g = gcd(n, K): those
-    of [0, pi/n] that stand for the K angles 2 pi j / K.
+def distinct_angles(n, M):
+    """The M // 2 + 1 angles 2 pi j / (M n), j = 0..M // 2: those of
+    [0, pi/n] among the M n equispaced angles 2 pi k / (M n).
 
-    z -> z^n maps the K angles onto K / g angles of w; these reach the
-    w-angles 2 pi g m / K, which with their conjugates are all K / g. So a
-    scan of |q(z^n)| for a q with real Taylor coefficients, where
-    q(conj w) = conj q(w), needs no other angle. Every |f^(k)| and
+    z -> z^n maps the M n angles onto the M angles 2 pi k / M of w, and
+    these M // 2 + 1 onto the w-angles 2 pi j / M, which with their
+    conjugates are all M of them. So a scan of |q(z^n)| for a q with real Taylor coefficients,
+    where q(conj w) = conj q(w), needs no other angle. Every |f^(k)| and
     |h''/h^3| of a record is one: its a is real, and its gate demands
-    p == build_p(n), rationals that p_float rounds to real floats. For
-    g = n they are bit-identical to the first K / (2n) + 1 of the K angles.
+    p == build_p(n), rationals that p_float rounds to real floats.
     """
-    g = math.gcd(n, K)
-    return np.arange(K // (2 * g) + 1) * (2.0 * math.pi / (K // g * n))
+    return np.arange(M // 2 + 1) * (2.0 * math.pi / (M * n))
 
 
 def estimate_c(n, p, M=1024):
@@ -266,8 +251,7 @@ def estimate_c(n, p, M=1024):
     """
     if M < 64:
         raise ValueError("M must be at least 64")
-    K = M * max(1, n)
-    theta = distinct_angles(n, K)
+    theta = distinct_angles(n, M)
     c, s = p_float(p), p_float(build_s(n))
     logs = kernels.ratio_log(n, c, s, 2.0 * np.exp(1j * theta))
     if not np.all(logs < math.inf):  # a +inf or NaN
@@ -276,7 +260,7 @@ def estimate_c(n, p, M=1024):
         return mpmath.mpf(0)
     i = int(np.argmax(logs))
     best = float(logs[i])
-    step = 2.0 * math.pi / K
+    step = 2.0 * math.pi / (M * n)
     while 2.0 * step > _ARC_TOL:
         step /= _ARC_ZOOM
         theta = theta[i] + step * _ARC_STEPS
@@ -309,7 +293,7 @@ def estimate_m(n, p, M=1024):
         zs = np.zeros(1, dtype=complex)
     else:
         radii = np.array([1.0 - 1.0 / n, 1.0 + 1.0 / n, 2.0 - 1.0 / n])
-        zs = np.outer(radii, np.exp(1j * distinct_angles(n, M * n))).ravel()
+        zs = np.outer(radii, np.exp(1j * distinct_angles(n, M))).ravel()
     logs = kernels.h_log(n, p_float(p), zs)
     return mpmath.exp(mpmath.mpf(float(np.min(logs)))) / 2
 
@@ -410,8 +394,9 @@ def construct(n, cfg=ConstructionConfig()):
 
 
 def f_jet(F, z, J):
-    """Jet of f = a h as mpmath.mpc values, since a overflows binary64 from
-    order 5 on; all of it, h's jet included, runs at the record's precision."""
+    """Jet of f = a h, any order J >= 0, as mpmath.mpc values, since a
+    overflows binary64 from order 5 on; all of it, h's jet included, runs
+    at the record's precision."""
     with mpmath.workprec(F.precision):
         hj = h_jet(F.n, F.p, z, J)
         return Jet(J, tuple(mpmath.mpc(F.a * v) for v in hj.values))

@@ -16,7 +16,7 @@ Every kernel takes its points as its last argument, a 1-D numpy array,
 and a point's value is independent of the array it sits in. normfam
 computes every binary64 value of h and its derivatives here, forge's
 c_hat and m_hat scans included; forge's exact (Fraction) and mpmath
-jets run the chain rule instead.
+jets compose Taylor series in w = z^n instead.
 
 All magnitude arithmetic is done on logarithms: the family's scaling
 constants overflow binary64 from order 5 on, so |f| and |f|^3 never

@@ -6,7 +6,7 @@ from typing import NamedTuple
 import mpmath
 import pytest
 
-from normfam.forge import build_p, construct, u_jet
+from normfam.forge import build_p, construct
 
 
 @pytest.fixture(scope="session")
@@ -48,8 +48,9 @@ def node_conditions_at(n, z):
     """Solve h'' = h''' = h'''' = 0 at z for p', p'', p''', in z's own
     arithmetic (Fraction, complex or mpmath). Expanding h = g e^p by
     Leibniz and dividing out e^p != 0, each condition is linear in the
-    highest derivative of p with coefficient g' != 0: a triangular system."""
-    _, g1, g2, g3, g4 = u_jet(n, z, 4)
+    highest derivative of p with coefficient g' != 0: a triangular system.
+    g = z^n - 1 has g^(k) = n!/(n-k)! z^(n-k), 0 for k > n."""
+    g1, g2, g3, g4 = (math.perm(n, k) * z ** (n - k) if k <= n else 0 for k in range(1, 5))
     p1 = -g2 / (2 * g1)
     p2 = -(g3 + 3 * g2 * p1 + 3 * g1 * p1**2) / (3 * g1)
     p3 = -(

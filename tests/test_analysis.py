@@ -423,6 +423,16 @@ def test_lemma2_first_order_trend(family):
     assert pr.measurements[-1] <= mpmath.mpf("0.1")
 
 
+def test_lemma2_verdict_independent_of_argument_order(family):
+    # the order-1 trend runs over increasing n, as marty's does, while the
+    # measurements keep the order of the functions
+    F2, F6 = family[2], family[6]
+    up, down = lemma2_probe([F2, F6], [1.5], [1]), lemma2_probe([F6, F2], [1.5], [1])
+    assert up.verdict == down.verdict == "decay"
+    assert down.n_values == (6, 2)
+    assert down.measurements == up.measurements[::-1]
+
+
 def test_lemma2_layout(family):
     pr = lemma2_probe([family[2]], [0.0, 1.5j], [1, 2])
     assert pr.n_values == (2, 2, 2, 2)
@@ -483,7 +493,7 @@ def test_max_modulus_fails_on_shifted_kernel(exponents, monkeypatch):
 
 def test_max_modulus_matches_full_grid(exponents, monkeypatch):
     # the log max of the half-sector boundary grid against the one over all
-    # 512 angles, which rotation and reflection reduce to it
+    # 512 n angles, which rotation and reflection reduce to it
     seen = []
     ratio_log = kernels.ratio_log
 
@@ -494,8 +504,8 @@ def test_max_modulus_matches_full_grid(exponents, monkeypatch):
         return out
 
     monkeypatch.setattr(kernels, "ratio_log", spy)
-    th = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
     for n, p in exponents.items():
+        th = np.linspace(0.0, 2.0 * math.pi, 512 * n, endpoint=False)
         F = CounterexampleFunction(n, p, 2 * n, 0, 1)
         seen.clear()
         assert max_modulus_check(F, 512).passed, n

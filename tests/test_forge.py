@@ -30,13 +30,11 @@ from normfam.forge import (
     distinct_angles,
     estimate_c,
     estimate_m,
-    exp_jet,
     f_jet,
     h_jet,
     log_c_bound,
     p_float,
     p_jet,
-    u_jet,
 )
 
 ZERO_P = (Fraction(0),) * 3
@@ -49,19 +47,19 @@ def sample_disk(rng, radius=2.0):
             return z
 
 
-# the jet of g = u = z^n - 1, forge.u_jet
+# the jet of g = u = z^n - 1: h_jet with p = 0, u^(k) = n!/(n-k)! z^(n-k)
 
 
 def test_g_jet_cubic_at_one():
-    assert u_jet(3, 1, 2) == [0, 3, 6]
+    assert h_jet(3, ZERO_P, Fraction(1), 2).values == (0, 3, 6)
 
 
 def test_g_jet_linear():
-    assert u_jet(1, 5, 2) == [4, 1, 0]
+    assert h_jet(1, ZERO_P, Fraction(5), 2).values == (4, 1, 0)
 
 
 def test_g_jet_square_at_minus_one():
-    assert u_jet(2, -1, 1) == [0, -2]
+    assert h_jet(2, ZERO_P, Fraction(-1), 1).values == (0, -2)
 
 
 # the node conditions, solved directly in conftest: the exponent's oracle
@@ -308,37 +306,38 @@ def test_monomial_round_trip_for_exponent_polynomials(family):
             assert abs(horner - direct) <= 1e-8 * max(1.0, abs(direct))
 
 
-# exp_jet
+# e^p inside h_jet: for n = 1, u = z - 1, so at z = 1 the Leibniz rule
+# gives h^(m) = m E^(m-1), E = e^p
 
 
 def test_exp_jet_linear():
-    c = 0.3 + 0.7j
-    E = exp_jet(Jet(1, (0, c)))
-    assert E.values == (1, c)
+    c = Fraction(3, 7)
+    hj = h_jet(1, (c, 0, 0), Fraction(1), 3)
+    assert hj.values == (0, 1, 2 * c, 3 * c * c)
 
 
 def test_exp_jet_quadratic():
-    c, d = 0.3 + 0.7j, -1.1 + 0.2j
-    E = exp_jet(Jet(2, (0, c, d)))
-    assert E.values[0] == 1
-    assert E.values[1] == c
-    assert abs(E.values[2] - (c * c + d)) < 1e-15
+    # p' = c, p'' = 2 c2 at u = 0: E'' = c^2 + 2 c2, E''' = c^3 + 6 c c2
+    c, c2 = Fraction(3, 7), Fraction(-11, 5)
+    hj = h_jet(1, (c, c2, 0), Fraction(1), 4)
+    assert hj.values == (0, 1, 2 * c, 3 * (c * c + 2 * c2), 4 * (c**3 + 6 * c * c2))
 
 
 def test_exp_jet_constant_exponent():
-    E = exp_jet(Jet(4, (0, 0, 0, 0, 0)))
-    assert E.values == (1, 0, 0, 0, 0)
+    hj = h_jet(1, ZERO_P, Fraction(1, 2), 4)
+    assert hj.values == (Fraction(-1, 2), 1, 0, 0, 0)
 
 
 def test_exp_jet_overflow_guard():
-    # e^800 overflows binary64; a python complex exponent is taken in
-    # mpmath like an mpmath one
-    E = exp_jet(Jet(1, (800 + 0j, 1)))
-    assert isinstance(E.values[0], mpmath.mpc)
-    assert E.values[0].real > 0 and mpmath.isfinite(E.values[0])
+    # e^800 overflows binary64 at u = 1 (z = 2); a python complex point is
+    # taken in mpmath like an mpmath one
+    p = (Fraction(800), Fraction(0), Fraction(0))
+    h0 = h_jet(1, p, 2 + 0j, 1).values[0]
+    assert isinstance(h0, mpmath.mpc)
+    assert h0.real > 0 and mpmath.isfinite(h0)
     with mpmath.workprec(80):
-        E = exp_jet(Jet(1, (mpmath.mpc(800), mpmath.mpc(1))))
-        assert E.values[0].real > 0 and mpmath.isfinite(E.values[0])
+        h0 = h_jet(1, p, mpmath.mpc(2), 1).values[0]
+        assert h0.real > 0 and mpmath.isfinite(h0)
 
 
 # h_jet
@@ -366,6 +365,33 @@ def test_h_jet_exact_at_one(n):
     assert hj.values == (0, n, 0, 0, 0)
 
 
+def test_h_jet_any_order():
+    # order 8 against sympy's derivatives of h = (z^n - 1) e^p, taken as
+    # h^(k) = Q_k e^p with Q_0 = z^n - 1, Q_(k+1) = Q_k' + Q_k p', polynomials
+    # in z: exact at z = 1, where p = 0, and evalf(60) at a complex point
+    # against a 200-bit jet
+    zs = sympy.symbols("z")
+    z0 = sympy.Rational(3, 2) + sympy.I / 2
+    for n in range(1, 7):
+        p = build_p(n)
+        u = sympy.Poly(zs**n - 1, zs)
+        P = sum((sympy.Rational(c.numerator, c.denominator) * u**k
+                 for k, c in enumerate(p, 1)), sympy.Poly(0, zs))
+        Q = [u]
+        for _ in range(8):
+            Q.append(Q[-1].diff(zs) + Q[-1] * P.diff(zs))
+        assert h_jet(n, p, Fraction(1), 8).values == tuple(q.eval(1) for q in Q), n
+        e = sympy.exp(P.as_expr().subs(zs, z0))
+        with mpmath.workprec(200):
+            got = h_jet(n, p, mpmath.mpc(1.5, 0.5), 8).values
+            for q, g in zip(Q, got):
+                re, im = (q.as_expr().subs(zs, z0) * e).evalf(60).as_real_imag()
+                w = mpmath.mpc(mpmath.mpf(str(re)), mpmath.mpf(str(im)))
+                assert abs(g - w) <= mpmath.mpf(10) ** -55 * abs(w), n
+    with pytest.raises(ValueError, match="jet order must be >= 0"):
+        h_jet(2, build_p(2), Fraction(1), -1)
+
+
 @pytest.mark.parametrize("z", [0.5 + 0.25j, np.complex128(1.9), 1 + 0j, 0, 2.0])
 def test_h_jet_is_mpmath_off_fractions(family, z):
     # no scalar jet runs in binary64: a python or numpy point becomes an
@@ -379,9 +405,10 @@ def test_h_jet_is_mpmath_off_fractions(family, z):
 
 
 def test_exp_jet_exact_where_p_vanishes():
-    E = exp_jet(Jet(2, (Fraction(0), Fraction(1, 3), Fraction(2))))
-    assert E.values == (1, Fraction(1, 3), Fraction(19, 9))
-    assert all(isinstance(v, (int, Fraction)) for v in E.values)
+    # p' = 1/3, p'' = 2 at u = 0: E = (1, 1/3, 19/9), so h^(m) = m E^(m-1)
+    hj = h_jet(1, (Fraction(1, 3), Fraction(1), Fraction(0)), Fraction(1), 3)
+    assert hj.values == (0, 1, Fraction(2, 3), Fraction(19, 3))
+    assert all(isinstance(v, (int, Fraction)) for v in hj.values)
 
 
 def test_h_vanishes_at_all_nodes(family):
@@ -500,28 +527,22 @@ def test_estimate_c_matches_full_circle(exponents):
 
 
 @pytest.mark.parametrize(
-    "n, K",
+    "n, M",
     [(1, 64), (4, 512), (5, 512), (12, 512), (3, 3 * 64), (6, 6 * 65), (4, 262)],
 )
-def test_distinct_angles(n, K):
-    theta = distinct_angles(n, K)
-    g = math.gcd(n, K)
-    L = K // g * n  # lcm(n, K): the angles are multiples of 2 pi / L
-    assert theta.size == K // (2 * g) + 1
-    j = np.rint(theta * (L / (2.0 * math.pi))).astype(int)
+def test_distinct_angles(n, M):
+    theta = distinct_angles(n, M)
+    # bit-identical to the first M // 2 + 1 of the M n equispaced angles,
+    # all of them in [0, pi/n]
+    full = np.linspace(0.0, 2.0 * math.pi, M * n, endpoint=False)
+    assert theta.size == M // 2 + 1
+    assert np.array_equal(theta, full[: theta.size])
+    assert theta[-1] <= math.pi / n
+    # z^n maps them onto distinct w-indices j (in units of 2 pi / M), which
+    # with their negatives are all M that the M n angles reach
+    j = np.rint(n * theta * (M / (2.0 * math.pi))).astype(int)
     assert np.array_equal(j, np.arange(theta.size))
-    assert np.allclose(theta, j * (2.0 * math.pi / L), rtol=1e-15, atol=0)
-    # all in [0, pi/n]: 2 pi j / L <= pi / n
-    assert np.all(2 * n * j <= L)
-    # z^n maps angle j to the w-index n j K / L = g j (in units of 2 pi / K):
-    # distinct, and with their negatives they are every w-index that the
-    # K angles 2 pi k / K reach
-    w = g * j % K
-    assert len(set(w)) == theta.size
-    assert set(w) | set(-w % K) == {n * k % K for k in range(K)}
-    if g == n:
-        full = np.linspace(0.0, 2.0 * math.pi, K, endpoint=False)
-        assert np.array_equal(theta, full[: theta.size])
+    assert set(j) | set(-j % M) == set(range(M))
 
 
 def test_scans_evaluate_one_sector(family, monkeypatch):
@@ -542,7 +563,7 @@ def test_scans_evaluate_one_sector(family, monkeypatch):
             seen.clear()
             analysis.max_modulus_check(F, res)
             # one call, on the boundary circle only
-            assert seen == [res // (2 * math.gcd(n, res)) + 1], (n, res)
+            assert seen == [res // 2 + 1], (n, res)
 
 
 def test_estimate_c_evaluates_only_arrays(monkeypatch):
@@ -604,7 +625,7 @@ def test_estimate_c_dominates_interior_samples(family):
 def test_log_c_bound_dominates_boundary_scan(n):
     # 32 times max_modulus_check's default angles on |z| = 2, where the
     # entire h''/h^3 attains its max modulus; n = 1 gives -inf on both sides
-    theta = distinct_angles(n, 32 * 512 * n)
+    theta = distinct_angles(n, 32 * 512)
     c, sc = p_float(build_p(n)), p_float(build_s(n))
     logs = kernels.ratio_log(n, c, sc, 2.0 * np.exp(1j * theta))
     assert float(np.max(logs)) <= log_c_bound(n)
