@@ -5,16 +5,20 @@ second-derivative inequality |f''| / (1 + |f|^3) <= 1 on the disk of
 radius 2, the triple vanishing of h'' at the interpolation nodes, the
 blow-up of the spherical derivative along the unit circle, the decay
 of f^(l) / f^(l+1) away from that circle, and the closed-form bound C_n
-on |h''/h^3|, sampled on |z| = 2 and carried inward by the maximum
-principle once the exact node residual is 0.  Sampled points are
-placed uniformly by area from uniform_draws, a SplitMix64 stream
-computed from (seed, index), so a seed fixes them on every machine.
-Grid sweeps run through the log-space kernels, so magnitudes far beyond
-the double range are compared by exponent rather than by value.  f_n depends on z
-only through z^n, so every check near the nodes runs at the node z = 1,
-which stands for all n of them: no check costs more as n grows.  There
-u = z^n - 1 = 0 and every derivative of u is an integer, so the node
-conditions are decided exactly, on the rational jet of h at z = 1.
+on |h''/h^3|.  The inequality is decided without sampling: once the
+exact node residual is 0, h''/h^3 is entire, so by the maximum principle
+the quotient is at most C*_n / a^2 on the closed disk, where C*_n is
+forge.log_c_star's certified max of |h''/h^3| on |z| = 2, recomputed
+from n; a record that fails this certificate is refuted, where it can
+be, by a witness point confirmed by the mpmath jet.  The probes place
+sampled points uniformly by area from uniform_draws, a SplitMix64
+stream computed from (seed, index), so a seed fixes them on every
+machine, and run through the log-space kernels, so magnitudes far
+beyond the double range are compared by exponent rather than by value.
+f_n depends on z only through z^n, so every check at the nodes runs at
+the node z = 1, which stands for all n of them.  There u = z^n - 1 = 0
+and every derivative of u is an integer, so the node conditions are
+decided exactly, on the rational jet of h at z = 1.
 """
 
 from __future__ import annotations
@@ -27,15 +31,12 @@ import mpmath
 import numpy as np
 
 from . import kernels
-from .errors import CenterOffCircle, OrderTooLow, PointTooCloseToCircle
-from .forge import MINUS_INFINITY, distinct_angles, h_jet, log_c_bound
+from .errors import CenterOffCircle, OrderTooLow, Overflow, PointTooCloseToCircle
+from .forge import MINUS_INFINITY, h_jet, log_c_bound, log_c_star
 
 # fixed default so repeated runs produce identical reports; callers
 # (and the CLI) may override
 DEFAULT_SEED = 1729
-
-_NEAR_NODE_COUNT = 1000
-_NEAR_NODE_RADIUS = 1e-2
 
 
 # SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the golden gamma that
@@ -137,13 +138,16 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one verification sweep.
+    """Outcome of one verification check.
 
-    passed means the op's own test holds, as its notes state:
-    max_inequality within the op's slack of 1 for verify_inequality,
-    a node residual of exactly 0 for verify_node_jets, the sampled max on
-    |z| = 2 within the bound C_n for max_modulus_check.  node_residuals holds
-    the value at the node z = 1 where the op measures one, else nothing.
+    passed means the op's own test holds, as its notes state: the
+    certificate log C*_n - 2 log a <= log(1 + tol) for verify_inequality,
+    a node residual of exactly 0 for verify_node_jets, C*_n within the
+    closed-form bound C_n for max_modulus_check.  log_margin is the log of
+    the measured quantity over its limit (NaN where the op has none), and
+    stays finite where max_inequality, its exp, leaves binary64;
+    node_residuals holds the exact residual at the node z = 1 where the op
+    depends on it, else nothing.
     """
 
     passed: bool
@@ -151,6 +155,7 @@ class VerificationReport:
     worst_point: complex
     node_residuals: tuple
     notes: str
+    log_margin: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -182,53 +187,81 @@ def spherical_derivative(jet):
     return abs(jet[1]) / (1 + abs(jet[0]) ** 2)
 
 
-def verify_inequality(F, samples=10000, tol=1e-12, seed=DEFAULT_SEED):
-    """Sweep |f''| / (1 + |f|^3) over the disk of radius 2.
+def verify_inequality(F, tol=1e-12):
+    """Decide |f''| / (1 + |f|^3) <= 1 + tol on the closed disk |z| <= 2.
 
-    The grid is `samples` points uniform by area, from draws
-    0 .. 2 samples - 1 of uniform_draws(seed, ...), plus a dense cluster
-    within 1e-2 of the node z = 1, from the next 2000 draws, plus that
-    node itself, which stand for all n nodes by rotation invariance;
-    the node cluster is where numerator and denominator both nearly
-    vanish, the regime most likely to expose a bad construction.  The kernel works on logs, takes |f''| in
-    the factored form a n |z|^(n-2) |u|^3 |S_n(u)| e^(Re p), so the triple
-    zero of h'' at a node is exact, and takes log(1 + |f|^3) as a
-    logaddexp, so |f| itself never overflows.  worst_point is the argmax
-    of those logs, which stay finite where every value underflows to 0.0.
-    passed means the overall max is <= 1 + tol.  A value of +inf or NaN
-    means a term overflows binary64 (S_n(u) near |z| = 2 from n = 340 on,
-    z^n at n = 10^6) and the sweep measures nothing: it then fails with
-    max_inequality NaN at the first such point.
+    Where f != 0 the quotient is below |f''| / |f|^3 = |h''/h^3| / a^2, and
+    at a node f'' = 0 once the node residual is 0; then h''/h^3 is entire,
+    so by the maximum principle the quotient is at most C*_n / a^2 on the
+    disk, C*_n = forge.log_c_star(n), recomputed from n and never read from
+    the stored c_hat.  The check passes when
+    log C*_n - 2 log a <= log(1 + tol), taken in mpmath at 3n + 64 bits,
+    since both logs reach 3.5e305; log_margin is that difference,
+    max_inequality its exp (1/(2n) for a record of construct), and
+    worst_point the point of |z| = 2 where C*_n is attained.  When the
+    certificate fails, _witness looks for a point of |z| < 2 where the
+    inequality itself fails; max_inequality is then the quotient there and
+    worst_point that point, which the notes give in full.  Without a
+    witness the notes say "not certified".  A nonzero node residual, or
+    an order above forge.MAX_ORDER, certifies nothing: max_inequality NaN.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     if not 0 <= tol < math.inf:  # NaN fails too
         raise ValueError("tol must be finite and >= 0")
-    zs = np.concatenate(
-        [
-            _by_area(seed, 0, samples, samples, (2.0,)),
-            _by_area(seed, 2 * samples, _NEAR_NODE_COUNT, _NEAR_NODE_COUNT,
-                     (_NEAR_NODE_RADIUS,), 1.0),
-            np.ones(1, dtype=complex),
-        ]
-    )
-    logs = kernels.fk_log(F.n, F.p_float, F.s_float, F.log_a, zs)
-    with np.errstate(over="ignore"):
-        vals = np.exp(logs)
-    bounded = vals < math.inf  # False at +inf and NaN
-    overflow = not bounded.all()
-    i = int(np.argmin(bounded)) if overflow else int(np.argmax(logs))
-    passed = not overflow and bool(vals[i] <= 1.0 + tol)
+    res = float(F.node_residual)
+    if res != 0:
+        notes = f"not certified: node residual {res:.6g} is not 0, so h''/h^3 has poles"
+        return VerificationReport(False, math.nan, 1 + 0j, (res,), notes)
+    try:
+        log_c, x = log_c_star(F.n)
+    except Overflow as exc:
+        return VerificationReport(False, math.nan, 2 + 0j, (res,), f"not certified: {exc}")
+    with mpmath.workprec(3 * F.n + 64):
+        two_log_a = 2 * mpmath.log(F.a)
+        margin = mpmath.mpf(log_c) - two_log_a
+        passed = margin <= mpmath.log1p(tol)
+    m = float(margin)
     notes = (
-        f"{zs.size} points: {samples} uniform in disk(0,2), "
-        f"{_NEAR_NODE_COUNT} within {_NEAR_NODE_RADIUS:g} of the node 1, and "
-        f"the node 1 (its value fills node_residuals and joins the max), which "
-        f"stands for all {F.n} nodes by rotation invariance; slack tol={tol:g}"
+        f"log C*_n = {log_c:.17g} from the critical points on |z|=2, "
+        f"2 log a = {float(two_log_a):.17g}, log margin {m:.6g} against log(1 + tol), "
+        f"tol={tol:g}; node residual 0, so the maximum principle carries |z|=2 inward"
     )
-    if overflow:
-        notes += "; a sampled value is not finite, so the grid overflows binary64"
-    top = math.nan if overflow else float(vals[i])
-    return VerificationReport(passed, top, complex(zs[i]), (float(vals[-1]),), notes)
+    peak = 2 * cmath.exp(1j * math.acos(x) / F.n)
+    if passed:
+        return VerificationReport(True, math.exp(m), peak, (res,), "certified: " + notes, m)
+    z, lq, where = _witness(F, x, tol) or (peak, m, "no witness found")
+    top = math.exp(lq) if lq < 709 else math.inf
+    return VerificationReport(False, top, z, (res,), f"not certified: {notes}; {where}", m)
+
+
+def _witness(F, x, tol):
+    # (z, log q, text) for a point z, |z| < 2, where
+    # q = |f''| / (1 + |f|^3) > 1 + tol, or None. On the circle
+    # |z| = 2 r, r = 1 - 2^-(3n+40), it bisects arg z from the peak of
+    # C*_n (arg z^n = acos x, where |f| is least) towards arg z^n = pi/3,
+    # where Re(c3 u^3) > 0 makes |f| large, for |f| = 1, where
+    # q = |h''/h^3| / (2 a^2); q is taken from forge.h_jet at 3n + 64 bits
+    n, prec = F.n, 3 * F.n + 64
+    with mpmath.workprec(prec):
+        r, limit = 2 * (1 - mpmath.ldexp(1, -(3 * n + 40))), mpmath.log1p(tol)
+        near, far = mpmath.acos(x) / n, mpmath.pi / (3 * n)  # |f| < 1 and > 1
+        t = near
+        for _ in range(prec):
+            z = r * mpmath.expj(t)
+            hj = h_jet(n, F.p, z, 2)
+            f = F.a * abs(hj[0])
+            lq = mpmath.log(F.a * abs(hj[2])) - mpmath.log1p(f**3)
+            if lq > limit:
+                digits = int(prec * 0.30103) + 3
+                where = (
+                    f"witness z = {mpmath.nstr(z.real, digits)}"
+                    f"{'+' if z.imag >= 0 else '-'}{mpmath.nstr(abs(z.imag), digits)}i "
+                    f"(|z| < 2), where log(|f''|/(1+|f|^3)) = {float(lq):.6g} "
+                    f"by h_jet at {prec} bits"
+                )
+                return complex(z), float(lq), where
+            near, far = (t, far) if f < 1 else (near, t)
+            t = (near + far) / 2
+    return None
 
 
 def verify_node_jets(F):
@@ -340,23 +373,22 @@ def lemma2_probe(Fs, points, orders):
     return ProbeResult(tuple(ns), tuple(meas), verdict)
 
 
-def max_modulus_check(F, resolution=512):
-    """Sampled max of |h''/h^3| on |z| = 2 against forge.log_c_bound(n).
+def max_modulus_check(F):
+    """The certified max C*_n of |h''/h^3| on |z| = 2 against the
+    closed-form bound C_n of forge.log_c_bound(n).
 
     h''/h^3 has a pole at every node exactly when the node residual of
     verify_node_jets is nonzero: the check then fails at once with
     worst_point 1 and max_inequality inf.  Otherwise it is the entire
     n z^(n-2) S_n(u) e^(-2p), whose modulus on |z| <= 2 peaks on |z| = 2
-    (maximum principle).  One kernels.ratio_log call samples that circle
-    at resolution // 2 + 1 distinct_angles, which stand for its
-    resolution * n equispaced angles, the resolution angles of w = z^n, and
-    the check passes when the log max is at most log C_n.  max_inequality
-    is the clamped quotient (sampled max) / C_n, worst_point the argmax.
-    A log of +inf or NaN means the grid overflows binary64: the check
-    then fails with max_inequality NaN.
+    (maximum principle), and the check passes when
+    log C*_n = forge.log_c_star(n), the max at the critical points on that
+    circle, is at most log C_n, the bound from the coefficients' moduli.
+    log_margin is log C*_n - log C_n; max_inequality, its exp, underflows
+    to 0.0 from n = 6 on; worst_point is the point of |z| = 2 where C*_n
+    is attained.  An order above forge.MAX_ORDER fails with
+    max_inequality NaN.
     """
-    if resolution < 64:
-        raise ValueError("resolution must be >= 64")
     res = F.node_residual
     if res != 0:
         notes = (
@@ -364,20 +396,20 @@ def max_modulus_check(F, resolution=512):
             f"at each of the {F.n} nodes"
         )
         return VerificationReport(False, math.inf, 1 + 0j, (), notes)
-    zs = 2.0 * np.exp(1j * distinct_angles(F.n, resolution))
-    logs = kernels.ratio_log(F.n, F.p_float, F.s_float, zs)
-    i = int(np.argmax(logs))
-    lm, bound = float(logs[i]), log_c_bound(F.n)
-    gap = 0.0 if lm == bound else bound - lm  # 0 at n = 1, where both are -inf
-    overflow = not (lm < math.inf and bound < math.inf)  # +inf or NaN
-    passed = not overflow and gap >= 0
-    ratio = 0.0 if lm == MINUS_INFINITY else math.exp(min(-gap, 700.0))
+    try:
+        lm, x = log_c_star(F.n)
+    except Overflow as exc:
+        return VerificationReport(False, math.nan, 2 + 0j, (), str(exc))
+    bound = log_c_bound(F.n)
+    margin = 0.0 if lm == bound else lm - bound  # 0 at n = 1, where both are -inf
+    passed = bound < math.inf and margin <= 0
+    ratio = 0.0 if lm == MINUS_INFINITY else math.exp(min(margin, 700.0))
+    if bound == math.inf:
+        ratio = math.nan
     notes = (
         f"node residual exactly 0, so the maximum principle carries |z|=2 inward; "
-        f"{zs.size} of {resolution} angles on |z|=2, standing for all by rotation and "
-        f"reflection: log max {lm:.17g}, log C_n = {bound:.17g}, gap {gap:.6g}"
+        f"log C*_n = {lm:.17g} at the critical points on |z|=2, "
+        f"log C_n = {bound:.17g}, gap {0.0 - margin:.6g}"
     )
-    if overflow:
-        ratio = math.nan
-        notes += "; a log maximum is not finite, so the grid overflows binary64"
-    return VerificationReport(passed, ratio, complex(zs[i]), (), notes)
+    peak = 2 * cmath.exp(1j * math.acos(x) / F.n)
+    return VerificationReport(passed, ratio, peak, (), notes, margin)

@@ -10,7 +10,9 @@ class DuplicateNodes(NormfamError):
 
 
 class Overflow(NormfamError):
-    """A binary64 log in a scan or a grid (estimate_c, grid) is +inf or NaN."""
+    """Binary64 cannot hold the work: an order above forge.MAX_ORDER, whose
+    grid kernels overflow (log_c_star, so construct), or a grid log of
+    +inf or NaN (grid)."""
 
 
 class NonPositiveM(NormfamError):

@@ -22,8 +22,12 @@ simple zero of f_n.
 
 c_n and a_n explode with n (log a_6 is around 2.7e4), so the three
 magnitude fields of a constructed record are mpmath reals with unbounded
-exponent, and every scan, the refinement of c_hat included, evaluates
-logarithms in double precision on arrays, through the kernels module.
+exponent. c_hat is no scan: it is the upper bound C*_n of log_c_star,
+the largest value of |h''/h^3| on |z| = 2 at the critical points, which
+an integer quintic in cos(arg z^n) locates exactly (critical_quintic),
+raised by a stated allowance for binary64 rounding and root location.
+The m_hat scan evaluates logarithms in double precision on arrays,
+through the kernels module.
 The scalar jets, of any order, are Taylor series in w = z^n: the cubic p
 shifted exactly about u, e^p by a three-term recurrence, both composed
 with (z + t)^n - z^n by Horner's rule, exactly at a Fraction point and in
@@ -35,6 +39,7 @@ digits its magnitudes are stored with and the mpmath precision of f_jet
 and of the probes.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,9 +54,9 @@ from .errors import InvariantViolation, NonPositiveM, Overflow
 MINUS_INFINITY = float("-inf")
 MAX_PRECISION = 4096  # bits
 
-_ARC_ZOOM = 64  # estimate_c's refinement rounds each shrink the arc this much
-_ARC_STEPS = np.arange(-_ARC_ZOOM, _ARC_ZOOM + 1)
-_ARC_TOL = 1e-8  # radians; estimate_c refines until its arc is this short
+# the last order whose grid kernels fit binary64: from 340 on S_n(u) of
+# h''/h^3 overflows on |z| = 2, and construct refuses the order
+MAX_ORDER = 339
 
 
 @dataclass(frozen=True)
@@ -83,6 +88,7 @@ class ConstructionConfig:
             raise ValueError("grid_m must be at least 64")
 
 
+@functools.cache
 def build_p(n):
     """The exponent (c1, c2, c3) of p = c1 u + c2 u^2 + c3 u^3, u = z^n - 1,
     as exact Fractions:
@@ -105,6 +111,7 @@ def build_p(n):
     )
 
 
+@functools.cache
 def build_s(n):
     """The cubic (s0, s1, s2, s3) of S_n(u) = s0 + s1 u + s2 u^2 + s3 u^3 as
     exact Fractions, with h'' = n z^(n-2) u^3 S_n(u) e^p:
@@ -233,41 +240,191 @@ def distinct_angles(n, M):
     return np.arange(M // 2 + 1) * (2.0 * math.pi / (M * n))
 
 
-def estimate_c(n, p, M=1024):
-    """Grid estimate of c_n = max over the closed 2-disk of |h''/h^3|.
+# sin(k phi) = sin(phi) U_(k-1)(cos phi): the Chebyshev polynomials of the
+# second kind U_0 .. U_5, ascending coefficients; and the rows of Pascal's
+# triangle, the coefficients of (1 + y)^k
+_CHEB_U = ((1,), (0, 2), (-1, 0, 4), (0, -4, 0, 8), (1, 0, -12, 0, 16), (0, 6, 0, -32, 0, 32))
+_BINOMIAL = ((1,), (1, 1), (1, 2, 1), (1, 3, 3, 1), (1, 4, 6, 4, 1), (1, 5, 10, 10, 5, 1))
+# relative allowance for the binary64 evaluation of log|h''/h^3| at a
+# candidate: about 30 roundings of 2^-53 each, with room to spare
+_EVAL_SLACK = 2.0**-44
 
-    h''/h^3 = n z^(n-2) S_n(u) e^(-2p) is entire (build_s: the triple
-    zeros of h^3 at the nodes are those of h''), so by the maximum
-    principle only the circle |z| = 2 needs searching: the M / 2 + 1 of
-    its M*n equispaced angles that lie in [0, pi/n] (distinct_angles;
-    rotation and reflection carry them onto the rest). The best of them
-    is refined on the arc of two steps around it: 2 _ARC_ZOOM + 1 angles
-    across the arc, which then narrows to two of their steps around the
-    best, until it is shorter than _ARC_TOL radians. The arc may reach past an end of [0, pi/n],
-    where the reflection repeats the values inside. Returned as an mpmath
-    real since c_n overflows binary64 from n = 4 on; 0 when every sampled
-    log is -inf (n = 1). A sampled log of +inf or NaN, which S_n(u) gives
-    at every point from n = 340 on, raises Overflow.
+
+def _in_w(c0, c1, c2, c3):
+    # the coefficients of the cubic c(u) as one in w = u + 1
+    return (c0 - c1 + c2 - c3, c1 - 2 * c2 + 3 * c3, c2 - 3 * c3, c3)
+
+
+def critical_quintic(n):
+    """The integer quintic V (ascending coefficients) whose roots in
+    [-1, 1] are cos(phi) at the critical points of log|h''/h^3| on |z| = 2
+    other than phi = 0 and pi, phi the angle of w = z^n = 2^n e^(i phi).
+
+    There |h''/h^3| = n 2^(n-2) |S_n(u) e^(-2p(u))|, u = w - 1, and with
+    A = S_n' - 2 p' S_n, d/dphi log|S_n e^(-2p)| = -Im(w A(u) conj S_n(u)) / |S_n|^2.
+    Scaled to integer cubics (p by 24 n^2, S_n by 576 n^3) and written in
+    w = R zeta, R = 2^n, |zeta| = 1, conj u = R / zeta - 1, the product
+    w A(u) conj S_n(u) is sum x_k zeta^k, k = -2..6, with integer x_k, so
+    its imaginary part, the degree-12 polynomial Im(w A conj S_n) on the
+    circle, is sum_(k=1..6) (x_k - x_(-k)) sin(k phi) = sin(phi) V(cos phi):
+    in zeta its 13 coefficients are 0 and the +-(x_k - x_(-k)).
     """
-    if M < 64:
-        raise ValueError("M must be at least 64")
-    theta = distinct_angles(n, M)
-    c, s = p_float(p), p_float(build_s(n))
-    logs = kernels.ratio_log(n, c, s, 2.0 * np.exp(1j * theta))
-    if not np.all(logs < math.inf):  # a +inf or NaN
-        raise Overflow(f"log|h''/h^3| on |z| = 2 overflows binary64 at order {n}")
-    if np.all(logs == MINUS_INFINITY):
-        return mpmath.mpf(0)
-    i = int(np.argmax(logs))
-    best = float(logs[i])
-    step = 2.0 * math.pi / (M * n)
-    while 2.0 * step > _ARC_TOL:
-        step /= _ARC_ZOOM
-        theta = theta[i] + step * _ARC_STEPS
-        logs = kernels.ratio_log(n, c, s, 2.0 * np.exp(1j * theta))
-        i = int(np.argmax(logs))
-        best = max(best, float(logs[i]))
-    return mpmath.exp(mpmath.mpf(best))
+    m = 24 * n * n
+    P = _in_w(0, *(c.numerator * (m // c.denominator) for c in build_p(n)))
+    S = _in_w(*(s.numerator * (24 * n * m // s.denominator) for s in build_s(n)))
+    A = [m * k * S[k] for k in range(1, 4)] + [0, 0, 0]
+    for k in range(1, 4):
+        for j, s in enumerate(S):
+            A[k - 1 + j] -= 2 * k * P[k] * s
+    x = [0] * 9  # x[k + 2] = x_k: R^(j+l+1) A_j S_l for k = 1 + j - l
+    for j, a in enumerate(A):
+        for l, s in enumerate(S):
+            x[j - l + 3] += (a * s) << (n * (j + l + 1))
+    V = [0] * 6
+    for k in range(1, 7):
+        t = x[k + 2] - (x[2 - k] if k <= 2 else 0)
+        for i, b in enumerate(_CHEB_U[k - 1]):
+            V[i] += t * b
+    return V
+
+
+def _value(V, q, d):
+    # V(q / d) d^5 for d > 0: the exact sign of V at q / d
+    acc, dk = V[-1], 1
+    for v in V[-2::-1]:
+        dk *= d
+        acc = acc * q + v * dk
+    return acc
+
+
+def _variations(V, A, B, D):
+    # sign changes in the coefficients of (1 + y)^5 V((a + b y) / (1 + y)),
+    # a = A / D, b = B / D: by Descartes' rule, a bound on the number of
+    # roots of V in (a, b) of the same parity, so exact when 0 or 1; in
+    # integers, sum v_i (A + B y)^i (D + D y)^(5-i) by Horner's rule
+    T, Dk = [V[-1]], 1
+    for k in range(1, 6):
+        Dk *= D
+        v, row = V[5 - k] * Dk, _BINOMIAL[k]
+        inner = [T[j] * A + T[j - 1] * B + v * row[j] for j in range(1, k)]
+        T = [T[0] * A + v, *inner, T[-1] * B + v]
+    signs = [t > 0 for t in T if t]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _isolate(V, A, B, D, depth=0):
+    # closed intervals (A', B', D') of [A / D, B / D] that hold every root
+    # of V in (A / D, B / D), each exactly one unless depth 48 is reached
+    # (a multiple root): bisection by Descartes' rule (Vincent, Collins
+    # and Akritas); a midpoint root is an interval of its own
+    k = _variations(V, A, B, D)
+    if k == 0:
+        return []
+    if k == 1 or depth == 48:
+        return [(A, B, D)]
+    M = A + B
+    mid = [(M, M, 2 * D)] if _value(V, M, 2 * D) == 0 else []
+    return _isolate(V, 2 * A, M, 2 * D, depth + 1) + mid + _isolate(V, M, 2 * B, 2 * D, depth + 1)
+
+
+def _bracket(V, Vf, A, B, D):
+    # (x, lo, hi): a binary64 point x near the root of V in [A / D, B / D],
+    # and a bracket [lo, hi] of it that holds the root: [x - 2^-40, x + 2^-40]
+    # when an exact sign change proves it, else the interval itself. x comes
+    # from Newton steps on the binary64 quintic Vf (descending), kept inside
+    # a shrinking bracket by bisection
+    lo, hi = A / D, B / D
+    up = _value(V, A, D) < 0  # V rises through its root
+    x = (lo + hi) / 2
+    for _ in range(60):
+        y = dy = 0.0
+        for c in Vf:
+            y, dy = y * x + c, dy * x + y
+        lo, hi = (x, hi) if (y < 0) == up else (lo, x)
+        step = y / dy if dy else math.inf  # a flat spot: bisect
+        if abs(step) <= 2.0**-52 or hi - lo <= 2.0**-52:
+            break
+        x = x - step if lo < x - step < hi else (lo + hi) / 2
+    e0, e1 = x - 2.0**-40, x + 2.0**-40
+    (q0, d0), (q1, d1) = e0.as_integer_ratio(), e1.as_integer_ratio()
+    if A * d0 <= q0 * D and q1 * D <= B * d1 and _value(V, q0, d0) * _value(V, q1, d1) < 0:
+        return x, e0, e1
+    return x, A / D, B / D
+
+
+def _sum_abs(c, x, k=0):
+    # the k-th derivative at x >= 0 of sum |c_j| x^j over binary64 c_j
+    return sum(math.perm(j, k) * abs(cj) * x ** (j - k) for j, cj in enumerate(c) if j >= k)
+
+
+@functools.cache
+def log_c_star(n):
+    """(log C*_n, cos phi*): an upper bound of log c_n, c_n = max over the
+    closed 2-disk of |h''/h^3|, and the cosine of the angle phi* of
+    w = z^n at which the bound is attained, on the circle |z| = 2.
+
+    h''/h^3 = n z^(n-2) S_n(u) e^(-2p) is entire (build_s), so by the
+    maximum principle c_n is its max on |z| = 2, which a critical point of
+    g(phi) = log|S_n(u) e^(-2p(u))|, u = 2^n e^(i phi) - 1, attains. The
+    candidates are phi = 0, phi = pi and every root of critical_quintic(n)
+    in (-1, 1), which exact integer root isolation (Descartes' rule of
+    signs on bisected intervals) finds without a tolerance, so no critical
+    point is missed; g(-phi) = g(phi). Each root is bracketed by an exact
+    sign change. At each candidate g is evaluated in binary64 and raised
+    by an allowance, so each raised value bounds g at the critical point
+    it stands for. With R = 2^n, |u| <= R + 1, P(x) = sum |c_k| x^k and
+    S^(x) = sum |s_k| x^k:
+      - rounding: _EVAL_SLACK times 2 P(R + 1) is added to -2 Re p, and
+        _EVAL_SLACK times S^(R + 1) to |S_n| before its log;
+      - root location: the critical point lies in the bracket, within d
+        of the candidate in phi, so |u* - u| <= R d. Where |S_n| stays
+        positive on the bracket, g' = 0 there and g rises by at most
+        sup|g''| d^2 / 2 from the candidate, |g''| bounded through P',
+        P'', S^', S^'' at R + 1 and a lower bound of |S_n| on the
+        bracket; elsewhere, to first order, Re p moves by at most
+        R d P'(R + 1) and |S_n| by at most R d S^'(R + 1).
+    Memoized: it depends on n alone. -inf at n = 1 (S_1 = 0). Orders
+    above MAX_ORDER raise Overflow before any power of 2^n is formed.
+    """
+    if n > MAX_ORDER:
+        raise Overflow(
+            f"order {n} exceeds {MAX_ORDER}: S_n(u) of h''/h^3 overflows binary64 on |z| = 2"
+        )
+    if n == 1:
+        return MINUS_INFINITY, 1.0
+    V = critical_quintic(n)
+    e = max(abs(v).bit_length() for v in V)
+    Vf = [v / (1 << e) for v in V[::-1]]  # descending, all below 1 in modulus
+    roots = _isolate(V, -1, 0, 1) + ([(0, 0, 1)] if V[0] == 0 else []) + _isolate(V, 0, 1, 1)
+    R = math.ldexp(1.0, n)
+    p, s = p_float(build_p(n)), p_float(build_s(n))
+    P, dP, d2P = (_sum_abs((0.0,) + p, R + 1, k) for k in range(3))
+    S, dS, d2S = (_sum_abs(s, R + 1, k) / R**3 for k in range(3))
+    best = MINUS_INFINITY, 1.0
+    for x, lo, hi in [(1.0, 1.0, 1.0), (-1.0, -1.0, -1.0)] + [_bracket(V, Vf, *r) for r in roots]:
+        # g at u = R v, v = u / R, so that no power of R is formed
+        d = 2.0 * (math.acos(lo) - math.acos(hi))
+        v = complex(x - 1.0 / R, math.sqrt(1.0 - x * x))
+        re_p = sum(math.ldexp(c * (v**k).real, k * n) for k, c in enumerate(p, 1))
+        S_v = abs(sum(math.ldexp(c, (k - 3) * n) * v**k for k, c in enumerate(s)))
+        g = math.log(S_v + _EVAL_SLACK * S) - 2.0 * re_p + 2.0 * _EVAL_SLACK * P
+        sigma = S_v - _EVAL_SLACK * S - R * d * dS  # |S_n| / R^3 on the bracket is above it
+        if sigma > 0:  # second order: g' = 0 at the critical point
+            G2 = 2.0 * R * (R * d2P + dP) + R * (R * d2S + dS) / sigma + (R * dS / sigma) ** 2
+            g += G2 * d * d / 2
+        else:  # first order
+            g += math.log1p(R * d * dS / (S_v + _EVAL_SLACK * S)) + 2.0 * R * d * dP
+        best = max(best, (g, x))
+    return math.log(n) + (4 * n - 2) * math.log(2.0) + best[0], best[1]
+
+
+def estimate_c(n, p):
+    """C*_n of log_c_star, an upper bound of c_n = max over the closed
+    2-disk of |h''/h^3|, as an mpmath real (it overflows binary64 from
+    n = 4 on); 0 at n = 1, where h'' = 0. p is build_p(n), which the
+    bound depends on through n alone. Overflow above MAX_ORDER."""
+    log_c = log_c_star(n)[0]
+    return mpmath.mpf(0) if log_c == MINUS_INFINITY else mpmath.exp(mpmath.mpf(log_c))
 
 
 def estimate_m(n, p, M=1024):
@@ -387,7 +544,7 @@ def construct(n, cfg=ConstructionConfig()):
         raise ValueError("n must be >= 1")
     with mpmath.workprec(cfg.precision):
         p = build_p(n)
-        c_hat = estimate_c(n, p, cfg.grid_m)
+        c_hat = estimate_c(n, p)
         m_hat = estimate_m(n, p, cfg.grid_m)
         a = choose_a(n, c_hat, m_hat)
         return CounterexampleFunction(n, p, a, c_hat, m_hat, cfg.precision)

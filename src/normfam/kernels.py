@@ -14,8 +14,9 @@ and fk_log carry the triple zero of h'' at every node exactly, and the power
 of z enters as k log|z|, which does not underflow near z = 0 at large n.
 Every kernel takes its points as its last argument, a 1-D numpy array,
 and a point's value is independent of the array it sits in. normfam
-computes every binary64 value of h and its derivatives here, forge's
-c_hat and m_hat scans included; forge's exact (Fraction) and mpmath
+computes every binary64 grid of h and its derivatives here, forge's
+m_hat scan included; forge's bound on c_n evaluates |h''/h^3| at its
+few critical points itself, and forge's exact (Fraction) and mpmath
 jets compose Taylor series in w = z^n instead.
 
 All magnitude arithmetic is done on logarithms: the family's scaling

@@ -185,6 +185,7 @@ def verification_to_dict(rep):
         "max_inequality": json_float(rep.max_inequality),
         "worst_point": [json_float(z.real), json_float(z.imag)],
         "node_residuals": [json_float(r) for r in rep.node_residuals],
+        "log_margin": json_float(rep.log_margin),
         "notes": rep.notes,
     }
 

@@ -32,6 +32,7 @@ from normfam.forge import (
     Jet,
     build_p,
     construct,
+    h_jet,
 )
 
 
@@ -180,12 +181,14 @@ def test_grid_spec_chunks_concatenate_to_points(region, radii):
 
 def test_verify_inequality_family(family):
     for n, F in family.items():
-        rep = verify_inequality(F, 10000, 1e-12)
+        rep = verify_inequality(F, 1e-12)
         assert rep.passed
         assert rep.max_inequality <= 1.0 / n + 1e-12
         assert len(rep.node_residuals) == 1
         assert rep.node_residuals[0] == 0.0  # the node at 1 is exact
-        assert abs(rep.worst_point) <= 2.0 + 1e-2
+        assert abs(abs(rep.worst_point) - 2.0) <= 1e-15
+        if n >= 2:  # a = sqrt(2 n C*_n): the quotient is at most 1/(2n)
+            assert abs(rep.log_margin + math.log(2 * n)) <= 1e-12, n
         # report invariant: passed reflects exactly the recorded numbers
         assert rep.passed == (
             rep.max_inequality <= 1.0 + 1e-12
@@ -194,53 +197,65 @@ def test_verify_inequality_family(family):
 
 
 @pytest.mark.parametrize("n", [8, 12])
-def test_verify_inequality_worst_point_by_log(n, monkeypatch):
-    # at these orders every sampled value underflows to 0.0, so only the
-    # logs tell the worst point from the others
-    seen = []
-    fk_log = kernels.fk_log
-
-    def spy(*args):
-        seen.append((args[-1], fk_log(*args)))
-        return seen[-1][1]
-
-    monkeypatch.setattr(kernels, "fk_log", spy)
-    rep = verify_inequality(construct(n, ConstructionConfig(precision=128)))
-    ((zs, logs),) = seen
-    assert rep.passed and rep.max_inequality == 0.0
-    i = int(np.argmax(logs))
-    assert logs[i] > MINUS_INFINITY
-    assert rep.worst_point == zs[i] != zs[0]
+def test_verify_inequality_worst_point_by_log(n):
+    # every value of the quotient underflows binary64 at these orders, so
+    # the worst point is the one where the log of |h''/h^3| peaks: there
+    # the 200-bit jet reaches log C*_n to within its allowance
+    F = construct(n, ConstructionConfig(precision=128))
+    rep = verify_inequality(F)
+    log_c = analysis.log_c_star(n)[0]
+    z = rep.worst_point
+    assert rep.passed and abs(abs(z) - 2.0) <= 1e-15
+    with mpmath.workprec(200):
+        hj = h_jet(n, F.p, mpmath.mpc(z), 2)
+        got = float(mpmath.log(abs(hj[2])) - 3 * mpmath.log(abs(hj[0])))
+    assert log_c - 1e-12 * abs(log_c) <= got <= log_c
 
 
 def test_verify_inequality_trivial_member(family):
     # f_1 = a (z - 1) has vanishing second derivative everywhere
-    rep = verify_inequality(family[1], 2000, 1e-12)
+    rep = verify_inequality(family[1], 1e-12)
     assert rep.passed and rep.max_inequality == 0.0
+    assert rep.log_margin == MINUS_INFINITY
 
 
 @pytest.mark.parametrize("n", [340, 10**6])
 def test_verify_inequality_names_overflow(n):
-    # gated records whose kernel overflows binary64: S_n(u) near |z| = 2
-    # from n = 340 on (fk is +inf there), z^n at n = 10^6 (NaN everywhere)
+    # gated records of orders whose grid kernels overflow binary64: S_n(u)
+    # near |z| = 2 from n = 340 on; C*_n refuses them, so nothing is
+    # certified, at once even at n = 10^6
     F = CounterexampleFunction(n, build_p(n), 2 * n, 0, 1)
-    rep = verify_inequality(F, 2000, 1e-12)
+    rep = verify_inequality(F, 1e-12)
     assert not rep.passed
     assert math.isnan(rep.max_inequality)
-    assert rep.notes.endswith("so the grid overflows binary64")
+    assert rep.notes.startswith("not certified") and "overflows binary64" in rep.notes
     assert abs(rep.worst_point) <= 2.0
 
 
 def test_verify_inequality_validation(family):
-    with pytest.raises(ValueError, match="samples must be >= 1"):
-        verify_inequality(family[2], 0, 1e-12)
-    # a NaN or infinite tolerance would pass any finite grid
+    # a NaN or infinite tolerance would pass any record
     for tol in (math.nan, -1e-12, math.inf):
         with pytest.raises(ValueError, match="tol must be finite and >= 0"):
-            verify_inequality(family[2], 10, tol)
-    for seed in BAD_SEEDS:
-        with pytest.raises(ValueError, match="--seed must be an integer"):
-            verify_inequality(family[2], 10, seed=seed)
+            verify_inequality(family[2], tol)
+
+
+def test_verify_inequality_needs_zero_node_residual(exponents):
+    # with c1 zeroed h''/h^3 has a pole at every node: nothing to certify
+    F = CounterexampleFunction(5, exponents[5], 10, 0, 1)
+    rep = verify_inequality(bypass(F, p=(Fraction(0), F.p[1], F.p[2])))
+    assert not rep.passed and math.isnan(rep.max_inequality)
+    assert rep.node_residuals[0] > 0 and rep.worst_point == 1
+    assert rep.notes.startswith("not certified: node residual")
+
+
+def test_verify_inequality_says_not_certified_without_witness(family, monkeypatch):
+    # a certificate that fails by less than the quotient can show: the
+    # notes say so, and the check still fails
+    F = family[3]
+    monkeypatch.setattr(analysis, "log_c_star", lambda n: (F.log_c + math.log(6) + 1e-10, -0.4))
+    rep = verify_inequality(F)
+    assert not rep.passed and 0 < rep.log_margin < 1e-9
+    assert rep.notes.startswith("not certified") and rep.notes.endswith("no witness found")
 
 
 def test_verify_node_jets_family(family):
@@ -278,7 +293,7 @@ def test_tiny_perturbation_fails_both_node_checks(exponents):
     bad = bypass(F, p=(c1, c2 + Fraction(1, 10**30), c3))
     nodes = verify_node_jets(bad)
     assert not nodes.passed and 0 < nodes.max_inequality < 1e-20
-    maxmod = max_modulus_check(bad, 128)
+    maxmod = max_modulus_check(bad)
     assert not maxmod.passed and maxmod.worst_point == 1
 
 
@@ -441,15 +456,11 @@ def test_lemma2_layout(family):
 
 def test_max_modulus_family(family):
     for n, F in family.items():
-        rep = max_modulus_check(F, 512)
+        rep = max_modulus_check(F)
         assert rep.passed
         assert rep.node_residuals == ()
-    assert max_modulus_check(family[1], 512).max_inequality == 0.0
-
-
-def test_max_modulus_validation(family):
-    with pytest.raises(ValueError):
-        max_modulus_check(family[2], 63)
+        assert math.isfinite(rep.log_margin) and rep.log_margin <= 0
+    assert max_modulus_check(family[1]).max_inequality == 0.0
 
 
 def test_max_modulus_mutation(exponents):
@@ -460,7 +471,7 @@ def test_max_modulus_mutation(exponents):
     for n in range(2, 13):
         F = CounterexampleFunction(n, exponents[n], 2 * n, 0, 1)
         bad = bypass(F, p=(Fraction(0), F.p[1], F.p[2]))
-        rep = max_modulus_check(bad, 512)
+        rep = max_modulus_check(bad)
         assert not rep.passed, n
         assert rep.max_inequality > 1.0
         # reported at the node 1, which stands for every broken node
@@ -468,63 +479,55 @@ def test_max_modulus_mutation(exponents):
 
 
 def test_max_modulus_fails_on_shifted_kernel(exponents, monkeypatch):
-    # a kernel off by a uniform factor above the gap to C_n must fail; an
-    # interior-versus-boundary comparison could not see it
-    ratio_log = kernels.ratio_log
+    # a maximum of |h''/h^3| off by more than the gap to C_n must fail;
+    # an interior-versus-boundary comparison could not see it
+    log_c_star = analysis.log_c_star
     for n in range(2, 13):
         F = CounterexampleFunction(n, exponents[n], 2 * n, 0, 1)
-        rep = max_modulus_check(F, 512)
-        logs = re.search(r"log max (\S+), log C_n = (\S+),", rep.notes).groups()
+        rep = max_modulus_check(F)
+        logs = re.search(r"log C\*_n = (\S+) at .*, log C_n = (\S+),", rep.notes).groups()
         lm, bound = map(float, logs)
         gap = bound - lm
-        assert rep.passed and gap > 0, n
+        assert rep.passed and gap > 0 and rep.log_margin == -gap, n
         monkeypatch.setattr(
-            kernels, "ratio_log", lambda *a, _g=gap: ratio_log(*a) + (_g + 1.0)
+            analysis, "log_c_star", lambda n, _g=gap: (log_c_star(n)[0] + _g + 1.0, 1.0)
         )
-        bad = max_modulus_check(F, 512)
-        monkeypatch.setattr(kernels, "ratio_log", ratio_log)
-        assert not bad.passed and bad.max_inequality > 1.0, n
+        bad = max_modulus_check(F)
+        monkeypatch.setattr(analysis, "log_c_star", log_c_star)
+        assert not bad.passed and bad.max_inequality > 1.0 and bad.log_margin > 0, n
         assert abs(abs(bad.worst_point) - 2.0) <= 1e-15
     # an infinite bound bounds nothing, so the check cannot pass on it
     monkeypatch.setattr(analysis, "log_c_bound", lambda n: math.inf)
-    rep = max_modulus_check(F, 512)
+    rep = max_modulus_check(F)
     assert not rep.passed and math.isnan(rep.max_inequality)
 
 
-def test_max_modulus_matches_full_grid(exponents, monkeypatch):
-    # the log max of the half-sector boundary grid against the one over all
-    # 512 n angles, which rotation and reflection reduce to it
-    seen = []
-    ratio_log = kernels.ratio_log
-
-    def spy(n, c, s, zs):
-        assert np.all(np.abs(np.abs(zs) - 2.0) <= 1e-15)  # no interior point
-        out = ratio_log(n, c, s, zs)
-        seen.append(float(np.max(out)))
-        return out
-
-    monkeypatch.setattr(kernels, "ratio_log", spy)
+def test_max_modulus_matches_full_grid(exponents):
+    # C*_n against the log max of the kernel over all 512 n angles of
+    # |z| = 2: above it, by no more than the grid's step can hide; near a
+    # peak log|h''/h^3| falls like (9/2) phi^2 of itself, and the grid
+    # misses the peak by at most pi/512 in the angle phi of z^n
     for n, p in exponents.items():
         th = np.linspace(0.0, 2.0 * math.pi, 512 * n, endpoint=False)
         F = CounterexampleFunction(n, p, 2 * n, 0, 1)
-        seen.clear()
-        assert max_modulus_check(F, 512).passed, n
-        want = float(np.max(ratio_log(n, F.p_float, F.s_float, 2.0 * np.exp(1j * th))))
-        (got,) = seen
+        rep = max_modulus_check(F)
+        assert rep.passed, n
+        got = float(re.search(r"log C\*_n = (\S+) at", rep.notes).group(1))
+        want = float(np.max(kernels.ratio_log(n, F.p_float, F.s_float, 2.0 * np.exp(1j * th))))
         if want == MINUS_INFINITY:
             assert got == want, n
         else:
-            assert abs(got - want) <= 1e-14 * abs(want), n
+            assert want <= got <= want + 5 * (math.pi / 512) ** 2 * abs(want), n
 
 
 def test_max_modulus_fails_on_overflowed_grid():
-    # from n = 340 on S_n(u) overflows binary64 on |z| = 2: the log maxima
-    # are +inf or NaN and the grids measure nothing, so the check must fail
+    # from n = 340 on S_n(u) overflows binary64 on |z| = 2, and C*_n is
+    # refused there, so the check must fail
     F = CounterexampleFunction(340, build_p(340), 680, 0, 1)
     rep = max_modulus_check(F)
     assert not rep.passed
     assert math.isnan(rep.max_inequality)
-    assert "not finite, so the grid overflows binary64" in rep.notes
+    assert "overflows binary64" in rep.notes
 
 
 def test_probe_result_length_guard():

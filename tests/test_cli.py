@@ -5,11 +5,14 @@ import dataclasses
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,7 +20,7 @@ from normfam import cli, kernels, storage
 from normfam.analysis import DEFAULT_SEED, GridSpec
 from normfam.cli import main, parse_complex, parse_n_range, parse_region, write_csv
 from normfam.errors import Overflow
-from normfam.forge import build_s
+from normfam.forge import CounterexampleFunction, build_s, f_jet
 
 
 @pytest.fixture(scope="module")
@@ -66,15 +69,15 @@ def test_main_reuses_one_parser(files, tmp_path, monkeypatch):
             cli, name, lambda args, name=name: seen.append((name, vars(args))) or 0
         )
     out = str(tmp_path / "f.json")
-    assert main(["verify", files[2], "--seed", "7", "--samples", "50"]) == 0
+    assert main(["verify", files[2], "--seed", "7", "--tol", "1e-9"]) == 0
     assert main(["probe", "marty", files[2], "--radius", "0.2", "--seed", "3"]) == 0
     assert main(["construct", "-n", "2", "-o", out]) == 0
     assert main(["verify", files[2]]) == 0
     assert main(["probe", "marty", files[2]]) == 0
     assert cli._parser() is cli._parser()
     (_, v1), (_, p1), (_, v2), (_, p2) = seen
-    assert (v1["seed"], v1["samples"]) == (7, 50)
-    assert (v2["seed"], v2["samples"]) == (DEFAULT_SEED, 10000)
+    assert (v1["seed"], v1["tol"]) == (7, 1e-9)
+    assert (v2["seed"], v2["tol"]) == (DEFAULT_SEED, 1e-12)
     assert (p1["seed"], p1["radius"]) == (3, 0.2)
     assert (p2["seed"], p2["radius"]) == (DEFAULT_SEED, 0.1)
     assert v2["file"] == files[2] and p2["files"] == [files[2]]
@@ -88,7 +91,8 @@ def test_construct_rejects_bad_orders(tmp_path, capsys):
 
 
 def test_construct_refuses_overflowed_scan(tmp_path, capsys):
-    # the c_hat scan overflows binary64 from n = 340 on; n = 339 builds
+    # the grid kernels overflow binary64 from n = 340 on, and construct
+    # refuses those orders; n = 339 builds
     out = tmp_path / "f340.json"
     assert main(["construct", "-n", "340", "-o", str(out)]) == 1
     assert "construction failed" in capsys.readouterr().err
@@ -131,6 +135,32 @@ def test_verify_healthy_file(files, capsys):
     assert set(sub) == {"inequality", "node_jets", "max_modulus"}
     assert all(sub[k]["passed"] for k in sub)
     assert sub["inequality"]["max_inequality"] <= 0.5 + 1e-12
+    # the certified bound of the quotient is 1/(2n), and its log is finite
+    assert sub["inequality"]["log_margin"] == pytest.approx(-math.log(4), abs=1e-12)
+    assert sub["max_modulus"]["log_margin"] < 0
+
+
+@pytest.mark.parametrize("n", [19, 20, 30, 200])
+def test_verify_refutes_undershot_records(n, capsys):
+    # records that construct wrote while c_hat was sampled: from n = 19 on
+    # the scan refined the wrong peak and a is too small. verify exits 1,
+    # and the witness in the notes, read back at full precision, breaks
+    # |f''| <= 1 + |f|^3 inside |z| < 2 by an independent f_jet
+    path = Path(__file__).parent / "data" / f"undershot_f{n}.json"
+    assert main(["verify", str(path)]) == 1
+    ineq = json.loads(capsys.readouterr().out)["report"]["inequality"]
+    assert not ineq["passed"] and ineq["log_margin"] > 0
+    re_z, im_z = re.search(r"witness z = (\S+?)([+-]\S+)i ", ineq["notes"]).groups()
+    F, _ = storage.load_function(path)
+    precise = object.__new__(CounterexampleFunction)
+    for f in dataclasses.fields(CounterexampleFunction):
+        object.__setattr__(precise, f.name, getattr(F, f.name))
+    object.__setattr__(precise, "precision", 3 * n + 64)  # past the 53-bit gate
+    with mpmath.workprec(precise.precision):
+        z = mpmath.mpc(re_z, im_z)
+        jet = f_jet(precise, z, 2)
+        assert abs(z) < 2 and abs(jet[2]) > 1 + abs(jet[0]) ** 3
+    assert ineq["worst_point"] == pytest.approx([float(z.real), float(z.imag)], abs=1e-15)
 
 
 def test_repeated_verify_keeps_heap_resident(files, capsys):
@@ -169,8 +199,6 @@ def test_verify_unparseable_files(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("option, msg", [
-    ("--samples=0", "samples must be >= 1"),
-    ("--samples=-3", "samples must be >= 1"),
     ("--tol=nan", "tol must be finite and >= 0"),
     ("--tol=-1e-12", "tol must be finite and >= 0"),
     ("--tol=inf", "tol must be finite and >= 0"),
@@ -184,8 +212,8 @@ def test_verify_bad_options_exit_two(files, capsys, option, msg):
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 @pytest.mark.parametrize("command", ["verify", "marty", "grid"])
 def test_bad_seed_exits_two(files, tmp_path, capsys, command, seed):
-    # every sampling command refuses a seed outside [0, 2^64) before it
-    # draws, and the export leaves no file
+    # every command that takes a seed refuses one outside [0, 2^64), verify
+    # too though it draws nothing, and the export leaves no file
     out = tmp_path / "g.csv"
     argv = {
         "verify": ["verify", files[2]],
@@ -632,7 +660,7 @@ eager = [m for m in watched if m in sys.modules]
 from normfam.cli import main
 f = {files[2]!r}
 codes = [
-    main(["verify", f, "--samples", "100"]),
+    main(["verify", f]),
     main(["probe", "marty", f]),
     main(["grid", f, "--what", "fk", "--region", "disk:2", "--resolution", "100",
           "--export", {str(tmp_path / "g.csv")!r}]),

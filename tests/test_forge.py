@@ -3,6 +3,7 @@
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -15,7 +16,7 @@ from normfam import (
     NonPositiveM,
     Overflow,
 )
-from normfam import analysis, forge, kernels
+from normfam import analysis, kernels, storage
 from normfam.cpoly import HermiteSpec, eval_jet, hermite_interpolate
 from normfam.forge import (
     MAX_PRECISION,
@@ -27,17 +28,22 @@ from normfam.forge import (
     build_s,
     choose_a,
     construct,
+    critical_quintic,
     distinct_angles,
     estimate_c,
     estimate_m,
     f_jet,
     h_jet,
     log_c_bound,
+    log_c_star,
     p_float,
     p_jet,
 )
 
 ZERO_P = (Fraction(0),) * 3
+# records of n = 19, 20, 30 and 200 that construct wrote while c_hat was
+# sampled: their a is too small for |f''| <= 1 + |f|^3
+DATA = Path(__file__).parent / "data"
 
 
 def sample_disk(rng, radius=2.0):
@@ -491,39 +497,166 @@ def test_log_space_consistency_where_direct_is_representable(family):
 
 
 def test_estimate_c_order_one():
-    assert estimate_c(1, build_p(1), 1024) == 0
+    assert estimate_c(1, build_p(1)) == 0
+    assert log_c_star(1)[0] == MINUS_INFINITY  # S_1 = 0: h_1'' = 0
 
 
-def full_circle_log_c(n, p, M):
-    """log c_hat from all M*n angles of |z| = 2 and the same arc
-    refinement: the scan estimate_c made before it kept only the first M,
-    kept as an oracle."""
-    K = M * max(1, n)
-    theta = np.linspace(0.0, 2.0 * math.pi, K, endpoint=False)
-    c, s = p_float(p), p_float(build_s(n))
-    logs = kernels.ratio_log(n, c, s, 2.0 * np.exp(1j * theta))
-    if not np.any(np.isfinite(logs)):
-        return MINUS_INFINITY
-    i = int(np.argmax(logs))
-    best = float(logs[i])
-    step = 2.0 * math.pi / K
-    while 2.0 * step > forge._ARC_TOL:
-        step /= forge._ARC_ZOOM
-        theta = theta[i] + step * np.arange(-forge._ARC_ZOOM, forge._ARC_ZOOM + 1)
-        logs = kernels.ratio_log(n, c, s, 2.0 * np.exp(1j * theta))
-        i = int(np.argmax(logs))
-        best = max(best, float(logs[i]))
-    return best
+def oracle_log_c(n, grid=256):
+    """log c_n = log max |h''/h^3| on |z| = 2, from mpmath alone at 3n + 200
+    bits: the sign changes of Im(w A(u) conj S_n(u)), A = S_n' - 2 p' S_n,
+    on `grid` + 1 angles phi of w = 2^n e^(i phi) in [0, pi] (the function
+    is even in phi), each refined by the Illinois method, and phi = 0, pi;
+    |h''/h^3| at each from forge.h_jet. Neither np.roots nor
+    critical_quintic nor binary64 enters."""
+    with mpmath.workprec(3 * n + 200):
+        c1, c2, c3 = (mpmath.mpf(c.numerator) / c.denominator for c in build_p(n))
+        s0, s1, s2, s3 = (mpmath.mpf(c.numerator) / c.denominator for c in build_s(n))
+        R = mpmath.mpf(2) ** n
+
+        def T(phi):
+            w = R * mpmath.expj(phi)
+            u = w - 1
+            S = s0 + u * (s1 + u * (s2 + u * s3))
+            A = s1 + u * (2 * s2 + 3 * s3 * u) - 2 * (c1 + u * (2 * c2 + 3 * c3 * u)) * S
+            return mpmath.im(w * A * mpmath.conj(S))
+
+        phis = [mpmath.pi * k / grid for k in range(grid + 1)]
+        vals = [T(phi) for phi in phis]
+        crit = [phis[0], phis[-1]]
+        for a, b, ta, tb in zip(phis, phis[1:], vals, vals[1:]):
+            if ta * tb < 0:
+                crit.append(mpmath.findroot(T, (a, b), solver="illinois", verify=False))
+        best = -mpmath.inf
+        for phi in crit:
+            hj = h_jet(n, build_p(n), 2 * mpmath.expj(phi / n), 2)
+            best = max(best, mpmath.log(abs(hj[2])) - 3 * mpmath.log(abs(hj[0])))
+        return best
+
+
+@pytest.mark.parametrize("n", list(range(2, 25)) + [60, 100, 339])
+def test_margin_against_mpmath_oracle(n):
+    # the design margin log c_n - 2 log a <= -log(2n), for the record
+    # construct builds, with c_n from the oracle; at n = 19 the sampled
+    # c_hat of the scan it replaces left a margin of +4.5e11
+    F = construct(n)
+    want = oracle_log_c(n)
+    with mpmath.workprec(3 * n + 200):
+        margin = want - 2 * mpmath.log(F.a)
+        assert margin <= -mpmath.log(2 * n) + mpmath.mpf("1e-6"), n
+        # C*_n is an upper bound, and a tight one
+        log_c = mpmath.mpf(log_c_star(n)[0])
+        assert want <= log_c <= want + 1e-12 * abs(want) + 1e-12, n
+
+
+def test_new_record_holds_at_the_old_witness():
+    # the point on |z| = 2 where the n = 19 record of the sampled c_hat
+    # breaks the inequality, |f''|/(1 + |f|^3) = 1.15e35 there; the record
+    # of C*_19 keeps it below 1 (and below 1/(2n) by the certificate)
+    z = mpmath.mpc("1.9878413947920802591", "0.22019670558633912184")
+    old, _ = storage.load_function(DATA / "undershot_f19.json")
+    for F, bounded in ((construct(19), True), (old, False)):
+        with mpmath.workprec(400):
+            hj = h_jet(19, F.p, z, 2)
+            q = F.a * abs(hj[2]) / (1 + (F.a * abs(hj[0])) ** 3)
+        assert (q <= 1) == bounded, q
+
+
+def test_scans_evaluate_one_sector(family, monkeypatch):
+    # the only scan left, m_hat's, takes the angles of [0, pi/n] on each
+    # circle; C*_n and the max-modulus check evaluate no grid at all
+    seen = []
+    for name in ("h_log", "ratio_log", "fk_log", "sphder_log"):
+        real = getattr(kernels, name)
+        monkeypatch.setattr(
+            kernels, name, lambda *a, _n=name, _f=real: seen.append((_n, len(a[-1]))) or _f(*a)
+        )
+    for n in (2, 5, 12):
+        seen.clear()
+        log_c_star.cache_clear()
+        estimate_c(n, build_p(n))
+        estimate_m(n, build_p(n), 128)
+        assert seen == [("h_log", 3 * (128 // 2 + 1))], n
+    for n, F in family.items():
+        seen.clear()
+        analysis.max_modulus_check(F)
+        analysis.verify_inequality(F)
+        assert seen == [], n
+
+
+def test_estimate_c_refuses_overflowed_scan():
+    # from n = 340 on the grid kernels' S_n(u) overflows binary64 on
+    # |z| = 2, so construct refuses the order before any work; n = 1 has
+    # h'' = 0
+    for n in (340, 400, 10**6):
+        start = time.perf_counter()
+        with pytest.raises(Overflow, match="overflows binary64"):
+            estimate_c(n, build_p(n))
+        assert time.perf_counter() - start < 0.01, n
+    assert 0 < estimate_c(339, build_p(339)) < mpmath.inf
+    assert estimate_c(1, build_p(1)) == 0
+
+
+def test_estimate_c_stable_under_grid_doubling():
+    # c_hat no longer depends on the scan grid, which only m_hat takes
+    c1 = construct(2, ConstructionConfig(grid_m=1024)).c_hat
+    c2 = construct(2, ConstructionConfig(grid_m=2048)).c_hat
+    assert c1 == c2 == estimate_c(2, build_p(2))
+
+
+def test_estimate_c_dominates_interior_samples(family):
+    rng = np.random.default_rng(23)
+    for n, F in family.items():
+        if n == 1:
+            continue
+        bound = float(mpmath.log(F.c_hat)) + math.log1p(1e-4)
+        count = 0
+        while count < 500:
+            z = sample_disk(rng)
+            assert kernels.ratio_log(n, F.p_float, F.s_float, z) <= bound
+            count += 1
 
 
 def test_estimate_c_matches_full_circle(exponents):
-    for n, p in exponents.items():
-        want = full_circle_log_c(n, p, 1024)
-        got = estimate_c(n, p, 1024)
-        if want == MINUS_INFINITY:
-            assert got == 0
-        else:
-            assert abs(float(mpmath.log(got)) - want) <= 1e-14 * abs(want), n
+    # C*_n bounds the 1024 n-angle kernel scan of |z| = 2 and exceeds it by
+    # no more than its allowance and the scan's angle step
+    for n, p in list(exponents.items())[1:]:
+        theta = np.linspace(0.0, 2.0 * math.pi, 1024 * n, endpoint=False)
+        zs = 2.0 * np.exp(1j * theta)
+        scan = float(np.max(kernels.ratio_log(n, p_float(p), p_float(build_s(n)), zs)))
+        got = float(mpmath.log(estimate_c(n, p)))
+        assert scan <= got <= scan + 1e-4 * abs(scan), n
+
+
+def test_log_c_star_every_order():
+    # every order construct takes: finite, above a 512-angle scan of
+    # |z| = 2 in w = z^n and within what its step can miss, (9/2)(pi/512)^2
+    # of the log (so no bracket fell back to a wide isolating interval),
+    # below the closed-form bound C_n, and attained at a cosine in [-1, 1]
+    for n in range(2, 340):
+        log_c, x = log_c_star(n)
+        c, s = p_float(build_p(n)), p_float(build_s(n))
+        logs = kernels.ratio_log(n, c, s, 2.0 * np.exp(1j * distinct_angles(n, 512)))
+        scan = float(np.max(logs))
+        assert scan <= log_c * (1 + 1e-15) and log_c <= log_c_bound(n), n
+        assert log_c - scan <= 5 * (math.pi / 512) ** 2 * log_c and -1 <= x <= 1, n
+
+
+def test_critical_quintic_roots_are_critical_points():
+    # at every root c of V in [-1, 1] the phi-derivative of log|h''/h^3| on
+    # |z| = 2, taken by mpmath.diff of forge.h_jet logs, vanishes
+    for n in (2, 3, 7, 12):
+        V = critical_quintic(n)
+        roots = np.roots([float(v) for v in V[::-1]])
+        roots = [r.real for r in roots if abs(r.imag) < 1e-12 and abs(r.real) < 1]
+        assert roots, n
+        with mpmath.workprec(3 * n + 100):
+            def g(phi):
+                hj = h_jet(n, build_p(n), 2 * mpmath.expj(phi / n), 2)
+                return mpmath.log(abs(hj[2])) - 3 * mpmath.log(abs(hj[0]))
+
+            scale = abs(g(mpmath.mpf(1)))
+            for c in roots:
+                assert abs(mpmath.diff(g, mpmath.acos(c))) <= 1e-9 * scale, (n, c)
 
 
 @pytest.mark.parametrize(
@@ -545,86 +678,10 @@ def test_distinct_angles(n, M):
     assert set(j) | set(-j % M) == set(range(M))
 
 
-def test_scans_evaluate_one_sector(family, monkeypatch):
-    seen = []
-    ratio_log = kernels.ratio_log
-
-    def spy(n, c, s, zs):
-        seen.append(len(zs))
-        return ratio_log(n, c, s, zs)
-
-    monkeypatch.setattr(kernels, "ratio_log", spy)
-    for n in (1, 2, 5, 12):
-        seen.clear()
-        estimate_c(n, build_p(n), 128)
-        assert seen[0] == 128 // 2 + 1, n
-    for n, F in family.items():
-        for res in (64, 512):
-            seen.clear()
-            analysis.max_modulus_check(F, res)
-            # one call, on the boundary circle only
-            assert seen == [res // 2 + 1], (n, res)
-
-
-def test_estimate_c_evaluates_only_arrays(monkeypatch):
-    # every binary64 value of estimate_c comes from the array kernels: no
-    # kernel is ever handed a python or numpy scalar point
-    points = {
-        "ratio_log": lambda n, c, s, zs: [zs],
-        "_factored": lambda n, c, s, zs: [zs],
-        "_up": lambda n, c, zs: [zs],
-        "_horner": lambda coeffs, u: [u],
-    }
-    seen = []
-    for name, args_points in points.items():
-        def spy(*args, _f=getattr(kernels, name), _name=name, _pts=args_points):
-            seen.extend((_name, x) for x in _pts(*args))
-            return _f(*args)
-
-        monkeypatch.setattr(kernels, name, spy)
-    for n in (1, 2, 5, 12):
-        seen.clear()
-        estimate_c(n, build_p(n), 128)
-        assert {name for name, _ in seen} == set(points), n
-        for name, x in seen:
-            assert isinstance(x, np.ndarray) and x.ndim == 1, (n, name, x)
-
-
-def test_estimate_c_refuses_overflowed_scan():
-    # from n = 340 on S_n(u) overflows binary64 at every point of |z| = 2,
-    # so every sampled log is +inf (and NaN once Re p overflows too);
-    # n = 1 has h'' = 0, every log is -inf
-    for n in (340, 400):
-        with pytest.raises(Overflow):
-            estimate_c(n, build_p(n), 64)
-    assert 0 < estimate_c(339, build_p(339), 64) < mpmath.inf
-    assert estimate_c(1, build_p(1), 64) == 0
-
-
-def test_estimate_c_stable_under_grid_doubling():
-    p = build_p(2)
-    c1 = estimate_c(2, p, 1024)
-    c2 = estimate_c(2, p, 2048)
-    assert abs(c2 / c1 - 1) <= 1e-4
-
-
-def test_estimate_c_dominates_interior_samples(family):
-    rng = np.random.default_rng(23)
-    for n, F in family.items():
-        if n == 1:
-            continue
-        bound = float(mpmath.log(F.c_hat)) + math.log1p(1e-4)
-        count = 0
-        while count < 500:
-            z = sample_disk(rng)
-            assert kernels.ratio_log(n, F.p_float, F.s_float, z) <= bound
-            count += 1
-
-
 @pytest.mark.parametrize("n", list(range(1, 13)) + [200, 339])
 def test_log_c_bound_dominates_boundary_scan(n):
-    # 32 times max_modulus_check's default angles on |z| = 2, where the
-    # entire h''/h^3 attains its max modulus; n = 1 gives -inf on both sides
+    # 16,384 angles of w = z^n on |z| = 2, where the entire h''/h^3 attains
+    # its max modulus; n = 1 gives -inf on both sides
     theta = distinct_angles(n, 32 * 512)
     c, sc = p_float(build_p(n)), p_float(build_s(n))
     logs = kernels.ratio_log(n, c, sc, 2.0 * np.exp(1j * theta))
@@ -714,8 +771,6 @@ def test_estimate_m_stable_under_grid_doubling():
 
 
 def test_grid_floor():
-    with pytest.raises(ValueError):
-        estimate_c(2, build_p(2), 32)
     with pytest.raises(ValueError):
         estimate_m(2, build_p(2), 32)
 
