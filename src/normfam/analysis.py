@@ -18,7 +18,8 @@ beyond the double range are compared by exponent rather than by value.
 f_n depends on z only through z^n, so every check at the nodes runs at
 the node z = 1, which stands for all n of them.  There u = z^n - 1 = 0
 and every derivative of u is an integer, so the node conditions are
-decided exactly, on the rational jet of h at z = 1.
+decided exactly, by the Leibniz rule in integers
+(forge.CounterexampleFunction.node_residual).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import kernels
 from .errors import CenterOffCircle, OrderTooLow, Overflow, PointTooCloseToCircle
-from .forge import MINUS_INFINITY, h_jet, log_c_bound, log_c_star
+from .forge import MINUS_INFINITY, h_jet, h_moduli, log_c_bound, log_c_star, peak_cos
 
 # fixed default so repeated runs produce identical reports; callers
 # (and the CLI) may override
@@ -237,29 +238,39 @@ def _witness(F, x, tol):
     # (z, log q, text) for a point z, |z| < 2, where
     # q = |f''| / (1 + |f|^3) > 1 + tol, or None. On the circle
     # |z| = 2 r, r = 1 - 2^-(3n+40), it bisects arg z from the peak of
-    # C*_n (arg z^n = acos x, where |f| is least) towards arg z^n = pi/3,
+    # C*_n (the critical point of the candidate cos(arg z^n) = x, located
+    # by forge.peak_cos at the working precision, where |f| is least,
+    # since the peak near 2 pi/3 is narrower than binary64 resolves from
+    # n = 36 on) towards arg z^n = pi/3,
     # where Re(c3 u^3) > 0 makes |f| large, for |f| = 1, where
-    # q = |h''/h^3| / (2 a^2); q is taken from forge.h_jet at 3n + 64 bits
+    # q = |h''/h^3| / (2 a^2). Each step takes |h| and |h''| from the closed
+    # forms of forge.h_moduli at 3n + 64 bits; a point is reported only once
+    # forge.h_jet at those bits confirms q > 1 + tol there
     n, prec = F.n, 3 * F.n + 64
+
+    def log_q(h, h2):
+        return mpmath.log(F.a * h2) - mpmath.log1p((F.a * h) ** 3)
+
     with mpmath.workprec(prec):
         r, limit = 2 * (1 - mpmath.ldexp(1, -(3 * n + 40))), mpmath.log1p(tol)
-        near, far = mpmath.acos(x) / n, mpmath.pi / (3 * n)  # |f| < 1 and > 1
+        near, far = mpmath.acos(peak_cos(n, x)) / n, mpmath.pi / (3 * n)  # |f| < 1, > 1
         t = near
         for _ in range(prec):
             z = r * mpmath.expj(t)
-            hj = h_jet(n, F.p, z, 2)
-            f = F.a * abs(hj[0])
-            lq = mpmath.log(F.a * abs(hj[2])) - mpmath.log1p(f**3)
-            if lq > limit:
-                digits = int(prec * 0.30103) + 3
-                where = (
-                    f"witness z = {mpmath.nstr(z.real, digits)}"
-                    f"{'+' if z.imag >= 0 else '-'}{mpmath.nstr(abs(z.imag), digits)}i "
-                    f"(|z| < 2), where log(|f''|/(1+|f|^3)) = {float(lq):.6g} "
-                    f"by h_jet at {prec} bits"
-                )
-                return complex(z), float(lq), where
-            near, far = (t, far) if f < 1 else (near, t)
+            h, _, h2 = h_moduli(n, z)
+            if log_q(h, h2) > limit:
+                hj = h_jet(n, F.p, z, 2)
+                lq = log_q(abs(hj[0]), abs(hj[2]))
+                if lq > limit:
+                    digits = int(prec * 0.30103) + 3
+                    where = (
+                        f"witness z = {mpmath.nstr(z.real, digits)}"
+                        f"{'+' if z.imag >= 0 else '-'}{mpmath.nstr(abs(z.imag), digits)}i "
+                        f"(|z| < 2), where log(|f''|/(1+|f|^3)) = {float(lq):.6g} "
+                        f"by h_jet at {prec} bits"
+                    )
+                    return complex(z), float(lq), where
+            near, far = (t, far) if F.a * h < 1 else (near, t)
             t = (near + far) / 2
     return None
 
@@ -267,8 +278,8 @@ def _witness(F, x, tol):
 def verify_node_jets(F):
     """Check that h'', h''', h'''' vanish at the node z = 1.
 
-    residual = max(|h''|, |h'''|, |h''''|) / max(1, |h'|), computed from
-    the exact rational jet of h at z = 1 (there u = 0 and
+    residual = max(|h''|, |h'''|, |h''''|) / max(1, |h'|), computed
+    exactly at z = 1 by the Leibniz rule in integers (there u = 0 and
     u^(k) = n!/(n-k)!, so p = 0 and e^p = 1); passed means it is exactly
     0.  h depends on z only through z^n, so at the node
     w = e^{2 pi i l/n} its m-th derivative is the one at 1 times w^-m:
@@ -335,11 +346,12 @@ def lemma2_probe(Fs, points, orders):
 
     Points must keep distance 0.1 from the unit circle and stay inside
     radius 1.9, where the family is zero-free and the quotient is
-    meaningful.  Measurements are laid out row-major over (function,
-    point, order) and kept in arbitrary precision; for order 2 each one
-    must fall below 1/n, for order 1 each per-point series, taken in
-    increasing n whatever the order of Fs, must end below its start and
-    below 0.1 for the verdict to be "decay".
+    meaningful.  |h|, |h'| and |h''| come from the closed forms of
+    forge.h_moduli at the record's precision.  Measurements are laid out
+    row-major over (function, point, order) and kept in arbitrary
+    precision; for order 2 each one must fall below 1/n, for order 1 each
+    per-point series, taken in increasing n whatever the order of Fs, must
+    end below its start and below 0.1 for the verdict to be "decay".
     """
     orders = tuple(orders)
     if not orders or any(l not in (1, 2) for l in orders):
@@ -358,9 +370,9 @@ def lemma2_probe(Fs, points, orders):
     for F in Fs:
         with mpmath.workprec(F.precision):
             for z in pts:
-                hj = h_jet(F.n, F.p, mpmath.mpc(z), max(orders))
+                hm = h_moduli(F.n, z)
                 for l in orders:
-                    m = abs(hj[l]) / (abs(hj[0]) ** (l + 1) * F.a**l)
+                    m = hm[l] / (hm[0] ** (l + 1) * F.a**l)
                     ns.append(F.n)
                     meas.append(m)
                     if l == 1:

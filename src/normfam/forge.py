@@ -31,12 +31,13 @@ through the kernels module.
 The scalar jets, of any order, are Taylor series in w = z^n: the cubic p
 shifted exactly about u, e^p by a three-term recurrence, both composed
 with (z + t)^n - z^n by Horner's rule, exactly at a Fraction point and in
-mpmath.mpc at the working precision elsewhere; the array kernels take
-closed forms instead. At z = 1, u = 0 and the coefficients C(n, j) of
-(1 + t)^n - 1 are integers, so a record's node_residual decides the node
-conditions in rational arithmetic. A record's precision sets only the
-digits its magnitudes are stored with and the mpmath precision of f_jet
-and of the probes.
+mpmath.mpc at the working precision elsewhere. The array kernels, and
+h_moduli for |h|, |h'| and |h''| in mpmath, take closed forms in u
+instead. At z = 1, u = 0, p = 0 and u^(k) = n!/(n-k)!, so a record's
+node_residual decides the node conditions by the Leibniz rule in integer
+arithmetic, over the lcm of the denominators of p. A record's precision
+sets only the digits its magnitudes are stored with and the mpmath
+precision of f_jet and of the probes.
 """
 
 import functools
@@ -137,22 +138,35 @@ def build_s(n):
     )
 
 
+def _scaled_cubics(n):
+    # the integer coefficients of 24 n^2 p (build_p) and 576 n^3 S_n (build_s)
+    m = 24 * n * n
+    return (
+        tuple(c.numerator * (m // c.denominator) for c in build_p(n)),
+        tuple(s.numerator * (24 * n * m // s.denominator) for s in build_s(n)),
+    )
+
+
 def log_c_bound(n):
     """A binary64 upper bound of log C_n, C_n = n 2^(n-2) S^(U) e^(2 P(U)),
     U = 2^n + 1, P(x) = sum |c_k| x^k (build_p), S^(x) = sum |s_k| x^k
-    (build_s): |u| <= U on |z| <= 2, so C_n >= |h''/h^3| there. Summed at
-    80 bits from the exact rationals, rounded once, raised by 1e-12 of
-    itself; -inf at n = 1 (S_1 = 0); +inf from n = 343 on, where
+    (build_s): |u| <= U on |z| <= 2, so C_n >= |h''/h^3| there. Summed in
+    integers over the denominators 24 n^2 and 576 n^3 of _scaled_cubics,
+    taken at 80 bits, rounded once, raised by 1e-12 of itself; -inf at
+    n = 1 (S_1 = 0); +inf from n = 343 on, where
     2 P(U) > 2 |c3| 2^(3n) >= 2^(3n-4) leaves binary64, before 2^n is formed."""
     if 3 * n - 4 >= 1024:
         return math.inf
     U = 2**n + 1
-    P = sum(abs(c) * U**k for k, c in enumerate(build_p(n), 1))
-    S = sum(abs(s) * U**k for k, s in enumerate(build_s(n)))
+    p, s = _scaled_cubics(n)
+    P = sum(abs(c) * U**k for k, c in enumerate(p, 1))
+    S = sum(abs(c) * U**k for k, c in enumerate(s))
     if not S:
         return MINUS_INFINITY
+    # n 2^n S^(U) / 4 and 2 P(U), each one Fraction in lowest terms
+    x, y = Fraction(2**n * S, 2304 * n * n), Fraction(P, 12 * n * n)
     with mpmath.workprec(80):
-        x, y = (mpmath.mpf(q.numerator) / q.denominator for q in (n * 2**n * S / 4, 2 * P))
+        x, y = (mpmath.mpf(q.numerator) / q.denominator for q in (x, y))
         b = float(mpmath.log(x) + y)
     return b + 1e-12 * abs(b)
 
@@ -226,6 +240,30 @@ def h_jet(n, p, z, J):
     return _compose([u * E[0]] + [u * E[k] + E[k - 1] for k in range(1, J + 1)], s, J)
 
 
+def h_moduli(n, z):
+    """(|h|, |h'|, |h''|) at z for the exponent build_p(n), as mpmath reals
+    at the working precision, from the closed forms in u = z^n - 1 that the
+    grid kernels take, with d1 = dp/du and S_n of build_s:
+
+        |h| = |u| e^(Re p),  |h'| = n |z|^(n-1) |1 + u d1(u)| e^(Re p),
+        |h''| = n |z|^(n-2) |u|^3 |S_n(u)| e^(Re p).
+
+    The cubics enter as the integers of _scaled_cubics, exact in mpmath,
+    24 n^2 p and 576 n^3 S_n, and each modulus is divided by its scale once.
+    """
+    (a1, a2, a3), (b0, b1, b2, b3) = _scaled_cubics(n)
+    m = 24 * n * n
+    z = mpmath.mpc(z)
+    u, r = z**n - 1, abs(z)
+    e = mpmath.exp((u * (a1 + u * (a2 + a3 * u))).real / m)
+    # at n = 1, where |z|^(n-2) would be 1/|z|, S_1 = 0 and h'' = 0
+    return (
+        abs(u) * e,
+        r ** (n - 1) * abs(m + u * (a1 + u * (2 * a2 + 3 * a3 * u))) * e / (24 * n),
+        r ** max(n - 2, 0) * abs(u) ** 3 * abs(b0 + u * (b1 + u * (b2 + b3 * u))) * e / (24 * m),
+    )
+
+
 def distinct_angles(n, M):
     """The M // 2 + 1 angles 2 pi j / (M n), j = 0..M // 2: those of
     [0, pi/n] among the M n equispaced angles 2 pi k / (M n).
@@ -270,8 +308,8 @@ def critical_quintic(n):
     in zeta its 13 coefficients are 0 and the +-(x_k - x_(-k)).
     """
     m = 24 * n * n
-    P = _in_w(0, *(c.numerator * (m // c.denominator) for c in build_p(n)))
-    S = _in_w(*(s.numerator * (24 * n * m // s.denominator) for s in build_s(n)))
+    p_int, s_int = _scaled_cubics(n)
+    P, S = _in_w(0, *p_int), _in_w(*s_int)
     A = [m * k * S[k] for k in range(1, 4)] + [0, 0, 0]
     for k in range(1, 4):
         for j, s in enumerate(S):
@@ -383,6 +421,11 @@ def log_c_star(n):
         P'', S^', S^'' at R + 1 and a lower bound of |S_n| on the
         bracket; elsewhere, to first order, Re p moves by at most
         R d P'(R + 1) and |S_n| by at most R d S^'(R + 1).
+    log C*_n is the largest raised value. cos phi* is the candidate's
+    whose value is largest; where the allowances of several candidates
+    overlap (from n = 46 on, for arg w = 0 and near 2 pi/3), only those
+    are evaluated again in mpmath at 3n + 64 bits at their refined roots
+    (peak_cos), which moves cos phi* but never the bound.
     Memoized: it depends on n alone. -inf at n = 1 (S_1 = 0). Orders
     above MAX_ORDER raise Overflow before any power of 2^n is formed.
     """
@@ -400,7 +443,7 @@ def log_c_star(n):
     p, s = p_float(build_p(n)), p_float(build_s(n))
     P, dP, d2P = (_sum_abs((0.0,) + p, R + 1, k) for k in range(3))
     S, dS, d2S = (_sum_abs(s, R + 1, k) / R**3 for k in range(3))
-    best = MINUS_INFINITY, 1.0
+    cands = []  # (raised g, its allowance, x)
     for x, lo, hi in [(1.0, 1.0, 1.0), (-1.0, -1.0, -1.0)] + [_bracket(V, Vf, *r) for r in roots]:
         # g at u = R v, v = u / R, so that no power of R is formed
         d = 2.0 * (math.acos(lo) - math.acos(hi))
@@ -411,11 +454,48 @@ def log_c_star(n):
         sigma = S_v - _EVAL_SLACK * S - R * d * dS  # |S_n| / R^3 on the bracket is above it
         if sigma > 0:  # second order: g' = 0 at the critical point
             G2 = 2.0 * R * (R * d2P + dP) + R * (R * d2S + dS) / sigma + (R * dS / sigma) ** 2
-            g += G2 * d * d / 2
+            loc = G2 * d * d / 2
         else:  # first order
-            g += math.log1p(R * d * dS / (S_v + _EVAL_SLACK * S)) + 2.0 * R * d * dP
-        best = max(best, (g, x))
-    return math.log(n) + (4 * n - 2) * math.log(2.0) + best[0], best[1]
+            loc = math.log1p(R * d * dS / (S_v + _EVAL_SLACK * S)) + 2.0 * R * d * dP
+        rnd = 2.0 * _EVAL_SLACK * P + (math.log1p(_EVAL_SLACK * S / S_v) if S_v else math.inf)
+        cands.append((g + loc, loc + rnd, x))
+    # g at a critical point lies in [g - 2 allowance, g] of its candidate:
+    # those whose interval reaches the highest floor may be the peak
+    floor = max(g - 2.0 * allow for g, allow, _ in cands)
+    tied = [x for g, _, x in cands if g >= floor]
+    x = tied[0] if len(tied) == 1 else max(_critical_value(n, x) for x in tied)[1]
+    return math.log(n) + (4 * n - 2) * math.log(2.0) + max(cands)[0], x
+
+
+def peak_cos(n, x):
+    """cos phi of the critical point of log|h''/h^3| on |z| = 2 at the
+    candidate cos phi = x of log_c_star, phi the angle of w = z^n, as an
+    mpmath real at the working precision: x itself at +-1, else x refined
+    by Newton's method on the exact quintic critical_quintic(n). The peak
+    near arg w = 2 pi/3 is about 2^(-3n/2) wide, narrower than binary64
+    resolves from n = 36 on."""
+    x = mpmath.mpf(x)
+    if abs(x) < 1:
+        V = critical_quintic(n)
+        for _ in range(12):
+            y = dy = 0
+            for v in V[::-1]:
+                y, dy = y * x + v, dy * x + y
+            step = y / dy if dy else 0
+            x -= step
+            if abs(step) <= mpmath.eps:
+                break
+    return min(max(x, mpmath.mpf(-1)), mpmath.mpf(1))
+
+
+def _critical_value(n, x):
+    # (log|h''/h^3|, cos phi) at the critical point of the candidate
+    # cos phi = x on |z| = 2, by peak_cos and h_moduli at 3n + 64 bits,
+    # where the binary64 values of candidates tie
+    with mpmath.workprec(3 * n + 64):
+        x = peak_cos(n, x)
+        h, _, h2 = h_moduli(n, 2 * mpmath.expj(mpmath.acos(x) / n))
+        return mpmath.log(h2) - 3 * mpmath.log(h), float(x)
 
 
 def estimate_c(n, p):
@@ -458,13 +538,16 @@ def estimate_m(n, p, M=1024):
 def choose_a(n, c_hat, m_hat):
     """a = max(sqrt(2 n c_hat), 2n / m_hat, 1): the first factor drives
     the inequality margin c_n / a^2 down to 1/n, the second lifts |f_n|
-    above n on K_n, so both claims stay quantitatively testable."""
+    above n on K_n, so both claims stay quantitatively testable. Both
+    floors are rounded upward at the working precision, so a is at least
+    each of them exactly, at any precision the record is read at later."""
     if m_hat <= 0:
         raise NonPositiveM(f"m_hat = {m_hat} must be positive")
     if c_hat < 0:
         raise ValueError("c_hat must be >= 0")
-    s = mpmath.sqrt(2 * n * mpmath.mpf(c_hat))
-    t = 2 * n / mpmath.mpf(m_hat)
+    two_n_c = mpmath.fmul(2 * n, c_hat, exact=True)
+    s = mpmath.mpf(mpmath.libmp.mpf_sqrt(two_n_c._mpf_, mpmath.mp.prec, "c"))
+    t = mpmath.fdiv(2 * n, m_hat, rounding="c")
     return max(s, t, mpmath.mpf(1))
 
 
@@ -531,11 +614,33 @@ class CounterexampleFunction:
 
     @cached_property
     def node_residual(self):
-        """max(|h''|, |h'''|, |h''''|) / max(1, |h'|) at the node z = 1, from
-        the exact rational jet of h there: a Fraction, 0 exactly when the
-        node conditions hold."""
-        hj = h_jet(self.n, self.p, Fraction(1), 4)
-        return max(abs(hj[m]) for m in (2, 3, 4)) / max(1, abs(hj[1]))
+        """max(|h''|, |h'''|, |h''''|) / max(1, |h'|) at the node z = 1: a
+        Fraction, 0 exactly when the node conditions hold.
+
+        There u = 0, p = 0 and u_k = u^(k) = n!/(n-k)!, so the Leibniz rule
+        on h = u e^p gives h' = u_1 = n and
+
+            h''   = u_2 + 2 u_1 E_1,
+            h'''  = u_3 + 3 u_2 E_1 + 3 u_1 E_2,
+            h'''' = u_4 + 4 u_3 E_1 + 6 u_2 E_2 + 4 u_1 E_3,
+
+        with E_1 = p', E_2 = p'' + p'^2, E_3 = p''' + 3 p' p'' + p'^3 the
+        derivatives of e^p, and p', p'', p''' from build_p's chain rule.
+        All of it is integer arithmetic scaled by D^3, D the lcm of the
+        denominators of p, so any rational exponent is decided exactly."""
+        n = self.n
+        u1, u2, u3, u4 = (math.perm(n, k) for k in range(1, 5))
+        D = math.lcm(*(c.denominator for c in self.p))
+        a1, a2, a3 = (c.numerator * (D // c.denominator) for c in self.p)
+        # D p', D p'', D p''', then D E_1, D^2 E_2, D^3 E_3
+        P1 = a1 * u1
+        P2 = 2 * a2 * u1 * u1 + a1 * u2
+        P3 = 6 * a3 * u1**3 + 6 * a2 * u1 * u2 + a1 * u3
+        E1, E2, E3 = P1, P2 * D + P1 * P1, (P3 * D + 3 * P1 * P2) * D + P1**3
+        H2 = (u2 * D + 2 * u1 * E1) * D * D
+        H3 = ((u3 * D + 3 * u2 * E1) * D + 3 * u1 * E2) * D
+        H4 = ((u4 * D + 4 * u3 * E1) * D + 6 * u2 * E2) * D + 4 * u1 * E3
+        return Fraction(max(abs(H2), abs(H3), abs(H4)), n * D**3)
 
 
 def construct(n, cfg=ConstructionConfig()):

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -23,7 +24,7 @@ from normfam.analysis import (
     verify_inequality,
     verify_node_jets,
 )
-from normfam import analysis, kernels
+from normfam import analysis, kernels, storage
 from normfam.errors import CenterOffCircle, OrderTooLow, PointTooCloseToCircle
 from normfam.forge import (
     MINUS_INFINITY,
@@ -31,6 +32,7 @@ from normfam.forge import (
     CounterexampleFunction,
     Jet,
     build_p,
+    choose_a,
     construct,
     h_jet,
 )
@@ -446,6 +448,73 @@ def test_lemma2_verdict_independent_of_argument_order(family):
     assert up.verdict == down.verdict == "decay"
     assert down.n_values == (6, 2)
     assert down.measurements == up.measurements[::-1]
+
+
+def oracle_quotient(F, z, l):
+    """|f^(l)| / |f|^(l+1) from the 3n + 200-bit jet of h, and the scale
+    n + 1 + sum |c_k| |u|^k of its rounding at z."""
+    with mpmath.workprec(3 * F.n + 200):
+        z = mpmath.mpc(z)
+        hj = h_jet(F.n, F.p, z, l)
+        u = abs(z**F.n - 1)
+        scale = F.n + 1 + sum(abs(c) * u**k for k, c in enumerate(F.p, 1))
+        return abs(hj[l]) / (abs(hj[0]) ** (l + 1) * F.a**l), scale
+
+
+def test_lemma2_against_jet_oracle():
+    # the benchmark's records (53 bits to n = 6, 128 bits above) at the
+    # points it probes and more: each measurement within 64 ulps of the
+    # rounding scale of the 3n + 200-bit jet
+    Fs = [construct(n, ConstructionConfig(precision=53 if n < 7 else 128)) for n in range(1, 13)]
+    pts = [0, 1.5, 1.5j, -0.6 + 0.3j, 1.2 + 1.2j, -1.85]
+    pr = lemma2_probe(Fs, pts, [1, 2])
+    got = iter(pr.measurements)
+    for F in Fs:
+        for z in pts:
+            for l in (1, 2):
+                m = next(got)
+                want, scale = oracle_quotient(F, z, l)
+                with mpmath.workprec(3 * F.n + 200):
+                    assert abs(m - want) <= 64 * mpmath.ldexp(scale, -F.precision) * want, (F.n, z, l)
+
+
+@pytest.mark.parametrize("n", [19, 20, 30, 200])
+def test_witness_quotient_against_jet_oracle(n):
+    # the witness of a record of the sampled c_hat: log q by the 3n + 64-bit
+    # jet that confirms it, within 64 ulps of the rounding scale of the
+    # 3n + 200-bit jet
+    F, _ = storage.load_function(Path(__file__).parent / "data" / f"undershot_f{n}.json")
+    _, lq, where = analysis._witness(F, analysis.log_c_star(n)[1], 1e-12)
+    re_z, im_z = re.search(r"witness z = (\S+?)([+-]\S+)i ", where).groups()
+    with mpmath.workprec(3 * n + 200):
+        z = mpmath.mpc(re_z, im_z)
+        assert abs(z) < 2 and lq > 0
+        hj = h_jet(n, F.p, z, 2)
+        want = mpmath.log(F.a * abs(hj[2])) - mpmath.log1p((F.a * abs(hj[0])) ** 3)
+        _, scale = oracle_quotient(F, z, 2)
+        assert abs(lq - want) <= 64 * mpmath.ldexp(scale, -(3 * n + 64)) + 1e-15 * abs(want)
+
+
+def test_verify_peak_and_witness_at_order_60():
+    # past the binary64 tie of the candidates, the certificate's worst
+    # point lies at arg z^n = 2 pi/3, and an undershot a is refuted by a
+    # witness that the bisection finds from there. log C*_n exceeds log c_n
+    # by about 6e-14 of itself, so c_hat is cut by 1e-9 of its log: a cut
+    # within that allowance leaves a record that holds
+    F = construct(60)
+    rep = verify_inequality(F)
+    assert rep.passed
+    assert abs(cmath.phase(rep.worst_point) * 60 - 2 * math.pi / 3) < 1e-6
+    with mpmath.workprec(3 * 60 + 64):
+        c_hat = F.c_hat * mpmath.exp(-mpmath.log(F.c_hat) * mpmath.mpf("1e-9"))
+    bad = CounterexampleFunction(60, F.p, choose_a(60, c_hat, F.m_hat), c_hat, F.m_hat)
+    rep = verify_inequality(bad)
+    assert not rep.passed
+    re_z, im_z = re.search(r"witness z = (\S+?)([+-]\S+)i ", rep.notes).groups()
+    with mpmath.workprec(3 * 60 + 200):
+        z = mpmath.mpc(re_z, im_z)
+        hj = h_jet(60, F.p, z, 2)
+        assert abs(z) < 2 and bad.a * abs(hj[2]) > 1 + (bad.a * abs(hj[0])) ** 3
 
 
 def test_lemma2_layout(family):

@@ -1,5 +1,6 @@
 """Node conditions, exponent polynomial, scaling, and jet evaluation."""
 
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -34,6 +35,7 @@ from normfam.forge import (
     estimate_m,
     f_jet,
     h_jet,
+    h_moduli,
     log_c_bound,
     log_c_star,
     p_float,
@@ -424,6 +426,54 @@ def test_h_vanishes_at_all_nodes(family):
             assert abs(h_jet(n, F.p, z, 0).values[0]) <= 1e-12
 
 
+def moduli_points():
+    # the lemma2 probe's points (and more) for the orders and precisions of
+    # the benchmark's records, random points of its domain, and the circle
+    # |z| = 2 (1 - 2^-(3n+40)) that the witness search bisects on
+    rng = np.random.default_rng(41)
+    for n in range(1, 13):
+        for z in (0, 1.5, 1.5j, -0.6 + 0.3j, 1.2 + 1.2j, -1.85, 0.5j, 0.3 + 0.1j):
+            yield n, 53 if n < 7 else 128, z
+    count = 0
+    while count < 100:
+        z = complex(*rng.uniform(-1.9, 1.9, 2))
+        if abs(z) <= 1.9 and abs(abs(z) - 1) >= 0.1:
+            n = int(rng.integers(1, 61))
+            yield n, int(rng.choice([53, 128, 3 * n + 64])), z
+            count += 1
+    for n in (2, 4, 19, 20, 30, 60, 200):
+        with mpmath.workprec(3 * n + 64):
+            r = 2 * (1 - mpmath.ldexp(1, -(3 * n + 40)))
+            for k in range(12):
+                yield n, 3 * n + 64, r * mpmath.expj(mpmath.pi * k / (12 * n))
+
+
+def test_h_moduli_against_jet_oracle():
+    # log(|h^(l)| / |h|^(l+1)), l = 1, 2, from the closed forms at a
+    # precision against the 3n + 200-bit jet: within 64 ulps of the scale
+    # n + 1 + sum |c_k| |u|^k, which bounds the rounding of u and p (both
+    # the closed forms and the jet lose about |p| ulps where e^(Re p) is
+    # huge); the jet at the same precision meets the same bound
+    for n, prec, z in moduli_points():
+        with mpmath.workprec(3 * n + 200):
+            z = mpmath.mpc(z)
+            want = [abs(v) for v in h_jet(n, build_p(n), z, 2).values]
+            u = abs(z**n - 1)
+            scale = n + 1 + sum(abs(c) * u**k for k, c in enumerate(build_p(n), 1))
+        with mpmath.workprec(prec):
+            got = h_moduli(n, z)
+            jet = [abs(v) for v in h_jet(n, build_p(n), z, 2).values]
+        with mpmath.workprec(3 * n + 200):
+            tol = 64 * mpmath.ldexp(scale, -prec)
+            for l in (1, 2):
+                if want[l] == 0:  # h'' of n = 1
+                    assert got[l] == 0
+                    continue
+                q = mpmath.log(want[l]) - (l + 1) * mpmath.log(want[0])
+                for m in (got, jet):
+                    assert abs(mpmath.log(m[l]) - (l + 1) * mpmath.log(m[0]) - q) <= tol, (n, z)
+
+
 def test_h_jet_matches_finite_differences():
     p = build_p(2)
     z = 0.5 + 0.3j
@@ -641,6 +691,23 @@ def test_log_c_star_every_order():
         assert log_c - scan <= 5 * (math.pi / 512) ** 2 * log_c and -1 <= x <= 1, n
 
 
+@pytest.mark.parametrize("n", [*range(54, 61), 100, 339])
+def test_log_c_star_peak_angle_past_binary64_ties(n):
+    # from n = 54 on the raised binary64 values at arg w = 0 and near
+    # arg w = 2 pi/3 tie; the peak is the latter, where the 3n + 200-bit
+    # jet of h exceeds its value at w = 2^n and reaches log C*_n
+    log_c, x = log_c_star(n)
+    assert abs(math.acos(x) - 2 * math.pi / 3) < 1e-6, x
+    with mpmath.workprec(3 * n + 200):
+
+        def g(x):
+            hj = h_jet(n, build_p(n), 2 * mpmath.expj(mpmath.acos(x) / n), 2)
+            return mpmath.log(abs(hj[2])) - 3 * mpmath.log(abs(hj[0]))
+
+        peak = g(mpmath.mpf(x))
+        assert peak > g(mpmath.mpf(1)) and log_c - 1e-12 * abs(log_c) <= peak <= log_c
+
+
 def test_critical_quintic_roots_are_critical_points():
     # at every root c of V in [-1, 1] the phi-derivative of log|h''/h^3| on
     # |z| = 2, taken by mpmath.diff of forge.h_jet logs, vanishes
@@ -708,6 +775,29 @@ def test_log_c_bound_past_binary64():
         assert time.perf_counter() - start < 0.01, n
     with pytest.raises(ValueError):
         log_c_bound(0)
+
+
+def log_c_bound_by_fractions(n):
+    """log_c_bound summed term by term in Fractions, an oracle for its
+    integer sums."""
+    if 3 * n - 4 >= 1024:
+        return math.inf
+    U = 2**n + 1
+    P = sum(abs(c) * U**k for k, c in enumerate(build_p(n), 1))
+    S = sum(abs(s) * U**k for k, s in enumerate(build_s(n)))
+    if not S:
+        return MINUS_INFINITY
+    with mpmath.workprec(80):
+        x, y = (mpmath.mpf(q.numerator) / q.denominator for q in (n * 2**n * S / 4, 2 * P))
+        b = float(mpmath.log(x) + y)
+    return b + 1e-12 * abs(b)
+
+
+def test_log_c_bound_bit_identical_to_fraction_sum():
+    # the integer sums over one denominator each reach the same two
+    # Fractions in lowest terms, so every binary64 bound is the same
+    for n in range(1, 344):
+        assert log_c_bound(n) == log_c_bound_by_fractions(n), n
 
 
 def test_estimate_m_order_one():
@@ -796,6 +886,32 @@ def test_choose_a_dominates_both_floors():
         assert a >= mpmath.sqrt(2 * n * mpmath.mpf(c))
         assert a >= 2 * n / mpmath.mpf(m)
         assert a >= 1
+
+
+def test_choose_a_rounds_both_floors_up():
+    # a^2 >= 2 n c_hat and a m_hat >= 2n in exact arithmetic, at every
+    # working precision; rounded to nearest, a fell 1 ulp below
+    # sqrt(2 n c_hat) for 15 of the 53-bit records of n = 1..40
+    rng = np.random.default_rng(37)
+    for prec in (53, 128, 400):
+        with mpmath.workprec(prec):
+            for _ in range(40):
+                n = int(rng.integers(1, 60))
+                c = mpmath.mpf(float(rng.uniform(0, 100))) * mpmath.ldexp(1, int(rng.integers(0, 4000)))
+                m = mpmath.mpf(float(rng.uniform(1e-6, 10))) * mpmath.ldexp(1, -int(rng.integers(0, 50)))
+                a = choose_a(n, c, m)
+                assert mpmath.fmul(a, a, exact=True) >= mpmath.fmul(2 * n, c, exact=True)
+                assert mpmath.fmul(a, m, exact=True) >= 2 * n
+
+
+@pytest.mark.parametrize("precision", [53, 128])
+def test_records_clear_their_floors_at_any_precision(precision):
+    # read at more bits than it was built with, a record still passes its
+    # gate, a >= sqrt(2 n c_hat) and a >= 2n / m_hat
+    for n in range(1, 61):
+        F = construct(n, ConstructionConfig(precision=precision))
+        for bits in (400, MAX_PRECISION):
+            dataclasses.replace(F, precision=bits)  # the gate runs at those bits
 
 
 def test_choose_a_rejects_bad_m():

@@ -1,10 +1,12 @@
 """Property tests: command-line and file parsing refuse bad input only
 with ValueError (exit 2) or InvariantViolation (exit 1), function
-files round-trip exactly at any precision, and grid CSV rows are the
-bytes of %.17g for every float."""
+files round-trip exactly at any precision, grid CSV rows are the
+bytes of %.17g for every float, and the integer node residual is the
+residual of the exact rational jet for any rational exponent."""
 
 import json
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -16,7 +18,7 @@ from normfam import cli, storage
 from normfam.analysis import GridSpec
 from normfam.cli import csv_rows, main, parse_complex, parse_n_range, parse_region
 from normfam.errors import InvariantViolation
-from normfam.forge import CounterexampleFunction, build_p, choose_a
+from normfam.forge import CounterexampleFunction, build_p, choose_a, h_jet
 
 # tier-1 runs these on every change; the counts keep them near a second
 FEW, MANY = 30, 60
@@ -207,3 +209,30 @@ def test_marty_refuses_non_finite_radius(f2_file, capsys, radius):
     assert main(["probe", "marty", f2_file, f"--radius={radius}"]) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", "error: radius must be finite and >= 0\n")
+
+
+rationals = st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**12))
+
+
+@settings(max_examples=MANY, deadline=None)
+@given(
+    st.integers(1, 60),
+    st.tuples(rationals, rationals, rationals) | st.none(),
+    st.integers(0, 2),
+    st.integers(-(10**6), 10**6),
+)
+def test_node_residual_matches_rational_jet(n, p, k, nudge):
+    # any rational exponent: random, or build_p(n) with c_k moved by
+    # nudge / 10^40 (0 included); the record is made without its gate
+    if p is None:
+        p = list(build_p(n))
+        p[k] += Fraction(nudge, 10**40)
+        p = tuple(p)
+    F = object.__new__(CounterexampleFunction)
+    object.__setattr__(F, "n", n)
+    object.__setattr__(F, "p", p)
+    hj = h_jet(n, p, Fraction(1), 4)
+    want = max(abs(hj[m]) for m in (2, 3, 4)) / max(1, abs(hj[1]))
+    got = F.node_residual
+    assert isinstance(got, Fraction) and got == want
+    assert (got == 0) == (p == build_p(n))
