@@ -27,13 +27,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 
 from . import kernels
 from .errors import CenterOffCircle, OrderTooLow, Overflow, PointTooCloseToCircle
-from .forge import MINUS_INFINITY, h_jet, h_moduli, log_c_bound, log_c_star, peak_cos
+from .forge import MINUS_INFINITY, h_jet, h_moduli, log_c_bound, log_c_star
 
 # fixed default so repeated runs produce identical reports; callers
 # (and the CLI) may override
@@ -199,7 +200,8 @@ def verify_inequality(F, tol=1e-12):
     log C*_n - 2 log a <= log(1 + tol), taken in mpmath at 3n + 64 bits,
     since both logs reach 3.5e305; log_margin is that difference,
     max_inequality its exp (1/(2n) for a record of construct), and
-    worst_point the point of |z| = 2 where C*_n is attained.  When the
+    worst_point the point of |z| = 2 where C*_n is attained, rounded into
+    the closed 2-disk.  When the
     certificate fails, _witness looks for a point of |z| < 2 where the
     inequality itself fails; max_inequality is then the quotient there and
     worst_point that point, which the notes give in full.  Without a
@@ -226,7 +228,7 @@ def verify_inequality(F, tol=1e-12):
         f"2 log a = {float(two_log_a):.17g}, log margin {m:.6g} against log(1 + tol), "
         f"tol={tol:g}; node residual 0, so the maximum principle carries |z|=2 inward"
     )
-    peak = 2 * cmath.exp(1j * math.acos(x) / F.n)
+    peak = _peak_point(F.n, x)
     if passed:
         return VerificationReport(True, math.exp(m), peak, (res,), "certified: " + notes, m)
     z, lq, where = _witness(F, x, tol) or (peak, m, "no witness found")
@@ -234,18 +236,24 @@ def verify_inequality(F, tol=1e-12):
     return VerificationReport(False, top, z, (res,), f"not certified: {notes}; {where}", m)
 
 
+def _peak_point(n, x):
+    # 2 e^(i acos(x) / n), where C*_n is attained, in binary64, moved inward
+    # while it lies outside the closed 2-disk, where |h''/h^3| may exceed c_n
+    z = 2 * cmath.exp(1j * math.acos(x) / n)
+    while Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 > 4:
+        z *= 1 - 2**-52
+    return z
+
+
 def _witness(F, x, tol):
     # (z, log q, text) for a point z, |z| < 2, where
     # q = |f''| / (1 + |f|^3) > 1 + tol, or None. On the circle
     # |z| = 2 r, r = 1 - 2^-(3n+40), it bisects arg z from the peak of
-    # C*_n (the critical point of the candidate cos(arg z^n) = x, located
-    # by forge.peak_cos at the working precision, where |f| is least,
-    # since the peak near 2 pi/3 is narrower than binary64 resolves from
-    # n = 36 on) towards arg z^n = pi/3,
-    # where Re(c3 u^3) > 0 makes |f| large, for |f| = 1, where
-    # q = |h''/h^3| / (2 a^2). Each step takes |h| and |h''| from the closed
-    # forms of forge.h_moduli at 3n + 64 bits; a point is reported only once
-    # forge.h_jet at those bits confirms q > 1 + tol there
+    # C*_n (cos(arg z^n) = x, exact from forge.log_c_star), where |f| is
+    # least, towards arg z^n = pi/3, where Re(c3 u^3) > 0 makes |f| large,
+    # for |f| = 1, where q = |h''/h^3| / (2 a^2). Each step takes |h| and
+    # |h''| from the closed forms of forge.h_moduli at 3n + 64 bits; a point
+    # is reported only once forge.h_jet at those bits confirms q > 1 + tol
     n, prec = F.n, 3 * F.n + 64
 
     def log_q(h, h2):
@@ -253,7 +261,7 @@ def _witness(F, x, tol):
 
     with mpmath.workprec(prec):
         r, limit = 2 * (1 - mpmath.ldexp(1, -(3 * n + 40))), mpmath.log1p(tol)
-        near, far = mpmath.acos(peak_cos(n, x)) / n, mpmath.pi / (3 * n)  # |f| < 1, > 1
+        near, far = mpmath.acos(x) / n, mpmath.pi / (3 * n)  # |f| < 1, > 1
         t = near
         for _ in range(prec):
             z = r * mpmath.expj(t)
@@ -347,11 +355,13 @@ def lemma2_probe(Fs, points, orders):
     Points must keep distance 0.1 from the unit circle and stay inside
     radius 1.9, where the family is zero-free and the quotient is
     meaningful.  |h|, |h'| and |h''| come from the closed forms of
-    forge.h_moduli at the record's precision.  Measurements are laid out
-    row-major over (function, point, order) and kept in arbitrary
-    precision; for order 2 each one must fall below 1/n, for order 1 each
-    per-point series, taken in increasing n whatever the order of Fs, must
-    end below its start and below 0.1 for the verdict to be "decay".
+    forge.h_moduli at the record's precision or at 3n + 64 bits, whichever
+    is more, since each carries e^(Re p) and |Re p| < 2^(3n) there.
+    Measurements are laid out row-major over (function, point, order) and
+    kept in arbitrary precision; for order 2 each one must fall below 1/n,
+    for order 1 each per-point series, taken in increasing n whatever the
+    order of Fs, must end below its start and below 0.1 for the verdict to
+    be "decay".
     """
     orders = tuple(orders)
     if not orders or any(l not in (1, 2) for l in orders):
@@ -368,7 +378,7 @@ def lemma2_probe(Fs, points, orders):
     bound_ok = True
     series = {z: [] for z in pts if 1 in orders}  # order 1, as (n, m) pairs
     for F in Fs:
-        with mpmath.workprec(F.precision):
+        with mpmath.workprec(max(F.precision, 3 * F.n + 64)):
             for z in pts:
                 hm = h_moduli(F.n, z)
                 for l in orders:
@@ -398,8 +408,8 @@ def max_modulus_check(F):
     circle, is at most log C_n, the bound from the coefficients' moduli.
     log_margin is log C*_n - log C_n; max_inequality, its exp, underflows
     to 0.0 from n = 6 on; worst_point is the point of |z| = 2 where C*_n
-    is attained.  An order above forge.MAX_ORDER fails with
-    max_inequality NaN.
+    is attained, rounded into the closed 2-disk.  An order above
+    forge.MAX_ORDER fails with max_inequality NaN.
     """
     res = F.node_residual
     if res != 0:
@@ -423,5 +433,5 @@ def max_modulus_check(F):
         f"log C*_n = {lm:.17g} at the critical points on |z|=2, "
         f"log C_n = {bound:.17g}, gap {0.0 - margin:.6g}"
     )
-    peak = 2 * cmath.exp(1j * math.acos(x) / F.n)
+    peak = _peak_point(F.n, x)
     return VerificationReport(passed, ratio, peak, (), notes, margin)

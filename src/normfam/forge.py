@@ -23,11 +23,10 @@ simple zero of f_n.
 c_n and a_n explode with n (log a_6 is around 2.7e4), so the three
 magnitude fields of a constructed record are mpmath reals with unbounded
 exponent. c_hat is no scan: it is the upper bound C*_n of log_c_star,
-the largest value of |h''/h^3| on |z| = 2 at the critical points, which
-an integer quintic in cos(arg z^n) locates exactly (critical_quintic),
-raised by a stated allowance for binary64 rounding and root location.
-The m_hat scan evaluates logarithms in double precision on arrays,
-through the kernels module.
+one interval evaluation of log|h''/h^3| on |z| = 2 over exact brackets
+of the roots of an integer quintic in cos(arg z^n) (critical_quintic),
+with no binary64 step and no allowance. The m_hat scan evaluates
+logarithms in double precision on arrays, through the kernels module.
 The scalar jets, of any order, are Taylor series in w = z^n: the cubic p
 shifted exactly about u, e^p by a three-term recurrence, both composed
 with (z + t)^n - z^n by Horner's rule, exactly at a Fraction point and in
@@ -37,7 +36,7 @@ instead. At z = 1, u = 0, p = 0 and u^(k) = n!/(n-k)!, so a record's
 node_residual decides the node conditions by the Leibniz rule in integer
 arithmetic, over the lcm of the denominators of p. A record's precision
 sets only the digits its magnitudes are stored with and the mpmath
-precision of f_jet and of the probes.
+precision of f_jet and of the marty probe.
 """
 
 import functools
@@ -278,14 +277,10 @@ def distinct_angles(n, M):
     return np.arange(M // 2 + 1) * (2.0 * math.pi / (M * n))
 
 
-# sin(k phi) = sin(phi) U_(k-1)(cos phi): the Chebyshev polynomials of the
-# second kind U_0 .. U_5, ascending coefficients; and the rows of Pascal's
-# triangle, the coefficients of (1 + y)^k
-_CHEB_U = ((1,), (0, 2), (-1, 0, 4), (0, -4, 0, 8), (1, 0, -12, 0, 16), (0, 6, 0, -32, 0, 32))
+# T_k(cos phi) = cos(k phi): the Chebyshev polynomials T_0 .. T_3, ascending
+# coefficients; and the rows of Pascal's triangle, the coefficients of (1 + y)^k
+_CHEB_T = ((1,), (0, 1), (-1, 0, 2), (0, -3, 0, 4))
 _BINOMIAL = ((1,), (1, 1), (1, 2, 1), (1, 3, 3, 1), (1, 4, 6, 4, 1), (1, 5, 10, 10, 5, 1))
-# relative allowance for the binary64 evaluation of log|h''/h^3| at a
-# candidate: about 30 roundings of 2^-53 each, with room to spare
-_EVAL_SLACK = 2.0**-44
 
 
 def _in_w(c0, c1, c2, c3):
@@ -293,45 +288,50 @@ def _in_w(c0, c1, c2, c3):
     return (c0 - c1 + c2 - c3, c1 - 2 * c2 + 3 * c3, c2 - 3 * c3, c3)
 
 
+def _circle_cubics(n):
+    # (P, Q, V), ascending integer coefficients of the cubics in x = cos phi
+    # that P(x) = 24 n^2 Re p(u) and Q(x) = (576 n^3)^2 |S_n(u)|^2 are on
+    # w = 2^n e^(i phi), u = w - 1, and of the quintic V of critical_quintic:
+    # with the cubics of _scaled_cubics in w, Re w^k = 2^(kn) T_k(x) and
+    # Re(w^j conj w^l) = 2^((j+l)n) T_|j-l|(x)
+    p_int, s_int = _scaled_cubics(n)
+    Pw, Sw = _in_w(0, *p_int), _in_w(*s_int)
+    P, Q = [0] * 4, [0] * 4
+    for k, c in enumerate(Pw):
+        for i, t in enumerate(_CHEB_T[k]):
+            P[i] += (c << (n * k)) * t
+    for j, a in enumerate(Sw):
+        for l, b in enumerate(Sw):
+            for i, t in enumerate(_CHEB_T[abs(j - l)]):
+                Q[i] += (a * b << (n * (j + l))) * t
+    V = [12 * n * n * k * Q[k] for k in range(1, 4)] + [0, 0, 0]
+    for k in range(1, 4):
+        for i, q in enumerate(Q):
+            V[k - 1 + i] -= 2 * k * P[k] * q
+    return P, Q, V
+
+
 def critical_quintic(n):
     """The integer quintic V (ascending coefficients) whose roots in
     [-1, 1] are cos(phi) at the critical points of log|h''/h^3| on |z| = 2
     other than phi = 0 and pi, phi the angle of w = z^n = 2^n e^(i phi).
 
-    There |h''/h^3| = n 2^(n-2) |S_n(u) e^(-2p(u))|, u = w - 1, and with
-    A = S_n' - 2 p' S_n, d/dphi log|S_n e^(-2p)| = -Im(w A(u) conj S_n(u)) / |S_n|^2.
-    Scaled to integer cubics (p by 24 n^2, S_n by 576 n^3) and written in
-    w = R zeta, R = 2^n, |zeta| = 1, conj u = R / zeta - 1, the product
-    w A(u) conj S_n(u) is sum x_k zeta^k, k = -2..6, with integer x_k, so
-    its imaginary part, the degree-12 polynomial Im(w A conj S_n) on the
-    circle, is sum_(k=1..6) (x_k - x_(-k)) sin(k phi) = sin(phi) V(cos phi):
-    in zeta its 13 coefficients are 0 and the +-(x_k - x_(-k)).
+    There |h''/h^3| = n 2^(n-2) |S_n(u) e^(-2p(u))|, u = w - 1, and Re p
+    and |S_n|^2 are cubics in x = cos phi with integer coefficients once
+    scaled: P(x) = 24 n^2 Re p and Q(x) = (576 n^3)^2 |S_n|^2. So
+    g = log|S_n e^(-2p)| = log Q / 2 - P / (12 n^2) + const, and
+    dg/dx = V / (24 n^2 Q) with V = 12 n^2 Q' - 2 P' Q, while
+    dg/dphi = -sin(phi) dg/dx. Q > 0 off the zeros of S_n, so V has the
+    sign of dg/dx.
     """
-    m = 24 * n * n
-    p_int, s_int = _scaled_cubics(n)
-    P, S = _in_w(0, *p_int), _in_w(*s_int)
-    A = [m * k * S[k] for k in range(1, 4)] + [0, 0, 0]
-    for k in range(1, 4):
-        for j, s in enumerate(S):
-            A[k - 1 + j] -= 2 * k * P[k] * s
-    x = [0] * 9  # x[k + 2] = x_k: R^(j+l+1) A_j S_l for k = 1 + j - l
-    for j, a in enumerate(A):
-        for l, s in enumerate(S):
-            x[j - l + 3] += (a * s) << (n * (j + l + 1))
-    V = [0] * 6
-    for k in range(1, 7):
-        t = x[k + 2] - (x[2 - k] if k <= 2 else 0)
-        for i, b in enumerate(_CHEB_U[k - 1]):
-            V[i] += t * b
-    return V
+    return _circle_cubics(n)[2]
 
 
-def _value(V, q, d):
-    # V(q / d) d^5 for d > 0: the exact sign of V at q / d
-    acc, dk = V[-1], 1
-    for v in V[-2::-1]:
-        dk *= d
-        acc = acc * q + v * dk
+def _value(V, q, e):
+    # V(q / 2^e) 2^(5e): the exact sign of V at q / 2^e, by shifts
+    acc = V[-1]
+    for i, v in enumerate(V[-2::-1], 1):
+        acc = acc * q + (v << (e * i))
     return acc
 
 
@@ -350,49 +350,31 @@ def _variations(V, A, B, D):
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _isolate(V, A, B, D, depth=0):
-    # closed intervals (A', B', D') of [A / D, B / D] that hold every root
-    # of V in (A / D, B / D), each exactly one unless depth 48 is reached
-    # (a multiple root): bisection by Descartes' rule (Vincent, Collins
-    # and Akritas); a midpoint root is an interval of its own
-    k = _variations(V, A, B, D)
+def _isolate(V, A, B, D, bits):
+    # closed intervals (A', B', D'), D' a power of 2, of [A / D, B / D] that
+    # hold every root of V in (A / D, B / D) where g may peak: bisection by
+    # Descartes' rule (Vincent, Collins and Akritas) down to one root each.
+    # A root where V rises is dropped, since g, whose slope has the sign of
+    # V, has a minimum there; one where V falls is bracketed by bisection
+    # on the exact sign of V to width 2^-bits, unless an end is a root too.
+    # From D = 2^48 on (a multiple root) the interval stays as it is, and a
+    # midpoint root is one of its own
+    k, e = _variations(V, A, B, D), D.bit_length() - 1
     if k == 0:
         return []
-    if k == 1 or depth == 48:
+    if k == 1:
+        a, b = _value(V, A, e), _value(V, B, e)
+        if a < 0 < b:
+            return []
+        while a > 0 > b and (B - A) << bits > D:
+            M, D, e = A + B, 2 * D, e + 1
+            A, B = (M, 2 * B) if _value(V, M, e) >= 0 else (2 * A, M)
+        return [(A, B, D)]
+    if D >= 2**48:
         return [(A, B, D)]
     M = A + B
-    mid = [(M, M, 2 * D)] if _value(V, M, 2 * D) == 0 else []
-    return _isolate(V, 2 * A, M, 2 * D, depth + 1) + mid + _isolate(V, M, 2 * B, 2 * D, depth + 1)
-
-
-def _bracket(V, Vf, A, B, D):
-    # (x, lo, hi): a binary64 point x near the root of V in [A / D, B / D],
-    # and a bracket [lo, hi] of it that holds the root: [x - 2^-40, x + 2^-40]
-    # when an exact sign change proves it, else the interval itself. x comes
-    # from Newton steps on the binary64 quintic Vf (descending), kept inside
-    # a shrinking bracket by bisection
-    lo, hi = A / D, B / D
-    up = _value(V, A, D) < 0  # V rises through its root
-    x = (lo + hi) / 2
-    for _ in range(60):
-        y = dy = 0.0
-        for c in Vf:
-            y, dy = y * x + c, dy * x + y
-        lo, hi = (x, hi) if (y < 0) == up else (lo, x)
-        step = y / dy if dy else math.inf  # a flat spot: bisect
-        if abs(step) <= 2.0**-52 or hi - lo <= 2.0**-52:
-            break
-        x = x - step if lo < x - step < hi else (lo + hi) / 2
-    e0, e1 = x - 2.0**-40, x + 2.0**-40
-    (q0, d0), (q1, d1) = e0.as_integer_ratio(), e1.as_integer_ratio()
-    if A * d0 <= q0 * D and q1 * D <= B * d1 and _value(V, q0, d0) * _value(V, q1, d1) < 0:
-        return x, e0, e1
-    return x, A / D, B / D
-
-
-def _sum_abs(c, x, k=0):
-    # the k-th derivative at x >= 0 of sum |c_j| x^j over binary64 c_j
-    return sum(math.perm(j, k) * abs(cj) * x ** (j - k) for j, cj in enumerate(c) if j >= k)
+    mid = [(M, M, 2 * D)] if _value(V, M, e + 1) == 0 else []
+    return _isolate(V, 2 * A, M, 2 * D, bits) + mid + _isolate(V, M, 2 * B, 2 * D, bits)
 
 
 @functools.cache
@@ -402,30 +384,19 @@ def log_c_star(n):
     w = z^n at which the bound is attained, on the circle |z| = 2.
 
     h''/h^3 = n z^(n-2) S_n(u) e^(-2p) is entire (build_s), so by the
-    maximum principle c_n is its max on |z| = 2, which a critical point of
-    g(phi) = log|S_n(u) e^(-2p(u))|, u = 2^n e^(i phi) - 1, attains. The
-    candidates are phi = 0, phi = pi and every root of critical_quintic(n)
-    in (-1, 1), which exact integer root isolation (Descartes' rule of
-    signs on bisected intervals) finds without a tolerance, so no critical
-    point is missed; g(-phi) = g(phi). Each root is bracketed by an exact
-    sign change. At each candidate g is evaluated in binary64 and raised
-    by an allowance, so each raised value bounds g at the critical point
-    it stands for. With R = 2^n, |u| <= R + 1, P(x) = sum |c_k| x^k and
-    S^(x) = sum |s_k| x^k:
-      - rounding: _EVAL_SLACK times 2 P(R + 1) is added to -2 Re p, and
-        _EVAL_SLACK times S^(R + 1) to |S_n| before its log;
-      - root location: the critical point lies in the bracket, within d
-        of the candidate in phi, so |u* - u| <= R d. Where |S_n| stays
-        positive on the bracket, g' = 0 there and g rises by at most
-        sup|g''| d^2 / 2 from the candidate, |g''| bounded through P',
-        P'', S^', S^'' at R + 1 and a lower bound of |S_n| on the
-        bracket; elsewhere, to first order, Re p moves by at most
-        R d P'(R + 1) and |S_n| by at most R d S^'(R + 1).
-    log C*_n is the largest raised value. cos phi* is the candidate's
-    whose value is largest; where the allowances of several candidates
-    overlap (from n = 46 on, for arg w = 0 and near 2 pi/3), only those
-    are evaluated again in mpmath at 3n + 64 bits at their refined roots
-    (peak_cos), which moves cos phi* but never the bound.
+    maximum principle c_n is its max on |z| = 2, where its log is
+    G(x) = log(4^(n-2) Q(x) / (576 n^2)^2) / 2 - P(x) / (12 n^2),
+    x = cos phi, with the cubics of critical_quintic. G peaks at x = +-1
+    or where V = critical_quintic(n), of the sign of G', falls through 0
+    in (-1, 1). Descartes' rule of signs on bisected intervals isolates
+    those roots exactly, and exact bisection on the sign of V narrows each
+    to width 2^-(2n+64); a multiple root keeps its isolating interval.
+    log C*_n is the largest upper end of one mpmath.iv evaluation of G at
+    3n + 64 bits over each bracket and at x = +-1, rounded up to
+    binary64: it holds on any bracket, with no allowance, and exceeds
+    log c_n by about 1e-16 of itself. cos phi* is the exact midpoint of
+    the winning bracket, an mpmath real, since the peak near
+    arg w = 2 pi/3 is about 2^(-3n/2) wide.
     Memoized: it depends on n alone. -inf at n = 1 (S_1 = 0). Orders
     above MAX_ORDER raise Overflow before any power of 2^n is formed.
     """
@@ -433,69 +404,24 @@ def log_c_star(n):
         raise Overflow(
             f"order {n} exceeds {MAX_ORDER}: S_n(u) of h''/h^3 overflows binary64 on |z| = 2"
         )
-    if n == 1:
-        return MINUS_INFINITY, 1.0
-    V = critical_quintic(n)
-    e = max(abs(v).bit_length() for v in V)
-    Vf = [v / (1 << e) for v in V[::-1]]  # descending, all below 1 in modulus
-    roots = _isolate(V, -1, 0, 1) + ([(0, 0, 1)] if V[0] == 0 else []) + _isolate(V, 0, 1, 1)
-    R = math.ldexp(1.0, n)
-    p, s = p_float(build_p(n)), p_float(build_s(n))
-    P, dP, d2P = (_sum_abs((0.0,) + p, R + 1, k) for k in range(3))
-    S, dS, d2S = (_sum_abs(s, R + 1, k) / R**3 for k in range(3))
-    cands = []  # (raised g, its allowance, x)
-    for x, lo, hi in [(1.0, 1.0, 1.0), (-1.0, -1.0, -1.0)] + [_bracket(V, Vf, *r) for r in roots]:
-        # g at u = R v, v = u / R, so that no power of R is formed
-        d = 2.0 * (math.acos(lo) - math.acos(hi))
-        v = complex(x - 1.0 / R, math.sqrt(1.0 - x * x))
-        re_p = sum(math.ldexp(c * (v**k).real, k * n) for k, c in enumerate(p, 1))
-        S_v = abs(sum(math.ldexp(c, (k - 3) * n) * v**k for k, c in enumerate(s)))
-        g = math.log(S_v + _EVAL_SLACK * S) - 2.0 * re_p + 2.0 * _EVAL_SLACK * P
-        sigma = S_v - _EVAL_SLACK * S - R * d * dS  # |S_n| / R^3 on the bracket is above it
-        if sigma > 0:  # second order: g' = 0 at the critical point
-            G2 = 2.0 * R * (R * d2P + dP) + R * (R * d2S + dS) / sigma + (R * dS / sigma) ** 2
-            loc = G2 * d * d / 2
-        else:  # first order
-            loc = math.log1p(R * d * dS / (S_v + _EVAL_SLACK * S)) + 2.0 * R * d * dP
-        rnd = 2.0 * _EVAL_SLACK * P + (math.log1p(_EVAL_SLACK * S / S_v) if S_v else math.inf)
-        cands.append((g + loc, loc + rnd, x))
-    # g at a critical point lies in [g - 2 allowance, g] of its candidate:
-    # those whose interval reaches the highest floor may be the peak
-    floor = max(g - 2.0 * allow for g, allow, _ in cands)
-    tied = [x for g, _, x in cands if g >= floor]
-    x = tied[0] if len(tied) == 1 else max(_critical_value(n, x) for x in tied)[1]
-    return math.log(n) + (4 * n - 2) * math.log(2.0) + max(cands)[0], x
-
-
-def peak_cos(n, x):
-    """cos phi of the critical point of log|h''/h^3| on |z| = 2 at the
-    candidate cos phi = x of log_c_star, phi the angle of w = z^n, as an
-    mpmath real at the working precision: x itself at +-1, else x refined
-    by Newton's method on the exact quintic critical_quintic(n). The peak
-    near arg w = 2 pi/3 is about 2^(-3n/2) wide, narrower than binary64
-    resolves from n = 36 on."""
-    x = mpmath.mpf(x)
-    if abs(x) < 1:
-        V = critical_quintic(n)
-        for _ in range(12):
-            y = dy = 0
-            for v in V[::-1]:
-                y, dy = y * x + v, dy * x + y
-            step = y / dy if dy else 0
-            x -= step
-            if abs(step) <= mpmath.eps:
-                break
-    return min(max(x, mpmath.mpf(-1)), mpmath.mpf(1))
-
-
-def _critical_value(n, x):
-    # (log|h''/h^3|, cos phi) at the critical point of the candidate
-    # cos phi = x on |z| = 2, by peak_cos and h_moduli at 3n + 64 bits,
-    # where the binary64 values of candidates tie
-    with mpmath.workprec(3 * n + 64):
-        x = peak_cos(n, x)
-        h, _, h2 = h_moduli(n, 2 * mpmath.expj(mpmath.acos(x) / n))
-        return mpmath.log(h2) - 3 * mpmath.log(h), float(x)
+    P, Q, V = _circle_cubics(n)
+    bits, prec = 2 * n + 64, 3 * n + 64
+    brackets = [(1, 1, 1), (-1, -1, 1), *_isolate(V, -1, 1, 1, bits)]
+    iv, iv_prec = mpmath.iv, mpmath.iv.prec
+    iv.prec = prec
+    try:
+        with mpmath.workprec(prec):
+            P, Q = ([iv.mpf(c) for c in C] for C in (P, Q))
+            K = iv.mpf(4 ** (n - 2)) / (576 * n * n) ** 2
+            tops = []
+            for A, B, D in brackets:
+                X = iv.mpf([A, B]) / D
+                G = iv.log(kernels._horner(Q, X) * K) / 2 - kernels._horner(P, X) / (12 * n * n)
+                tops.append((mpmath.mpf(G.b), mpmath.mpf(A + B) / (2 * D)))
+            top, x = max(tops)
+    finally:
+        iv.prec = iv_prec
+    return mpmath.libmp.to_float(top._mpf_, rnd="c"), x
 
 
 def estimate_c(n, p):
@@ -503,8 +429,7 @@ def estimate_c(n, p):
     2-disk of |h''/h^3|, as an mpmath real (it overflows binary64 from
     n = 4 on); 0 at n = 1, where h'' = 0. p is build_p(n), which the
     bound depends on through n alone. Overflow above MAX_ORDER."""
-    log_c = log_c_star(n)[0]
-    return mpmath.mpf(0) if log_c == MINUS_INFINITY else mpmath.exp(mpmath.mpf(log_c))
+    return mpmath.exp(log_c_star(n)[0])
 
 
 def estimate_m(n, p, M=1024):
