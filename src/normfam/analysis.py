@@ -10,15 +10,15 @@ exact node residual is 0, h''/h^3 is entire, so by the maximum principle
 the quotient is at most C*_n / a^2 on the closed disk, where C*_n is
 forge.log_c_star's certified max of |h''/h^3| on |z| = 2, recomputed
 from n; a record that fails this certificate is refuted, where it can
-be, by a witness point confirmed by the mpmath jet.  The probes place
-sampled points uniformly by area from uniform_draws, a SplitMix64
-stream computed from (seed, index), so a seed fixes them on every
-machine, and run through the log-space kernels, so magnitudes far
-beyond the double range are compared by exponent rather than by value.
-f_n depends on z only through z^n, so every check at the nodes runs at
-the node z = 1, which stands for all n of them.  There u = z^n - 1 = 0
-and every derivative of u is an integer, so the node conditions are
-decided exactly, by the Leibniz rule in integers
+be, by a witness point confirmed by the mpmath jet.  The probes sample
+nothing either: they read f^# = n*a at a node or the mpmath jet at a
+point, and the closed forms of forge.h_moduli.  Grids place points
+uniformly by area from uniform_draws, a SplitMix64 stream computed from
+(seed, index), so a seed fixes them on every machine.  f_n depends on z
+only through z^n, so every check at the nodes runs at the node z = 1,
+which stands for all n of them.  There u = z^n - 1 = 0 and every
+derivative of u is an integer, so the node conditions are decided
+exactly, by the Leibniz rule in integers
 (forge.CounterexampleFunction.node_residual).
 """
 
@@ -32,9 +32,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from . import kernels
 from .errors import CenterOffCircle, OrderTooLow, Overflow, PointTooCloseToCircle
-from .forge import MINUS_INFINITY, h_jet, h_moduli, log_c_bound, log_c_star
+from .forge import MINUS_INFINITY, f_jet, h_jet, h_moduli, log_c_bound, log_c_star
 
 # fixed default so repeated runs produce identical reports; callers
 # (and the CLI) may override
@@ -76,17 +75,17 @@ def uniform_draws(seed, start, count):
     return z * 2.0**-53
 
 
-def _by_area(seed, start, stride, count, radii, center=0j):
-    # `count` points uniform by area in the disk |z - center| < radii[0],
-    # or in the annulus radii[0] <= |z - center| < radii[1]: the radius from
-    # draws start.., the angle from draws start + stride..
+def _by_area(seed, start, stride, count, radii):
+    # `count` points uniform by area in the disk |z| < radii[0], or in the
+    # annulus radii[0] <= |z| < radii[1]: the radius from draws start..,
+    # the angle from draws start + stride..
     u = uniform_draws(seed, start, count)
     if len(radii) == 1:
         r = radii[0] * np.sqrt(u)
     else:
         r1, r2 = radii
         r = np.sqrt(r1 * r1 + u * (r2 * r2 - r1 * r1))
-    return center + r * np.exp(2j * np.pi * uniform_draws(seed, start + stride, count))
+    return r * np.exp(2j * np.pi * uniform_draws(seed, start + stride, count))
 
 
 @dataclass(frozen=True)
@@ -201,10 +200,10 @@ def verify_inequality(F, tol=1e-12):
     since both logs reach 3.5e305; log_margin is that difference,
     max_inequality its exp (1/(2n) for a record of construct), and
     worst_point the point of |z| = 2 where C*_n is attained, rounded into
-    the closed 2-disk.  When the
-    certificate fails, _witness looks for a point of |z| < 2 where the
-    inequality itself fails; max_inequality is then the quotient there and
-    worst_point that point, which the notes give in full.  Without a
+    the closed 2-disk.  When the certificate fails, _witness looks for a
+    point of |z| < 2 where the inequality itself fails; max_inequality is
+    then the quotient there, the notes give the point in full, and
+    worst_point is its binary64 rounding, kept inside |z| < 2.  Without a
     witness the notes say "not certified".  A nonzero node residual, or
     an order above forge.MAX_ORDER, certifies nothing: max_inequality NaN.
     """
@@ -228,7 +227,7 @@ def verify_inequality(F, tol=1e-12):
         f"2 log a = {float(two_log_a):.17g}, log margin {m:.6g} against log(1 + tol), "
         f"tol={tol:g}; node residual 0, so the maximum principle carries |z|=2 inward"
     )
-    peak = _peak_point(F.n, x)
+    peak = _into_disk(2 * cmath.exp(1j * math.acos(x) / F.n))
     if passed:
         return VerificationReport(True, math.exp(m), peak, (res,), "certified: " + notes, m)
     z, lq, where = _witness(F, x, tol) or (peak, m, "no witness found")
@@ -236,11 +235,13 @@ def verify_inequality(F, tol=1e-12):
     return VerificationReport(False, top, z, (res,), f"not certified: {notes}; {where}", m)
 
 
-def _peak_point(n, x):
-    # 2 e^(i acos(x) / n), where C*_n is attained, in binary64, moved inward
-    # while it lies outside the closed 2-disk, where |h''/h^3| may exceed c_n
-    z = 2 * cmath.exp(1j * math.acos(x) / n)
-    while Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 > 4:
+def _into_disk(z, strict=False):
+    # z in binary64, moved inward while its exact squared modulus exceeds 4
+    # (or equals it, if strict): rounding can put a point of |z| <= 2, such
+    # as the peak 2 e^(i acos(x) / n) of C*_n, just outside it, where
+    # |h''/h^3| may exceed c_n
+    z = complex(z)
+    while (r2 := Fraction(z.real) ** 2 + Fraction(z.imag) ** 2) > 4 or (strict and r2 == 4):
         z *= 1 - 2**-52
     return z
 
@@ -277,7 +278,7 @@ def _witness(F, x, tol):
                         f"(|z| < 2), where log(|f''|/(1+|f|^3)) = {float(lq):.6g} "
                         f"by h_jet at {prec} bits"
                     )
-                    return complex(z), float(lq), where
+                    return _into_disk(z, strict=True), float(lq), where
             near, far = (t, far) if F.a * h < 1 else (near, t)
             t = (near + far) / 2
     return None
@@ -302,50 +303,42 @@ def verify_node_jets(F):
     return VerificationReport(res == 0, r, 1 + 0j, (r,), notes)
 
 
-def marty_probe(Fs, center, radius, samples=2048, seed=DEFAULT_SEED):
-    """Max spherical derivative near one boundary point, per function.
+def marty_probe(Fs, center, radius):
+    """Sup of the spherical derivative f^# on the closed disk of `radius`
+    about `center`, per function, from exact values: nothing is sampled.
 
-    The grid is `samples` points uniform by area in the disk around
-    `center`, from draws 0 .. 2 samples - 1 of uniform_draws(seed, ...),
-    plus the center itself, drawn once and shared by every function, so
-    that no measurement depends on the other functions; each is exp of the
-    largest float log of f^# on the grid.  Radius 0 degenerates to the
-    single point {center}.  The node nearest the center, e^{2 pi i k/n}
-    with k = round(n t / 2 pi), t = arg(center), joins the grid when it
-    lies in the closed disk, that is when its chord
-    2 |sin(t/2 - pi k/n)| is at most the radius: there f = 0 and f^# = n*a
-    exactly by rotation invariance, taken as an mpmath product, because a
-    float log of it misses by more than 1e-6 relative from n = 14 on
-    (5e-5 there).  Measurements are arbitrary-precision reals (they
-    outgrow binary64 quickly) and keep the order of Fs.  Verdict is
-    "blowup" when every measurement clears the node value n*a (within
-    relative 1e-6) and they increase with n, whatever the order of Fs; a
-    disk without a node clears it only by a sample next to one.
+    The node nearest the center, e^{2 pi i k/n} with k = round(n t / 2 pi),
+    t = arg(center), lies in the disk when its chord 2 |sin(t/2 - pi k/n)|
+    is at most the radius.  Then the measurement is f^# at the node,
+    |f'| = n*a at every node by rotation invariance, as an mpmath product
+    at the record's precision.  It is the sup over the disk: with
+    rho = 1/(n a), f'' = f''' = f'''' = 0 at the node gives
+    f^#(1 + rho zeta) = n a (1 + O(rho^4)) / (1 + |zeta|^2 (1 + O(rho^4))),
+    and elsewhere f^# <= |h'/h| / 2 by AM-GM on 1 + a^2 |h|^2.  A disk
+    without a node measures spherical_derivative(f_jet(F, center, 1)).
+    Measurements are arbitrary-precision reals (they outgrow binary64
+    quickly), keep the order of Fs and do not depend on each other.
+    Verdict is "blowup" when every disk holds a node and the measurements
+    increase with n, whatever the order of Fs; else "inconclusive".
     """
+    if not Fs:
+        raise ValueError("need at least one function")
     c = complex(center)
     if abs(abs(c) - 1.0) > 1e-6:
         raise CenterOffCircle(f"|{c}| = {abs(c):.8f} is not 1 within 1e-6")
     if not 0 <= radius < math.inf:  # NaN fails too
         raise ValueError("radius must be finite and >= 0")
-    zs = np.append(_by_area(seed, 0, samples, samples, (radius,), c), c)
     arg = cmath.phase(c)
-    ns, meas, floored = [], [], []
+    ns, meas, at_node = [], [], []
     for F in Fs:
-        logs = kernels.sphder_log(F.n, F.p_float, F.log_a, zs)
-        top = float(np.max(logs))
         k = round(F.n * arg / (2.0 * math.pi))
-        gap = 2.0 * abs(math.sin(arg / 2.0 - math.pi * k / F.n))
+        at_node.append(2.0 * abs(math.sin(arg / 2.0 - math.pi * k / F.n)) <= radius)
         with mpmath.workprec(F.precision):
-            m = mpmath.exp(mpmath.mpf(top)) if top > MINUS_INFINITY else mpmath.mpf(0)
-            node = F.n * F.a
-            if gap <= radius:
-                m = max(m, node)
-            floored.append(m >= node * (1 - mpmath.mpf("1e-6")))
+            meas.append(F.n * F.a if at_node[-1] else spherical_derivative(f_jet(F, c, 1)))
         ns.append(F.n)
-        meas.append(m)
     by_n = [m for _, m in sorted(zip(ns, meas), key=lambda t: t[0])]
     rising = all(b > a for a, b in zip(by_n, by_n[1:]))
-    verdict = "blowup" if (all(floored) and rising) else "inconclusive"
+    verdict = "blowup" if (all(at_node) and rising) else "inconclusive"
     return ProbeResult(tuple(ns), tuple(meas), verdict)
 
 
@@ -363,6 +356,8 @@ def lemma2_probe(Fs, points, orders):
     order of Fs, must end below its start and below 0.1 for the verdict to
     be "decay".
     """
+    if not Fs:
+        raise ValueError("need at least one function")
     orders = tuple(orders)
     if not orders or any(l not in (1, 2) for l in orders):
         raise ValueError("orders must be a nonempty subset of {1, 2}")
@@ -433,5 +428,5 @@ def max_modulus_check(F):
         f"log C*_n = {lm:.17g} at the critical points on |z|=2, "
         f"log C_n = {bound:.17g}, gap {0.0 - margin:.6g}"
     )
-    peak = _peak_point(F.n, x)
+    peak = _into_disk(2 * cmath.exp(1j * math.acos(x) / F.n))
     return VerificationReport(passed, ratio, peak, (), notes, margin)

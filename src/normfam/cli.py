@@ -148,8 +148,9 @@ def cmd_probe(args):
             return code
         Fs.append(F)
     try:
+        check_seed(args.seed)
         if args.kind == "marty":
-            pr = marty_probe(Fs, parse_complex(args.center), args.radius, seed=args.seed)
+            pr = marty_probe(Fs, parse_complex(args.center), args.radius)
         else:
             points = [parse_complex(s) for s in args.points.split(",")]
             orders = [int(s) for s in args.orders.split(",")]
@@ -445,7 +446,7 @@ def _parser():
     p.add_argument("--radius", type=float, default=0.1, help="marty: disk radius")
     p.add_argument("--points", default="0", help="lemma2: comma-separated points")
     p.add_argument("--orders", default="2", help="lemma2: comma-separated orders from {1,2}")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="range-checked only")
 
     g = sub.add_parser("grid", help="export grid values as CSV (re,im,value)")
     g.add_argument("file")

@@ -34,6 +34,7 @@ from normfam.forge import (
     build_p,
     choose_a,
     construct,
+    f_jet,
     h_jet,
 )
 
@@ -305,9 +306,19 @@ def test_marty_validation(family):
         marty_probe([family[2]], 0.5 + 0j, 0.1)
     with pytest.raises(ValueError):
         marty_probe([family[2]], 1 + 0j, -0.1)
-    for seed in BAD_SEEDS:
-        with pytest.raises(ValueError, match="--seed must be an integer"):
-            marty_probe([family[2]], 1 + 0j, 0.1, seed=seed)
+
+
+def test_marty_refuses_an_empty_family():
+    # no function, no measurement: "blowup" may not hold vacuously
+    with pytest.raises(ValueError, match="at least one function"):
+        marty_probe([], 1, 0.1)
+
+
+def test_lemma2_refuses_an_empty_family():
+    # nor "decay", and the order-1 trend has no series to end
+    for orders in ([2], [1]):
+        with pytest.raises(ValueError, match="at least one function"):
+            lemma2_probe([], [0], orders)
 
 
 def test_marty_trivial_member(family):
@@ -347,12 +358,12 @@ def test_marty_verdict_independent_of_argument_order(family):
 
 
 def test_marty_degenerate_radius(family):
-    # radius 0 collapses the grid to the center; 1 is itself a node
+    # radius 0 collapses the disk to the center; 1 is itself a node
     F = family[2]
     pr = marty_probe([F], 1 + 0j, 0.0)
     with mpmath.workprec(120):
         assert abs(mpmath.log(pr.measurements[0]) - mpmath.log(F.a * 2)) <= 1e-12
-    # -1 is a node of order 14, where a float log of n*a misses by 6e-5
+    # -1 is a node of order 14, where a float log of n*a would miss by 6e-5
     F = construct(14)
     pr = marty_probe([F], -1 + 0j, 0.0)
     assert pr.verdict == "blowup" and pr.measurements[0] == 14 * F.a
@@ -366,16 +377,16 @@ def test_marty_off_node_center(family):
 
 def test_marty_counts_no_node_outside_the_disk(family):
     # the node nearest i is e^{2 pi i/5}, 0.31 away from it: the disk of
-    # radius 0.05 holds no node, and its samples stay below n*a
+    # radius 0.05 holds no node, and f^# at the center stays below n*a
     pr = marty_probe([family[5]], 1j, 0.05)
     assert pr.verdict == "inconclusive"
     assert pr.measurements[0] < 5 * family[5].a
 
 
 def test_marty_measurement_independent_of_the_other_files(family):
-    # every function is measured on the same seeded disk sample, so f_6
-    # measures the same alone and after f_1..f_5; the disk around i holds
-    # no node, so the measurement is a sample maximum
+    # each function is measured on its own, so f_6 measures the same alone
+    # and after f_1..f_5; the disk around i holds no node, so the
+    # measurement is f^# at the center
     alone = marty_probe([family[6]], 1j, 0.05).measurements[0]
     last = marty_probe([family[n] for n in range(1, 7)], 1j, 0.05).measurements[-1]
     assert last == alone
@@ -395,10 +406,60 @@ def test_marty_blowup_at_every_center(ladder, center):
     assert marty_probe(ladder, center, 0.5).verdict == "blowup"
 
 
+def test_marty_node_value_is_exact(family, ladder):
+    # the disk about 1 holds the node 1 at every order: the measurement is
+    # the product n*a at the record's precision, with no float log in it
+    Fs = [family[n] for n in range(1, 7)] + ladder
+    pr = marty_probe(Fs, 1, 0.1)
+    assert pr.verdict == "blowup"
+    for F, m in zip(Fs, pr.measurements):
+        with mpmath.workprec(F.precision):
+            assert m == F.n * F.a, F.n
+
+
+def test_marty_node_free_disk_measures_the_center(family, ladder):
+    # i is a node of orders 4, 8 and 12 only; for the others the disk of
+    # radius 0.05 about it holds none, and the measurement is f^# at i,
+    # within 64 units of 2^-prec times the rounding scale of the
+    # 3n + 200-bit jet of h
+    Fs = [F for F in [family[n] for n in range(1, 7)] + ladder if F.n % 4]
+    pr = marty_probe(Fs, 1j, 0.05)
+    assert pr.verdict == "inconclusive"
+    for F, m in zip(Fs, pr.measurements):
+        with mpmath.workprec(3 * F.n + 200):
+            hj = h_jet(F.n, F.p, mpmath.mpc(1j), 1)
+            want = F.a * abs(hj[1]) / (1 + (F.a * abs(hj[0])) ** 2)
+            scale = F.n + 1 + sum(abs(c) * 2**k for k, c in enumerate(F.p, 1))
+            assert abs(m - want) <= 64 * mpmath.ldexp(scale, -F.precision) * want, F.n
+
+
+def test_marty_node_value_bounds_f_sharp_nearby(family, ladder):
+    # evidence for the sup claim: f^# at 1 + zeta/(n a), zeta on rings of
+    # 16 angles, never exceeds n*a. From n = 3 on 1/(n a) < 2^-76, too
+    # small for 1 + zeta/(n a) to keep its bits, so f and f' there are the
+    # Taylor sums of f_jet at the node 1, exact rationals times a, 64 bits
+    # past the record's precision, where n*a is exact; through order 30 the
+    # terms fall below those bits (at n = 2, |zeta|/(n a) <= 0.0023)
+    J = 30
+    for F in [family[n] for n in range(1, 7)] + ladder:
+        G = dataclasses.replace(F, precision=F.precision + 64)
+        jet = f_jet(G, Fraction(1), J + 1)
+        with mpmath.workprec(G.precision):
+            node = F.n * F.a
+            for r in (mpmath.mpf("1e-3"), 0.3, 1, 3):
+                for j in range(16):
+                    t = r * mpmath.expjpi(mpmath.mpf(j) / 8) / node
+                    f = df = 0
+                    for k in range(J, -1, -1):  # sum of jet[k] t^k / k!
+                        f = f * t / (k + 1) + jet[k]
+                        df = df * t / (k + 1) + jet[k + 1]
+                    assert abs(df) / (1 + abs(f) ** 2) <= node, (F.n, r, j)
+
+
 @pytest.mark.parametrize("n", range(13, 21))
 def test_marty_blowup_beyond_float_log_rounding(n):
     # log a reaches 5e11 at n = 14, where a float log of the node value
-    # n*a alone misses it by 5e-5 relative, beyond the probe's 1e-6
+    # n*a alone would miss it by 5e-5 relative
     F = construct(n)
     pr = marty_probe([F], 1, 0.1)
     assert pr.verdict == "blowup"
@@ -498,6 +559,15 @@ def test_witness_quotient_against_jet_oracle(n):
         want = mpmath.log(F.a * abs(hj[2])) - mpmath.log1p((F.a * abs(hj[0])) ** 3)
         _, scale = oracle_quotient(F, z, 2)
         assert abs(lq - want) <= 64 * mpmath.ldexp(scale, -(3 * n + 64)) + 1e-15 * abs(want)
+
+
+@pytest.mark.parametrize("n", [19, 20, 30, 200])
+def test_witness_worst_point_inside_the_disk(n):
+    # the binary64 rounding of the n = 200 witness lies outside |z| = 2
+    # (|z|^2 - 4 = 3.3e-16 exactly); the reported point stays inside
+    F, _ = storage.load_function(Path(__file__).parent / "data" / f"undershot_f{n}.json")
+    z = verify_inequality(F).worst_point
+    assert Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 < 4
 
 
 def test_verify_peak_and_witness_at_order_60():
