@@ -4,9 +4,10 @@ Everything the construction promises is checked here: the
 second-derivative inequality |f''| / (1 + |f|^3) <= 1 on the disk of
 radius 2, the triple vanishing of h'' at the interpolation nodes, the
 blow-up of the spherical derivative along the unit circle, the decay
-of f^(l) / f^(l+1) away from that circle, and the closed-form bound C_n
-on |h''/h^3|.  The inequality is decided without sampling: once the
-exact node residual is 0, h''/h^3 is entire, so by the maximum principle
+of f^(l) / f^(l+1) away from that circle, and the certified max C*_n
+of |h''/h^3| on |z| = 2 against the value it attains at its own peak.
+The inequality is decided without sampling: once the exact node
+residual is 0, h''/h^3 is entire, so by the maximum principle
 the quotient is at most C*_n / a^2 on the closed disk, where C*_n is
 forge.log_c_star's certified max of |h''/h^3| on |z| = 2, recomputed
 from n; a record that fails this certificate is refuted, where it can
@@ -25,6 +26,7 @@ exactly, by the Leibniz rule in integers
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +35,7 @@ import mpmath
 import numpy as np
 
 from .errors import CenterOffCircle, OrderTooLow, Overflow, PointTooCloseToCircle
-from .forge import MINUS_INFINITY, f_jet, h_jet, h_moduli, log_c_bound, log_c_star
+from .forge import MINUS_INFINITY, f_jet, h_jet, h_moduli, log_c_star
 
 # fixed default so repeated runs produce identical reports; callers
 # (and the CLI) may override
@@ -142,13 +144,14 @@ class VerificationReport:
     """Outcome of one verification check.
 
     passed means the op's own test holds, as its notes state: the
-    certificate log C*_n - 2 log a <= log(1 + tol) for verify_inequality,
-    a node residual of exactly 0 for verify_node_jets, C*_n within the
-    closed-form bound C_n for max_modulus_check.  log_margin is the log of
-    the measured quantity over its limit (NaN where the op has none), and
-    stays finite where max_inequality, its exp, leaves binary64;
-    node_residuals holds the exact residual at the node z = 1 where the op
-    depends on it, else nothing.
+    certificate log C*_n - 2 log a <= 0 for verify_inequality, a node
+    residual of exactly 0 for verify_node_jets, log C*_n at or above
+    log|h''/h^3| at its own peak by at most 1e-14 of it for
+    max_modulus_check.  log_margin is the log of the measured quantity
+    over its limit (NaN where the op has none), and stays finite where
+    max_inequality, its exp, leaves binary64; node_residuals holds the
+    exact residual at the node z = 1 where the op depends on it, else
+    nothing.
     """
 
     passed: bool
@@ -188,27 +191,25 @@ def spherical_derivative(jet):
     return abs(jet[1]) / (1 + abs(jet[0]) ** 2)
 
 
-def verify_inequality(F, tol=1e-12):
-    """Decide |f''| / (1 + |f|^3) <= 1 + tol on the closed disk |z| <= 2.
+def verify_inequality(F):
+    """Decide |f''| / (1 + |f|^3) <= 1 on the closed disk |z| <= 2.
 
     Where f != 0 the quotient is below |f''| / |f|^3 = |h''/h^3| / a^2, and
     at a node f'' = 0 once the node residual is 0; then h''/h^3 is entire,
     so by the maximum principle the quotient is at most C*_n / a^2 on the
     disk, C*_n = forge.log_c_star(n), recomputed from n and never read from
-    the stored c_hat.  The check passes when
-    log C*_n - 2 log a <= log(1 + tol), taken in mpmath at 3n + 64 bits,
-    since both logs reach 3.5e305; log_margin is that difference,
-    max_inequality its exp (1/(2n) for a record of construct), and
-    worst_point the point of |z| = 2 where C*_n is attained, rounded into
-    the closed 2-disk.  When the certificate fails, _witness looks for a
-    point of |z| < 2 where the inequality itself fails; max_inequality is
-    then the quotient there, the notes give the point in full, and
-    worst_point is its binary64 rounding, kept inside |z| < 2.  Without a
-    witness the notes say "not certified".  A nonzero node residual, or
-    an order above forge.MAX_ORDER, certifies nothing: max_inequality NaN.
+    the stored c_hat.  The check passes when log C*_n - 2 log a <= 0,
+    taken in mpmath at 3n + 64 bits, since both logs reach 3.5e305;
+    log_margin is that difference, max_inequality its exp (1/(2n) for a
+    record of construct), and worst_point the point of |z| = 2 where C*_n
+    is attained, rounded into the closed 2-disk.  When the certificate
+    fails, _witness looks for a point of |z| < 2 where the inequality
+    itself fails; max_inequality is then the quotient there, the notes
+    give the point in full, and worst_point is its binary64 rounding, kept
+    inside |z| < 2.  Without a witness the notes say "not certified".  A
+    nonzero node residual, or an order above forge.MAX_ORDER, certifies
+    nothing: max_inequality NaN.
     """
-    if not 0 <= tol < math.inf:  # NaN fails too
-        raise ValueError("tol must be finite and >= 0")
     res = float(F.node_residual)
     if res != 0:
         notes = f"not certified: node residual {res:.6g} is not 0, so h''/h^3 has poles"
@@ -220,17 +221,17 @@ def verify_inequality(F, tol=1e-12):
     with mpmath.workprec(3 * F.n + 64):
         two_log_a = 2 * mpmath.log(F.a)
         margin = mpmath.mpf(log_c) - two_log_a
-        passed = margin <= mpmath.log1p(tol)
+        passed = margin <= 0
     m = float(margin)
     notes = (
         f"log C*_n = {log_c:.17g} from the critical points on |z|=2, "
-        f"2 log a = {float(two_log_a):.17g}, log margin {m:.6g} against log(1 + tol), "
-        f"tol={tol:g}; node residual 0, so the maximum principle carries |z|=2 inward"
+        f"2 log a = {float(two_log_a):.17g}, log margin {m:.6g}; "
+        f"node residual 0, so the maximum principle carries |z|=2 inward"
     )
     peak = _into_disk(2 * cmath.exp(1j * math.acos(x) / F.n))
     if passed:
         return VerificationReport(True, math.exp(m), peak, (res,), "certified: " + notes, m)
-    z, lq, where = _witness(F, x, tol) or (peak, m, "no witness found")
+    z, lq, where = _witness(F, x) or (peak, m, "no witness found")
     top = math.exp(lq) if lq < 709 else math.inf
     return VerificationReport(False, top, z, (res,), f"not certified: {notes}; {where}", m)
 
@@ -246,31 +247,31 @@ def _into_disk(z, strict=False):
     return z
 
 
-def _witness(F, x, tol):
+def _witness(F, x):
     # (z, log q, text) for a point z, |z| < 2, where
-    # q = |f''| / (1 + |f|^3) > 1 + tol, or None. On the circle
+    # q = |f''| / (1 + |f|^3) > 1, or None. On the circle
     # |z| = 2 r, r = 1 - 2^-(3n+40), it bisects arg z from the peak of
     # C*_n (cos(arg z^n) = x, exact from forge.log_c_star), where |f| is
     # least, towards arg z^n = pi/3, where Re(c3 u^3) > 0 makes |f| large,
     # for |f| = 1, where q = |h''/h^3| / (2 a^2). Each step takes |h| and
     # |h''| from the closed forms of forge.h_moduli at 3n + 64 bits; a point
-    # is reported only once forge.h_jet at those bits confirms q > 1 + tol
+    # is reported only once forge.h_jet at those bits confirms q > 1
     n, prec = F.n, 3 * F.n + 64
 
     def log_q(h, h2):
         return mpmath.log(F.a * h2) - mpmath.log1p((F.a * h) ** 3)
 
     with mpmath.workprec(prec):
-        r, limit = 2 * (1 - mpmath.ldexp(1, -(3 * n + 40))), mpmath.log1p(tol)
+        r = 2 * (1 - mpmath.ldexp(1, -(3 * n + 40)))
         near, far = mpmath.acos(x) / n, mpmath.pi / (3 * n)  # |f| < 1, > 1
         t = near
         for _ in range(prec):
             z = r * mpmath.expj(t)
             h, _, h2 = h_moduli(n, z)
-            if log_q(h, h2) > limit:
+            if log_q(h, h2) > 0:
                 hj = h_jet(n, F.p, z, 2)
                 lq = log_q(abs(hj[0]), abs(hj[2]))
-                if lq > limit:
+                if lq > 0:
                     digits = int(prec * 0.30103) + 3
                     where = (
                         f"witness z = {mpmath.nstr(z.real, digits)}"
@@ -390,21 +391,33 @@ def lemma2_probe(Fs, points, orders):
     return ProbeResult(tuple(ns), tuple(meas), verdict)
 
 
+@functools.cache
+def _log_ratio_at(n, x):
+    # log|h''/h^3| = log|h''| - 3 log|h| at z = 2 e^(i acos(x) / n), where
+    # forge.log_c_star(n) attains C*_n, from the closed forms of
+    # forge.h_moduli at 3n + 64 bits; memoized, like log_c_star
+    with mpmath.workprec(3 * n + 64):
+        h, _, h2 = h_moduli(n, 2 * mpmath.expj(mpmath.acos(x) / n))
+        return mpmath.log(h2) - 3 * mpmath.log(h)
+
+
 def max_modulus_check(F):
-    """The certified max C*_n of |h''/h^3| on |z| = 2 against the
-    closed-form bound C_n of forge.log_c_bound(n).
+    """C*_n = forge.log_c_star(n), the certified max of |h''/h^3| on
+    |z| = 2, against the value it attains at its own peak.
 
     h''/h^3 has a pole at every node exactly when the node residual of
     verify_node_jets is nonzero: the check then fails at once with
-    worst_point 1 and max_inequality inf.  Otherwise it is the entire
-    n z^(n-2) S_n(u) e^(-2p), whose modulus on |z| <= 2 peaks on |z| = 2
-    (maximum principle), and the check passes when
-    log C*_n = forge.log_c_star(n), the max at the critical points on that
-    circle, is at most log C_n, the bound from the coefficients' moduli.
-    log_margin is log C*_n - log C_n; max_inequality, its exp, underflows
-    to 0.0 from n = 6 on; worst_point is the point of |z| = 2 where C*_n
-    is attained, rounded into the closed 2-disk.  An order above
-    forge.MAX_ORDER fails with max_inequality NaN.
+    worst_point 1 and max_inequality inf.  Otherwise it is entire, so its
+    modulus on |z| <= 2 peaks on |z| = 2 (maximum principle).  At the peak
+    z* = 2 e^(i acos(x*) / n) of log_c_star, g = log|h''| - 3 log|h| is
+    taken from the closed forms of forge.h_moduli at 3n + 64 bits, apart
+    from C*_n's cubics in x = cos(arg z^n), root brackets and interval
+    evaluation.  The check passes when g <= log C*_n <= g + 1e-14 |g| in
+    mpmath (the gap is at most 1.4e-16 of g for n = 2..339), or at n = 1,
+    where both are -inf.  log_margin is g - log C*_n (0 at n = 1),
+    max_inequality its exp (0.0 at n = 1 or on underflow), worst_point z*
+    rounded into the closed 2-disk.  An order above forge.MAX_ORDER fails
+    with max_inequality NaN.
     """
     res = F.node_residual
     if res != 0:
@@ -417,16 +430,17 @@ def max_modulus_check(F):
         lm, x = log_c_star(F.n)
     except Overflow as exc:
         return VerificationReport(False, math.nan, 2 + 0j, (), str(exc))
-    bound = log_c_bound(F.n)
-    margin = 0.0 if lm == bound else lm - bound  # 0 at n = 1, where both are -inf
-    passed = bound < math.inf and margin <= 0
-    ratio = 0.0 if lm == MINUS_INFINITY else math.exp(min(margin, 700.0))
-    if bound == math.inf:
-        ratio = math.nan
+    prec = 3 * F.n + 64
+    g = _log_ratio_at(F.n, x)
+    with mpmath.workprec(prec):
+        passed = lm == g or g <= lm <= g + 1e-14 * abs(g)
+        margin, gap = (0.0, 0.0) if lm == g else (float(g - lm), float((lm - g) / abs(g)))
+    ratio = 0.0 if g == MINUS_INFINITY else math.exp(min(margin, 700.0))
     notes = (
         f"node residual exactly 0, so the maximum principle carries |z|=2 inward; "
         f"log C*_n = {lm:.17g} at the critical points on |z|=2, "
-        f"log C_n = {bound:.17g}, gap {0.0 - margin:.6g}"
+        f"log|h''/h^3| = {float(g):.17g} there by h_moduli at {prec} bits, "
+        f"relative gap {gap:.3g} (passes in [0, 1e-14])"
     )
     peak = _into_disk(2 * cmath.exp(1j * math.acos(x) / F.n))
     return VerificationReport(passed, ratio, peak, (), notes, margin)

@@ -130,10 +130,10 @@ def cmd_verify(args):
         return code
     try:
         check_seed(args.seed)
-        checks = {"inequality": verify_inequality(F, args.tol)}
     except ValueError as exc:
         _err(str(exc))
         return USAGE
+    checks = {"inequality": verify_inequality(F)}
     checks.update(node_jets=verify_node_jets(F), max_modulus=max_modulus_check(F))
     sub = {name: storage.verification_to_dict(rep) for name, rep in checks.items()}
     print(json.dumps(storage.report_file("verify", [args.file], sub), indent=2, allow_nan=False))
@@ -435,7 +435,6 @@ def _parser():
 
     v = sub.add_parser("verify", help="run all verification checks on a saved function")
     v.add_argument("file")
-    v.add_argument("--tol", type=float, default=1e-12)
     v.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="range-checked; it no longer changes verify's output")
 

@@ -146,30 +146,6 @@ def _scaled_cubics(n):
     )
 
 
-def log_c_bound(n):
-    """A binary64 upper bound of log C_n, C_n = n 2^(n-2) S^(U) e^(2 P(U)),
-    U = 2^n + 1, P(x) = sum |c_k| x^k (build_p), S^(x) = sum |s_k| x^k
-    (build_s): |u| <= U on |z| <= 2, so C_n >= |h''/h^3| there. Summed in
-    integers over the denominators 24 n^2 and 576 n^3 of _scaled_cubics,
-    taken at 80 bits, rounded once, raised by 1e-12 of itself; -inf at
-    n = 1 (S_1 = 0); +inf from n = 343 on, where
-    2 P(U) > 2 |c3| 2^(3n) >= 2^(3n-4) leaves binary64, before 2^n is formed."""
-    if 3 * n - 4 >= 1024:
-        return math.inf
-    U = 2**n + 1
-    p, s = _scaled_cubics(n)
-    P = sum(abs(c) * U**k for k, c in enumerate(p, 1))
-    S = sum(abs(c) * U**k for k, c in enumerate(s))
-    if not S:
-        return MINUS_INFINITY
-    # n 2^n S^(U) / 4 and 2 P(U), each one Fraction in lowest terms
-    x, y = Fraction(2**n * S, 2304 * n * n), Fraction(P, 12 * n * n)
-    with mpmath.workprec(80):
-        x, y = (mpmath.mpf(q.numerator) / q.denominator for q in (x, y))
-        b = float(mpmath.log(x) + y)
-    return b + 1e-12 * abs(b)
-
-
 def p_degree(n, p):
     """Degree in z of p = c1 u + c2 u^2 + c3 u^3: k n for the highest
     nonzero c_k, 0 for p = 0."""
@@ -505,13 +481,14 @@ class CounterexampleFunction:
             raise InvariantViolation(
                 f"p = {self.p!r} is not the exponent {want!r} of order {self.n}"
             )
-        with mpmath.workprec(self.precision):
-            if not (self.a > 0 and self.m_hat > 0 and self.c_hat >= 0):
-                raise InvariantViolation("magnitudes out of range")
-            if self.a < mpmath.sqrt(2 * self.n * self.c_hat):
-                raise InvariantViolation("a below the inequality floor sqrt(2 n c)")
-            if self.a < 2 * self.n / self.m_hat:
-                raise InvariantViolation("a below the divergence floor 2n / m")
+        a, n = self.a, self.n
+        if not (a > 0 and self.m_hat > 0 and self.c_hat >= 0):
+            raise InvariantViolation("magnitudes out of range")
+        # both floors decided exactly, as a^2 >= 2 n c_hat and a m_hat >= 2n
+        if mpmath.fmul(a, a, exact=True) < mpmath.fmul(2 * n, self.c_hat, exact=True):
+            raise InvariantViolation("a below the inequality floor sqrt(2 n c)")
+        if mpmath.fmul(a, self.m_hat, exact=True) < 2 * n:
+            raise InvariantViolation("a below the divergence floor 2n / m")
 
     @property
     def log_a(self):

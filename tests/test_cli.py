@@ -69,15 +69,14 @@ def test_main_reuses_one_parser(files, tmp_path, monkeypatch):
             cli, name, lambda args, name=name: seen.append((name, vars(args))) or 0
         )
     out = str(tmp_path / "f.json")
-    assert main(["verify", files[2], "--seed", "7", "--tol", "1e-9"]) == 0
+    assert main(["verify", files[2], "--seed", "7"]) == 0
     assert main(["probe", "marty", files[2], "--radius", "0.2", "--seed", "3"]) == 0
     assert main(["construct", "-n", "2", "-o", out]) == 0
     assert main(["verify", files[2]]) == 0
     assert main(["probe", "marty", files[2]]) == 0
     assert cli._parser() is cli._parser()
     (_, v1), (_, p1), (_, v2), (_, p2) = seen
-    assert (v1["seed"], v1["tol"]) == (7, 1e-9)
-    assert (v2["seed"], v2["tol"]) == (DEFAULT_SEED, 1e-12)
+    assert (v1["seed"], v2["seed"]) == (7, DEFAULT_SEED)
     assert (p1["seed"], p1["radius"]) == (3, 0.2)
     assert (p2["seed"], p2["radius"]) == (DEFAULT_SEED, 0.1)
     assert v2["file"] == files[2] and p2["files"] == [files[2]]
@@ -141,12 +140,18 @@ def test_verify_healthy_file(files, capsys):
 
 
 @pytest.mark.parametrize("n", [19, 20, 30, 200])
-def test_verify_refutes_undershot_records(n, capsys):
+def test_verify_refutes_undershot_records(n, capsys, monkeypatch):
     # records that construct wrote while c_hat was sampled: from n = 19 on
     # the scan refined the wrong peak and a is too small. verify exits 1,
     # and the witness in the notes, read back at full precision, breaks
     # |f''| <= 1 + |f|^3 inside |z| < 2 by an independent f_jet
     path = Path(__file__).parent / "data" / f"undershot_f{n}.json"
+    if n == 20:
+        # its a, rounded to nearest, lies 9.0e-18 below sqrt(2 n c_hat): the
+        # exact gate refuses it; past the gate the witness refutes it too
+        assert main(["verify", str(path)]) == 1
+        assert "a below the inequality floor" in capsys.readouterr().err
+        monkeypatch.setattr(CounterexampleFunction, "__post_init__", lambda self: None)
     assert main(["verify", str(path)]) == 1
     ineq = json.loads(capsys.readouterr().out)["report"]["inequality"]
     assert not ineq["passed"] and ineq["log_margin"] > 0
@@ -196,17 +201,6 @@ def test_verify_unparseable_files(tmp_path, capsys):
     assert main(["verify", str(garbled)]) == 2
     assert main(["verify", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
-
-
-@pytest.mark.parametrize("option, msg", [
-    ("--tol=nan", "tol must be finite and >= 0"),
-    ("--tol=-1e-12", "tol must be finite and >= 0"),
-    ("--tol=inf", "tol must be finite and >= 0"),
-])
-def test_verify_bad_options_exit_two(files, capsys, option, msg):
-    assert main(["verify", files[2], option]) == 2
-    out, err = capsys.readouterr()
-    assert (out, err) == ("", f"error: {msg}\n")
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

@@ -36,7 +36,6 @@ from normfam.forge import (
     f_jet,
     h_jet,
     h_moduli,
-    log_c_bound,
     log_c_star,
     p_float,
     p_jet,
@@ -683,9 +682,10 @@ def test_log_c_star_every_order():
     # h_moduli at 3n + 64 bits) at the best angle of a 512-angle scan of
     # |z| = 2 in w = z^n, within what that scan's step can miss,
     # (9/2)(pi/512)^2 of the log (so no bracket fell back to a wide
-    # isolating interval), below the closed-form bound C_n, and attained at
-    # a cosine in [-1, 1]. The binary64 scan itself may exceed the tight
-    # C*_n: by up to 2.8e-14 of it from n = 102 on, its own rounding
+    # isolating interval), attained at a cosine in [-1, 1], and passing the
+    # max-modulus check against its value there. The binary64 scan itself
+    # may exceed the tight C*_n: by up to 2.8e-14 of it from n = 102 on,
+    # its own rounding
     for n in range(2, 340):
         log_c, x = log_c_star(n)
         c, s = p_float(build_p(n)), p_float(build_s(n))
@@ -694,7 +694,9 @@ def test_log_c_star_every_order():
         best = int(np.argmax(logs))
         with mpmath.workprec(3 * n + 64):
             h, _, h2 = h_moduli(n, 2 * mpmath.expj(theta[best]))
-            assert mpmath.log(h2) - 3 * mpmath.log(h) <= log_c <= log_c_bound(n), n
+            assert mpmath.log(h2) - 3 * mpmath.log(h) <= log_c, n
+        F = CounterexampleFunction(n, build_p(n), 2 * n, 0, 1)
+        assert analysis.max_modulus_check(F).passed, n
         assert log_c - logs[best] <= 5 * (math.pi / 512) ** 2 * log_c and -1 <= x <= 1, n
 
 
@@ -754,57 +756,17 @@ def test_distinct_angles(n, M):
 
 @pytest.mark.parametrize("n", list(range(1, 13)) + [200, 339])
 def test_log_c_bound_dominates_boundary_scan(n):
-    # 16,384 angles of w = z^n on |z| = 2, where the entire h''/h^3 attains
-    # its max modulus; n = 1 gives -inf on both sides
+    # the bound C*_n of log_c_star against 16,384 angles of w = z^n on
+    # |z| = 2, where the entire h''/h^3 attains its max modulus: at or above
+    # the exact value (h_moduli at 3n + 64 bits) at the scan's best angle,
+    # since the binary64 scan may round above C*_n from n = 102 on; n = 1
+    # gives -inf on both sides
     theta = distinct_angles(n, 32 * 512)
     c, sc = p_float(build_p(n)), p_float(build_s(n))
     logs = kernels.ratio_log(n, c, sc, 2.0 * np.exp(1j * theta))
-    assert float(np.max(logs)) <= log_c_bound(n)
-
-
-def test_log_c_bound_against_c_hat():
-    # C_n loses a factor up to 2 in the log at n = 2 and tightens with n,
-    # against the refined boundary scan c_hat of the built records
-    want = {2: 2.00, 3: 1.385, 4: 1.172, 6: 1.0384, 8: 1.0093, 12: 1.00057}
-    for n, ratio in want.items():
-        F = construct(n, ConstructionConfig(precision=128 if n >= 7 else 53))
-        assert abs(log_c_bound(n) / F.log_c - ratio) <= 1e-3, n
-
-
-def test_log_c_bound_past_binary64():
-    # 2 P(U) is about 2^(3n-2): log C_342 is the last finite one, and from
-    # n = 343 on the bound is +inf before 2^n is formed, so a huge n is instant
-    assert log_c_bound(1) == MINUS_INFINITY  # S_1 = 0
-    assert 1.79e308 < log_c_bound(342) < math.inf
-    for n in (343, 10**6):
-        start = time.perf_counter()
-        assert log_c_bound(n) == math.inf
-        assert time.perf_counter() - start < 0.01, n
-    with pytest.raises(ValueError):
-        log_c_bound(0)
-
-
-def log_c_bound_by_fractions(n):
-    """log_c_bound summed term by term in Fractions, an oracle for its
-    integer sums."""
-    if 3 * n - 4 >= 1024:
-        return math.inf
-    U = 2**n + 1
-    P = sum(abs(c) * U**k for k, c in enumerate(build_p(n), 1))
-    S = sum(abs(s) * U**k for k, s in enumerate(build_s(n)))
-    if not S:
-        return MINUS_INFINITY
-    with mpmath.workprec(80):
-        x, y = (mpmath.mpf(q.numerator) / q.denominator for q in (n * 2**n * S / 4, 2 * P))
-        b = float(mpmath.log(x) + y)
-    return b + 1e-12 * abs(b)
-
-
-def test_log_c_bound_bit_identical_to_fraction_sum():
-    # the integer sums over one denominator each reach the same two
-    # Fractions in lowest terms, so every binary64 bound is the same
-    for n in range(1, 344):
-        assert log_c_bound(n) == log_c_bound_by_fractions(n), n
+    with mpmath.workprec(3 * n + 64):
+        h, _, h2 = h_moduli(n, 2 * mpmath.expj(theta[int(np.argmax(logs))]))
+        assert mpmath.log(h2) - 3 * mpmath.log(h) <= log_c_star(n)[0]
 
 
 def test_estimate_m_order_one():
@@ -919,6 +881,19 @@ def test_records_clear_their_floors_at_any_precision(precision):
         F = construct(n, ConstructionConfig(precision=precision))
         for bits in (400, MAX_PRECISION):
             dataclasses.replace(F, precision=bits)  # the gate runs at those bits
+
+
+def test_gate_decides_both_floors_exactly():
+    # rounded to nearest at 53 bits, sqrt(10 c_hat) squares to 7.4e-17 of
+    # 10 c_hat below it, and 10/11 times 11 falls below 10; a gate that
+    # rounds its floors the same way accepts both
+    with mpmath.workprec(53):
+        c_hat = mpmath.mpf(3 * 10**30) / 7
+        a_c, a_m = mpmath.sqrt(10 * c_hat), mpmath.mpf(10) / 11
+    with pytest.raises(InvariantViolation, match="inequality floor"):
+        CounterexampleFunction(5, build_p(5), a_c, c_hat, mpmath.mpf(10**40), 53)
+    with pytest.raises(InvariantViolation, match="divergence floor"):
+        CounterexampleFunction(5, build_p(5), a_m, 0, 11, 53)
 
 
 def test_choose_a_rejects_bad_m():
