@@ -33,7 +33,6 @@ from .errors import (
     PointTooCloseToCircle,
 )
 from .forge import (
-    ConstructionConfig,
     CounterexampleFunction,
     Jet,
     build_p,
@@ -45,7 +44,6 @@ from .storage import load_function, save_function
 
 __all__ = [
     "Jet",
-    "ConstructionConfig",
     "CounterexampleFunction",
     "build_p",
     "build_s",

@@ -36,7 +36,7 @@ from .errors import (
     Overflow,
     PointTooCloseToCircle,
 )
-from .forge import ConstructionConfig, construct, p_degree
+from .forge import GRID_M, construct, p_degree
 
 OK, FAIL, USAGE = 0, 1, 2
 
@@ -107,17 +107,15 @@ def cmd_construct(args):
         _err("n must be >= 1")
         return USAGE
     try:
-        cfg = ConstructionConfig(precision=args.precision, grid_m=args.grid)
-    except ValueError as exc:
+        F = construct(args.n, args.precision)
+    except ValueError as exc:  # a precision out of range
         _err(str(exc))
         return USAGE
-    try:
-        F = construct(args.n, cfg)
     except NormfamError as exc:
         _err(f"construction failed: {exc}")
         return FAIL
     try:
-        storage.save_function(F, args.grid, args.output)
+        storage.save_function(F, GRID_M, args.output)
     except OSError as exc:
         _err(f"{args.output}: {exc}")
         return USAGE
@@ -430,7 +428,6 @@ def _parser():
     c.add_argument("--precision", type=int, default=53,
                    help="bits of the stored magnitudes and of the probes' "
                    "mpmath arithmetic (53..4096)")
-    c.add_argument("--grid", type=int, default=1024, help="m_hat scan grid size")
     c.add_argument("-o", "--output", required=True, help="function file to write")
 
     v = sub.add_parser("verify", help="run all verification checks on a saved function")

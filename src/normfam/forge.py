@@ -25,8 +25,8 @@ magnitude fields of a constructed record are mpmath reals with unbounded
 exponent. c_hat is no scan: it is the upper bound C*_n of log_c_star,
 one interval evaluation of log|h''/h^3| on |z| = 2 over exact brackets
 of the roots of an integer quintic in cos(arg z^n) (critical_quintic),
-with no binary64 step and no allowance. The m_hat scan evaluates
-logarithms in double precision on arrays, through the kernels module.
+with no binary64 step and no allowance. The binary64 m_hat scan takes
+log|h| on three circles as a real function of the same cos(arg z^n).
 The scalar jets, of any order, are Taylor series in w = z^n: the cubic p
 shifted exactly about u, e^p by a three-term recurrence, both composed
 with (z + t)^n - z^n by Horner's rule, exactly at a Fraction point and in
@@ -53,6 +53,7 @@ from .errors import InvariantViolation, NonPositiveM, Overflow
 
 MINUS_INFINITY = float("-inf")
 MAX_PRECISION = 4096  # bits
+GRID_M = 1024  # the m_hat scan takes the w-angles 2 pi j / GRID_M
 
 # the last order whose grid kernels fit binary64: from 340 on S_n(u) of
 # h''/h^3 overflows on |z| = 2, and construct refuses the order
@@ -74,18 +75,6 @@ class Jet:
 
     def __getitem__(self, j):
         return self.values[j]
-
-
-@dataclass(frozen=True)
-class ConstructionConfig:
-    precision: int = 53
-    grid_m: int = 1024
-
-    def __post_init__(self):
-        if not 53 <= self.precision <= MAX_PRECISION:
-            raise ValueError(f"precision must be between 53 and {MAX_PRECISION} bits")
-        if self.grid_m < 64:
-            raise ValueError("grid_m must be at least 64")
 
 
 @functools.cache
@@ -237,20 +226,6 @@ def h_moduli(n, z):
         r ** (n - 1) * abs(m + u * (a1 + u * (2 * a2 + 3 * a3 * u))) * e / (24 * n),
         r ** max(n - 2, 0) * abs(u) ** 3 * abs(b0 + u * (b1 + u * (b2 + b3 * u))) * e / (24 * m),
     )
-
-
-def distinct_angles(n, M):
-    """The M // 2 + 1 angles 2 pi j / (M n), j = 0..M // 2: those of
-    [0, pi/n] among the M n equispaced angles 2 pi k / (M n).
-
-    z -> z^n maps the M n angles onto the M angles 2 pi k / M of w, and
-    these M // 2 + 1 onto the w-angles 2 pi j / M, which with their
-    conjugates are all M of them. So a scan of |q(z^n)| for a q with real Taylor coefficients,
-    where q(conj w) = conj q(w), needs no other angle. Every |f^(k)| and
-    |h''/h^3| of a record is one: its a is real, and its gate demands
-    p == build_p(n), rationals that p_float rounds to real floats.
-    """
-    return np.arange(M // 2 + 1) * (2.0 * math.pi / (M * n))
 
 
 # T_k(cos phi) = cos(k phi): the Chebyshev polynomials T_0 .. T_3, ascending
@@ -408,16 +383,29 @@ def estimate_c(n, p):
     return mpmath.exp(log_c_star(n)[0])
 
 
-def estimate_m(n, p, M=1024):
+@functools.cache
+def _w_cosines(M):
+    # the rows T_k(cos phi_j) = cos(k phi_j), k = 0..3, phi_j = 2 pi j / M, j = 0..M // 2
+    return np.cos(np.outer(range(4), np.arange(M // 2 + 1) * (2.0 * math.pi / M)))
+
+
+def estimate_m(n, p, M=GRID_M):
     """Sampled min of |h|, with a factor 1/2, on
     K_n = {|z| <= 1 - 1/n} u {1 + 1/n <= |z| <= 2 - 1/n}, the compact
     where |f_n| must stay large.
 
     h = (z^n - 1) e^p has no zeros on K_n, so by the minimum-modulus
-    principle its min lies on the boundary circles |z| = 1 - 1/n, 1 + 1/n
-    and 2 - 1/n; each is sampled at the M / 2 + 1 of its M*n equispaced
-    angles that lie in [0, pi/n] (distinct_angles; rotation and reflection
-    carry them onto the rest). K_1 degenerates to {0}, evaluated once.
+    principle its min lies on the boundary circles |z| = r, r = 1 - 1/n,
+    1 + 1/n and 2 - 1/n. On each, w = z^n = R e^(i phi), R = r^n, and with
+    x = cos phi and p = d0 + d1 w + d2 w^2 + d3 w^3 (_in_w),
+
+        2 log|h| = log(R^2 + 1 - 2 R x) + 2 sum_k d_k R^k T_k(x),
+
+    a real function of x: one matrix product of six rows of coefficients
+    in T_0..T_3, of |u|^2 and 2 Re p per circle, with the table of T_k(x_j)
+    at the w-angles 2 pi j / M, j = 0..M / 2, which with their conjugates
+    are all M (p is real). R is r^n rounded once from the exact rational.
+    K_1 degenerates to {0}, where R = 0 and |h| = 1.
 
     The factor 1/2 does not make m_hat a lower bound: on a 32x finer
     angle sample the true min of log|h| lies below the sampled one by
@@ -427,13 +415,17 @@ def estimate_m(n, p, M=1024):
     """
     if M < 64:
         raise ValueError("M must be at least 64")
-    if n == 1:
-        zs = np.zeros(1, dtype=complex)
-    else:
-        radii = np.array([1.0 - 1.0 / n, 1.0 + 1.0 / n, 2.0 - 1.0 / n])
-        zs = np.outer(radii, np.exp(1j * distinct_angles(n, M))).ravel()
-    logs = kernels.h_log(n, p_float(p), zs)
-    return mpmath.exp(mpmath.mpf(float(np.min(logs)))) / 2
+    d = _in_w(0, *p_float(p))
+    ks = (0, 0, 0) if n == 1 else (n - 1, n + 1, 2 * n - 1)
+    Rs = [k**n / n**n for k in ks]
+    C = np.array(
+        [[R * R + 1.0, -2.0 * R, 0.0, 0.0] for R in Rs]
+        + [[2.0 * c * R**k for k, c in enumerate(d)] for R in Rs]
+    )
+    # einsum, not matmul: matmul calls BLAS, whose buffers add 0.25 MB to
+    # the resident memory of every process that constructs
+    u2, re_p2 = np.einsum("ik,kj->ij", C, _w_cosines(M)).reshape(2, len(Rs), -1)
+    return mpmath.exp(mpmath.mpf(float((np.log(u2) + re_p2).min()) / 2)) / 2
 
 
 def choose_a(n, c_hat, m_hat):
@@ -545,16 +537,19 @@ class CounterexampleFunction:
         return Fraction(max(abs(H2), abs(H3), abs(H4)), n * D**3)
 
 
-def construct(n, cfg=ConstructionConfig()):
-    """Build one family member end to end; deterministic in (n, cfg)."""
+def construct(n, precision=53):
+    """Build one family member end to end, its magnitudes at `precision`
+    bits (53..MAX_PRECISION); deterministic in (n, precision)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    with mpmath.workprec(cfg.precision):
+    if not 53 <= precision <= MAX_PRECISION:
+        raise ValueError(f"precision must be between 53 and {MAX_PRECISION} bits")
+    with mpmath.workprec(precision):
         p = build_p(n)
         c_hat = estimate_c(n, p)
-        m_hat = estimate_m(n, p, cfg.grid_m)
+        m_hat = estimate_m(n, p)
         a = choose_a(n, c_hat, m_hat)
-        return CounterexampleFunction(n, p, a, c_hat, m_hat, cfg.precision)
+        return CounterexampleFunction(n, p, a, c_hat, m_hat, precision)
 
 
 def f_jet(F, z, J):

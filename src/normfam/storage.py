@@ -5,8 +5,9 @@ A function file (schema_version 3) stores no exponent: p is fixed by n
 (forge.build_p), so loading derives it. Every real magnitude is a
 decimal string, never a binary JSON number: a record at P bits re-reads
 bit-exactly at P bits, because ceil(P log10 2) + 2 significant digits
-pin down any P-bit mantissa. Files of schema_version 1 (a Newton-form
-exponent) and 2 (the exponent as three rationals) are refused.
+pin down any P-bit mantissa (mpmath.libmp's to_str and from_str write
+and read them). Files of schema_version 1 (a Newton-form exponent) and 2
+(the exponent as three rationals) are refused.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ import stat
 from datetime import datetime, timezone
 
 import mpmath
+from mpmath.libmp import from_str, round_nearest, to_str
 
-from .forge import MAX_PRECISION, ConstructionConfig, CounterexampleFunction, build_p
+from .forge import MAX_PRECISION, CounterexampleFunction, build_p
 
 SCHEMA_VERSION = 3
 MAGNITUDES = ("a", "c_hat", "m_hat")
@@ -32,16 +34,15 @@ def _strip(s):
 
 def _fmt_mp(x, precision):
     # a, c_hat, m_hat are arbitrary-precision reals even in a 53-bit
-    # record (they overflow binary64 from n = 4 on). nstr rounds loosely
+    # record (they overflow binary64 from n = 4 on). to_str rounds loosely
     # (off by a few ulps in the last digit), so grow the digit count
-    # until parse-back reproduces x exactly
+    # until parse-back reproduces x exactly; both on raw libmp tuples
+    v = mpmath.mpf(x, prec=precision)._mpf_
     base = math.ceil(precision * math.log10(2))
-    with mpmath.workprec(precision):
-        x = mpmath.mpf(x)
-        for extra in (2, 5, 8, 12):
-            s = mpmath.nstr(x, base + extra)
-            if mpmath.mpf(s) == x:
-                return _strip(s)
+    for extra in (2, 5, 8, 12):
+        s = to_str(v, base + extra)
+        if from_str(s, precision, round_nearest) == v:
+            return _strip(s)
     raise ValueError(f"cannot render {x!r} as a faithful decimal string")
 
 
@@ -151,10 +152,11 @@ def parse_function(record):
             raise ValueError(f"precision_bits {precision} is below 53")
         if precision > MAX_PRECISION:
             raise ValueError(f"precision_bits {precision} is above {MAX_PRECISION}")
-        with mpmath.workprec(precision):
-            a, c_hat, m_hat = (mpmath.mpf(_typed(record, k, str)) for k in MAGNITUDES)
+        texts = [_typed(record, k, str) for k in MAGNITUDES]
+        a, c_hat, m_hat = (mpmath.mp.make_mpf(from_str(s, precision, round_nearest)) for s in texts)
         grid_m = _typed(record["construction_config"], "grid_m", int)
-        ConstructionConfig(precision, grid_m)  # refuses a grid_m below 64
+        if grid_m < 64:
+            raise ValueError("grid_m must be at least 64")
     except (KeyError, TypeError, IndexError, OverflowError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed function file: {exc!r}") from exc
     # the invariant gate compares with < and >, which NaN and inf slip past
@@ -193,7 +195,7 @@ def verification_to_dict(rep):
 def summary_str(x):
     """Human-oriented decimal string for a magnitude; 17 significant
     digits, not meant to round-trip."""
-    return _strip(mpmath.nstr(mpmath.mpf(x), 17))
+    return _strip(to_str(mpmath.mpf(x)._mpf_, 17))
 
 
 def probe_to_dict(pr):

@@ -28,7 +28,6 @@ from normfam import analysis, kernels, storage
 from normfam.errors import CenterOffCircle, OrderTooLow, PointTooCloseToCircle
 from normfam.forge import (
     MINUS_INFINITY,
-    ConstructionConfig,
     CounterexampleFunction,
     Jet,
     build_p,
@@ -205,7 +204,7 @@ def test_verify_inequality_worst_point_by_log(n):
     # the worst point is the one where the log of |h''/h^3| peaks: there
     # the 200-bit jet lies within 1e-12 of log C*_n, and below it, since
     # the reported point lies in the closed 2-disk
-    F = construct(n, ConstructionConfig(precision=128))
+    F = construct(n, precision=128)
     rep = verify_inequality(F)
     log_c = analysis.log_c_star(n)[0]
     z = rep.worst_point
@@ -389,7 +388,7 @@ def test_marty_measurement_independent_of_the_other_files(family):
 def ladder():
     """The records n = 7..12 at 128 bits, whose node chords
     2 sin(pi/(2n)) are 0.445 or less."""
-    return [construct(n, ConstructionConfig(precision=128)) for n in range(7, 13)]
+    return [construct(n, precision=128) for n in range(7, 13)]
 
 
 @pytest.mark.parametrize("center", [1 + 0j, 1j, cmath.exp(0.6j * math.pi), -1 + 0j])
@@ -522,7 +521,7 @@ def test_lemma2_against_jet_oracle():
     # 64 units of 2^-prec times the rounding scale of the 3n + 200-bit jet,
     # prec the probe's working precision: the record's, or 3n + 64 bits
     # where that is more
-    Fs = [construct(n, ConstructionConfig(precision=53 if n < 7 else 128)) for n in range(1, 13)]
+    Fs = [construct(n, precision=53 if n < 7 else 128) for n in range(1, 13)]
     Fs.append(construct(339))
     pts = [0, 1.5, 1.5j, -0.6 + 0.3j, 1.2 + 1.2j, -1.85]
     pr = lemma2_probe(Fs, pts, [1, 2])

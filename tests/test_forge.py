@@ -17,12 +17,12 @@ from normfam import (
     NonPositiveM,
     Overflow,
 )
-from normfam import analysis, kernels, storage
+from normfam import analysis, forge, kernels, storage
 from normfam.cpoly import HermiteSpec, eval_jet, hermite_interpolate
 from normfam.forge import (
+    GRID_M,
     MAX_PRECISION,
     MINUS_INFINITY,
-    ConstructionConfig,
     CounterexampleFunction,
     Jet,
     build_p,
@@ -30,7 +30,6 @@ from normfam.forge import (
     choose_a,
     construct,
     critical_quintic,
-    distinct_angles,
     estimate_c,
     estimate_m,
     f_jet,
@@ -45,6 +44,12 @@ ZERO_P = (Fraction(0),) * 3
 # records of n = 19, 20, 30 and 200 that construct wrote while c_hat was
 # sampled: their a is too small for |f''| <= 1 + |f|^3
 DATA = Path(__file__).parent / "data"
+
+
+def sector_angles(n, M):
+    """The M // 2 + 1 z-angles 2 pi j / (M n), j = 0..M // 2, of [0, pi/n]:
+    z^n maps them onto the w-angles 2 pi j / M."""
+    return np.arange(M // 2 + 1) * (2.0 * math.pi / (M * n))
 
 
 def sample_disk(rng, radius=2.0):
@@ -612,25 +617,24 @@ def test_new_record_holds_at_the_old_witness():
 
 
 def test_scans_evaluate_one_sector(family, monkeypatch):
-    # the only scan left, m_hat's, takes the angles of [0, pi/n] on each
-    # circle; C*_n and the max-modulus check evaluate no grid at all
+    # the only scan left, m_hat's, takes the w-angles 2 pi j / M of
+    # [0, pi] on its own real table; C*_n, the m_hat scan and the
+    # max-modulus check evaluate no grid kernel at all
     seen = []
-    for name in ("h_log", "ratio_log", "fk_log", "sphder_log"):
+    for name in ("ratio_log", "fk_log", "sphder_log"):
         real = getattr(kernels, name)
         monkeypatch.setattr(
             kernels, name, lambda *a, _n=name, _f=real: seen.append((_n, len(a[-1]))) or _f(*a)
         )
     for n in (2, 5, 12):
-        seen.clear()
         log_c_star.cache_clear()
         estimate_c(n, build_p(n))
         estimate_m(n, build_p(n), 128)
-        assert seen == [("h_log", 3 * (128 // 2 + 1))], n
+    assert forge._w_cosines(128).shape == (4, 128 // 2 + 1)
     for n, F in family.items():
-        seen.clear()
         analysis.max_modulus_check(F)
         analysis.verify_inequality(F)
-        assert seen == [], n
+    assert seen == []
 
 
 def test_estimate_c_refuses_overflowed_scan():
@@ -647,10 +651,11 @@ def test_estimate_c_refuses_overflowed_scan():
 
 
 def test_estimate_c_stable_under_grid_doubling():
-    # c_hat no longer depends on the scan grid, which only m_hat takes
-    c1 = construct(2, ConstructionConfig(grid_m=1024)).c_hat
-    c2 = construct(2, ConstructionConfig(grid_m=2048)).c_hat
-    assert c1 == c2 == estimate_c(2, build_p(2))
+    # c_hat is C*_n: no scan grid enters it, whatever grid m_hat takes
+    c = estimate_c(2, build_p(2))
+    assert construct(2).c_hat == c
+    estimate_m(2, build_p(2), 2 * GRID_M)
+    assert construct(2).c_hat == c
 
 
 def test_estimate_c_dominates_interior_samples(family):
@@ -689,7 +694,7 @@ def test_log_c_star_every_order():
     for n in range(2, 340):
         log_c, x = log_c_star(n)
         c, s = p_float(build_p(n)), p_float(build_s(n))
-        theta = distinct_angles(n, 512)
+        theta = sector_angles(n, 512)
         logs = kernels.ratio_log(n, c, s, 2.0 * np.exp(1j * theta))
         best = int(np.argmax(logs))
         with mpmath.workprec(3 * n + 64):
@@ -740,17 +745,19 @@ def test_critical_quintic_roots_are_critical_points():
     [(1, 64), (4, 512), (5, 512), (12, 512), (3, 3 * 64), (6, 6 * 65), (4, 262)],
 )
 def test_distinct_angles(n, M):
-    theta = distinct_angles(n, M)
-    # bit-identical to the first M // 2 + 1 of the M n equispaced angles,
-    # all of them in [0, pi/n]
+    # the m_hat scan's table holds T_0..T_3 at the w-angles 2 pi j / M,
+    # j = 0..M // 2: the images under z -> z^n of the first M // 2 + 1 of
+    # the M n equispaced z-angles, all in [0, pi/n], which with their
+    # conjugates reach all M w-angles
+    theta = sector_angles(n, M)
     full = np.linspace(0.0, 2.0 * math.pi, M * n, endpoint=False)
-    assert theta.size == M // 2 + 1
-    assert np.array_equal(theta, full[: theta.size])
-    assert theta[-1] <= math.pi / n
-    # z^n maps them onto distinct w-indices j (in units of 2 pi / M), which
-    # with their negatives are all M that the M n angles reach
+    assert np.array_equal(theta, full[: M // 2 + 1]) and theta[-1] <= math.pi / n
+    table = forge._w_cosines(M)
+    assert table.shape == (4, M // 2 + 1)
+    for k, row in enumerate(table):
+        assert np.allclose(row, np.cos(k * n * theta), rtol=0, atol=1e-12), k
     j = np.rint(n * theta * (M / (2.0 * math.pi))).astype(int)
-    assert np.array_equal(j, np.arange(theta.size))
+    assert np.array_equal(j, np.arange(M // 2 + 1))
     assert set(j) | set(-j % M) == set(range(M))
 
 
@@ -761,7 +768,7 @@ def test_log_c_bound_dominates_boundary_scan(n):
     # the exact value (h_moduli at 3n + 64 bits) at the scan's best angle,
     # since the binary64 scan may round above C*_n from n = 102 on; n = 1
     # gives -inf on both sides
-    theta = distinct_angles(n, 32 * 512)
+    theta = sector_angles(n, 32 * 512)
     c, sc = p_float(build_p(n)), p_float(build_s(n))
     logs = kernels.ratio_log(n, c, sc, 2.0 * np.exp(1j * theta))
     with mpmath.workprec(3 * n + 64):
@@ -777,12 +784,13 @@ def grid_log_m(n, p, M, count):
     """Sampled min of log|h| over M/8 radii of [0, 2 - 1/n] that lie in
     K_n, at the first `count` of the M*n angles 2 pi j / (M n) each: the
     scan estimate_m made before it moved to the boundary circles (there
-    count = M*n), kept as an oracle."""
+    count = M*n), kept as an oracle; log|u| + Re p in complex binary64."""
     radii = np.linspace(0.0, 2.0 - 1.0 / n, M // 8)
     radii = radii[np.abs(radii - 1.0) >= 1.0 / n]
     theta = np.linspace(0.0, 2.0 * math.pi, M * n, endpoint=False)[:count]
-    zs = np.outer(radii, np.exp(1j * theta)).ravel()
-    return float(np.min(kernels.h_log(n, tuple(float(c) for c in p), zs)))
+    u = np.outer(radii, np.exp(1j * theta)).ravel() ** n - 1
+    c1, c2, c3 = p_float(p)
+    return float(np.min(np.log(np.abs(u)) + (u * (c1 + u * (c2 + c3 * u))).real))
 
 
 @pytest.mark.parametrize("M", [64, 256])
@@ -790,31 +798,48 @@ def test_estimate_m_matches_radius_grid(exponents, M):
     # the grid minimum lies on |z| = 2 - 1/n, a radius both scans sample,
     # and the first M / 2 + 1 angles, those in [0, pi/n], are the ones
     # estimate_m evaluates; rotation and reflection carry them onto the
-    # others, up to rounding
+    # others. The two scans round differently: estimate_m takes log|h| as
+    # a real function of cos(arg z^n), the oracle as one of complex z
     for n, p in exponents.items():
-        got = estimate_m(n, p, M)
-        assert got == mpmath.exp(mpmath.mpf(grid_log_m(n, p, M, M // 2 + 1))) / 2
-        full = grid_log_m(n, p, M, M * n)
-        assert abs(float(mpmath.log(2 * got)) - full) <= 1e-14 * abs(full), n
+        got = float(mpmath.log(2 * estimate_m(n, p, M)))
+        for count in (M // 2 + 1, M * n):
+            want = grid_log_m(n, p, M, count)
+            assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (n, count)
 
 
-def test_estimate_m_samples_three_circles(monkeypatch):
-    seen = []
-    h_log = kernels.h_log
+def mp_log_m(n, M, prec=64):
+    """min log|h| at the w-angles 2 pi j / M, j = 0..M // 2, on each circle
+    |w| = r^n, r = 1 - 1/n, 1 + 1/n, 2 - 1/n (w = 0 for n = 1), from
+    u = w - 1 and Re p(u) in complex mpmath at `prec` bits: no cosine
+    table, no binary64."""
+    with mpmath.workprec(prec):
+        c1, c2, c3 = (mpmath.mpf(c.numerator) / c.denominator for c in build_p(n))
+        ks = (0,) if n == 1 else (n - 1, n + 1, 2 * n - 1)
+        turns = [mpmath.expj(2 * mpmath.pi * j / M) for j in range(M // 2 + 1)]
+        best = mpmath.inf
+        for R in (mpmath.mpf(k) ** n / mpmath.mpf(n) ** n for k in ks):
+            for t in turns:
+                u = R * t - 1
+                best = min(best, mpmath.log(abs(u)) + mpmath.re(u * (c1 + u * (c2 + c3 * u))))
+        return best
 
-    def spy(n, c, zs):
-        seen.append((n, np.abs(zs)))
-        return h_log(n, c, zs)
 
-    monkeypatch.setattr(kernels, "h_log", spy)
+def test_estimate_m_samples_three_circles():
+    # K_1 = {0} is one point; the others take M / 2 + 1 angles per circle,
+    # and the min over them is the scan's, to its binary64 rounding
     for n, M in ((1, 64), (2, 64), (5, 128)):
-        estimate_m(n, build_p(n), M)
-    # K_1 = {0} is one point; the others take M / 2 + 1 angles per circle
-    assert [len(r) for _, r in seen] == [1, 3 * 33, 3 * 65]
-    assert np.all(seen[0][1] == 0.0)
-    for n, r in seen[1:]:
-        radii = [[1 - 1 / n], [1 + 1 / n], [2 - 1 / n]]
-        assert np.allclose(r.reshape(3, -1), radii, rtol=0, atol=1e-12)
+        want = mp_log_m(n, M)
+        got = mpmath.log(2 * estimate_m(n, build_p(n), M))
+        assert abs(got - want) <= 1e-14 * max(1, abs(want)), n
+
+
+@pytest.mark.parametrize("n", [*range(1, 25), 60, 339])
+def test_estimate_m_matches_mpmath_at_its_angles(n):
+    # the real cubic in cos(arg z^n) on one (3, 513) table against the
+    # complex mpmath evaluation of the same 3 x 513 points
+    want = mp_log_m(n, GRID_M)
+    got = mpmath.log(2 * estimate_m(n, build_p(n)))
+    assert abs(got - want) <= 1e-12 * max(1, abs(want)), n
 
 
 def test_estimate_m_positive(family):
@@ -878,7 +903,7 @@ def test_records_clear_their_floors_at_any_precision(precision):
     # read at more bits than it was built with, a record still passes its
     # gate, a >= sqrt(2 n c_hat) and a >= 2n / m_hat
     for n in range(1, 61):
-        F = construct(n, ConstructionConfig(precision=precision))
+        F = construct(n, precision=precision)
         for bits in (400, MAX_PRECISION):
             dataclasses.replace(F, precision=bits)  # the gate runs at those bits
 
@@ -913,8 +938,7 @@ def test_construct_order_one(family):
 
 
 def test_construct_deterministic():
-    cfg = ConstructionConfig(precision=53, grid_m=512)
-    assert construct(3, cfg) == construct(3, cfg)
+    assert construct(3, 53) == construct(3, 53)
 
 
 def test_node_gate_rejects_nan_coefficient(family):
@@ -978,6 +1002,12 @@ def test_gate_rejects_precision_out_of_range(family, bits):
         CounterexampleFunction(3, F.p, F.a, F.c_hat, F.m_hat, bits)
 
 
+@pytest.mark.parametrize("bits", [52, MAX_PRECISION + 1])
+def test_construct_refuses_precision_out_of_range(bits):
+    with pytest.raises(ValueError, match="precision"):
+        construct(3, bits)
+
+
 def test_default_record_obeys_inequality_at_exact_node(family):
     # f = 0 at the nodes, so |f''| <= 1 + |f|^3 needs h'' = 0 there to
     # the scale 1/a; the exact exponent gives it at any check precision
@@ -992,7 +1022,7 @@ def test_default_record_obeys_inequality_at_exact_node(family):
 
 @pytest.fixture(scope="module")
 def record_12_128():
-    return construct(12, ConstructionConfig(precision=128))
+    return construct(12, precision=128)
 
 
 def test_f_jet_runs_at_record_precision(record_12_128):
@@ -1022,7 +1052,7 @@ def test_f_jet_where_e_p_leaves_double_range(record_12_128):
 
 
 def test_f_jet_high_precision_record():
-    F = construct(5, ConstructionConfig(precision=128, grid_m=512))
+    F = construct(5, precision=128)
     fj = f_jet(F, root_of_unity(5, 0, 128), 1)
     assert abs(fj.values[0]) == 0
     rel = abs(abs(fj.values[1]) - F.a * 5) / (F.a * 5)

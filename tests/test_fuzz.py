@@ -7,6 +7,7 @@ residual of the exact rational jet for any rational exponent."""
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -109,6 +110,34 @@ def test_parse_function_raises_only_documented_errors(family, data):
     assert type(rec["n"]) is int and type(rec["precision_bits"]) is int
     assert type(grid_m) is int and grid_m >= 64
     assert all(isinstance(rec[k], str) for k in storage.MAGNITUDES)
+
+
+def parse_outcome(rec):
+    try:
+        F, grid_m = storage.parse_function(rec)
+    except (ValueError, InvariantViolation) as exc:
+        return type(exc), str(exc)
+    return F, grid_m
+
+
+def mpf_from_str(s, precision, rounding):
+    # the magnitude decoder parse_function used before it took libmp's
+    # from_str: mpmath.mpf of the string under workprec, rounded to nearest
+    assert rounding == mpmath.libmp.round_nearest
+    with mpmath.workprec(precision):
+        return mpmath.mpf(s)._mpf_
+
+
+@settings(max_examples=MANY, deadline=None)
+@given(data=st.data())
+def test_parse_function_decodes_like_mpf(family, data):
+    # the raw libmp decoder accepts and refuses every record of the fuzz
+    # corpus exactly as mpmath.mpf under workprec does, with the same
+    # values and the same errors
+    rec = data.draw(mutated_records(family))
+    want = parse_outcome(rec)
+    with mock.patch.object(storage, "from_str", mpf_from_str):
+        assert parse_outcome(rec) == want
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@
 validation, and report serialization."""
 
 import json
+import math
 import os
 import re
 import stat
@@ -13,7 +14,7 @@ import pytest
 from normfam import storage
 from normfam.analysis import ProbeResult, VerificationReport, marty_probe
 from normfam.errors import InvariantViolation
-from normfam.forge import ConstructionConfig, construct
+from normfam.forge import GRID_M, construct
 
 
 def roundtrip(F, grid_m=1024):
@@ -39,7 +40,7 @@ def test_roundtrip_double_precision(family):
 
 
 def test_roundtrip_high_precision():
-    F = construct(3, ConstructionConfig(precision=128, grid_m=512))
+    F = construct(3, precision=128)
     G, gm, text = roundtrip(F, grid_m=512)
     assert gm == 512
     assert_identical(F, G)
@@ -285,3 +286,32 @@ def test_summary_str():
     assert storage.summary_str(mpmath.mpf(4)) == "4"
     assert storage.summary_str(mpmath.mpf("0.5")) == "0.5"
     assert mpmath.mpf(storage.summary_str(mpmath.mpf(2) ** 100)) == mpmath.mpf(2) ** 100
+
+
+def nstr_decimal(x, precision):
+    """The decimal string of the codec _fmt_mp replaced: mpmath.nstr at a
+    growing digit count, checked by mpmath.mpf under workprec."""
+    base = math.ceil(precision * math.log10(2))
+    with mpmath.workprec(precision):
+        x = mpmath.mpf(x)
+        for extra in (2, 5, 8, 12):
+            s = mpmath.nstr(x, base + extra)
+            if mpmath.mpf(s) == x:
+                return s[:-2] if s.endswith(".0") else s
+
+
+@pytest.mark.parametrize("precision", [53, 128, 333, 1024, 4096])
+def test_libmp_codec_matches_nstr(precision):
+    # the raw libmp to_str / from_str codec writes the strings nstr wrote
+    # and reads them back to the values mpmath.mpf reads, for every
+    # magnitude of the records of these orders; above 333 bits a spread
+    # of them, since decimals of that many digits are slow to write and read
+    orders = [*range(1, 40), 60, 339]
+    for n in orders if precision <= 333 else orders[::6] + orders[-2:]:
+        F = construct(n, precision)
+        rec = storage.function_record(F, GRID_M)
+        for key in storage.MAGNITUDES:
+            assert rec[key] == nstr_decimal(getattr(F, key), precision), (n, key)
+        # nstr_decimal's strings read back to F's values under mpmath.mpf
+        assert storage.parse_function(rec) == (F, GRID_M), n
+        assert storage.summary_str(F.a) == mpmath.nstr(+F.a, 17).removesuffix(".0"), n
