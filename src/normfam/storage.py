@@ -1,13 +1,13 @@
 """Lossless JSON persistence for constructed records and reports, and
 the in-place writer (rewrite) that every file normfam writes goes through.
 
-A function file (schema_version 3) stores no exponent: p is fixed by n
-(forge.build_p), so loading derives it. Every real magnitude is a
-decimal string, never a binary JSON number: a record at P bits re-reads
-bit-exactly at P bits, because ceil(P log10 2) + 2 significant digits
-pin down any P-bit mantissa (mpmath.libmp's to_str and from_str write
-and read them). Files of schema_version 1 (a Newton-form exponent) and 2
-(the exponent as three rationals) are refused.
+A function file (schema_version 4) stores no exponent: p is fixed by n
+(forge.build_p), so loading derives it. Every real magnitude is a C99
+hex-float string 0x<hex mantissa>p<signed exponent>, exactly mantissa *
+2^exponent with mpmath's normalized mantissa of at most precision_bits
+bits, so it is written and read bit-exactly with no rounding. Files of
+schema_version 1 (a Newton-form exponent), 2 (the exponent as three
+rationals) and 3 (decimal magnitudes) are refused.
 """
 
 from __future__ import annotations
@@ -16,34 +16,39 @@ import contextlib
 import json
 import math
 import os
+import re
 import stat
 from datetime import datetime, timezone
 
 import mpmath
-from mpmath.libmp import from_str, round_nearest, to_str
+from mpmath.libmp import from_man_exp, to_str
 
 from .forge import MAX_PRECISION, CounterexampleFunction, build_p
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 MAGNITUDES = ("a", "c_hat", "m_hat")
 
 
-def _strip(s):
-    return s[:-2] if s.endswith(".0") else s
-
-
 def _fmt_mp(x, precision):
-    # a, c_hat, m_hat are arbitrary-precision reals even in a 53-bit
-    # record (they overflow binary64 from n = 4 on). to_str rounds loosely
-    # (off by a few ulps in the last digit), so grow the digit count
-    # until parse-back reproduces x exactly; both on raw libmp tuples
-    v = mpmath.mpf(x, prec=precision)._mpf_
-    base = math.ceil(precision * math.log10(2))
-    for extra in (2, 5, 8, 12):
-        s = to_str(v, base + extra)
-        if from_str(s, precision, round_nearest) == v:
-            return _strip(s)
-    raise ValueError(f"cannot render {x!r} as a faithful decimal string")
+    # a, c_hat, m_hat overflow binary64 from n = 4 on; bc < 0 marks inf and nan
+    sign, man, exp, bc = mpmath.mpf(x, prec=precision)._mpf_
+    if bc < 0:
+        raise ValueError(f"{x} is not finite")
+    return f"{'-' * sign}{man:#x}p{exp:+d}"
+
+
+# exactly what _fmt_mp writes: no underscores, whitespace, capitals or "+"
+_HEX_FLOAT = re.compile(r"-?0x[0-9a-f]+p[+-][0-9]+")
+
+
+def _parse_mp(key, text, precision):
+    if not _HEX_FLOAT.fullmatch(text):
+        raise ValueError(f"malformed {key} = {text!r}: not finite, or not -?0x<hex>p<+|-><exp>")
+    man, exp = text.split("p")
+    man = int(man, 16)
+    if abs(man).bit_length() > precision:
+        raise ValueError(f"{key} has a mantissa wider than precision_bits = {precision}")
+    return mpmath.mp.make_mpf(from_man_exp(man, int(exp)))
 
 
 def function_record(F, grid_m):
@@ -130,10 +135,10 @@ def parse_function(record):
     The exponent is build_p(n). Raises ValueError on any malformed
     content: another schema_version, a stored p, an n, precision_bits or
     grid_m that is not a JSON integer, an n below 1, a magnitude that is
-    not a decimal string of a finite number, a precision outside
-    53..MAX_PRECISION bits, a grid_m below 64. The rebuilt record runs
-    the full construction invariants, so a file whose numbers no longer
-    satisfy them raises InvariantViolation instead.
+    not a hex-float string or whose mantissa is wider than precision_bits,
+    a precision outside 53..MAX_PRECISION bits, a grid_m below 64. The
+    rebuilt record runs the full construction invariants, so a file whose
+    numbers no longer satisfy them raises InvariantViolation instead.
     """
     try:
         version = record["schema_version"]
@@ -143,26 +148,21 @@ def parse_function(record):
                 f"schema {SCHEMA_VERSION} (rebuild the file with normfam construct)"
             )
         if "p" in record:
-            # a schema-2 file relabelled as schema 3 would otherwise have
+            # a schema-2 file relabelled as schema 4 would otherwise have
             # its exponent silently replaced by build_p(n)
-            raise ValueError("schema 3 stores no p (it is derived from n); remove the entry")
+            raise ValueError("schema 4 stores no p (it is derived from n); remove the entry")
         n = _typed(record, "n", int)
         precision = _typed(record, "precision_bits", int)
         if precision < 53:
             raise ValueError(f"precision_bits {precision} is below 53")
         if precision > MAX_PRECISION:
             raise ValueError(f"precision_bits {precision} is above {MAX_PRECISION}")
-        texts = [_typed(record, k, str) for k in MAGNITUDES]
-        a, c_hat, m_hat = (mpmath.mp.make_mpf(from_str(s, precision, round_nearest)) for s in texts)
+        a, c_hat, m_hat = (_parse_mp(k, _typed(record, k, str), precision) for k in MAGNITUDES)
         grid_m = _typed(record["construction_config"], "grid_m", int)
         if grid_m < 64:
             raise ValueError("grid_m must be at least 64")
-    except (KeyError, TypeError, IndexError, OverflowError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed function file: {exc!r}") from exc
-    # the invariant gate compares with < and >, which NaN and inf slip past
-    for name, x in zip(MAGNITUDES, (a, c_hat, m_hat)):
-        if not mpmath.isfinite(x):
-            raise ValueError(f"{name} = {x} is not finite")
     return CounterexampleFunction(n, build_p(n), a, c_hat, m_hat, precision), grid_m
 
 
@@ -195,7 +195,7 @@ def verification_to_dict(rep):
 def summary_str(x):
     """Human-oriented decimal string for a magnitude; 17 significant
     digits, not meant to round-trip."""
-    return _strip(to_str(mpmath.mpf(x)._mpf_, 17))
+    return to_str(mpmath.mpf(x)._mpf_, 17).removesuffix(".0")
 
 
 def probe_to_dict(pr):

@@ -121,7 +121,7 @@ def test_construct_is_deterministic(tmp_path):
 def test_construct_trivial_member(files):
     with open(files[1], encoding="utf-8") as fh:
         rec = json.load(fh)
-    assert rec["a"] == "4"
+    assert rec["a"] == "0x1p+2"
     assert "p" not in rec
 
 
@@ -187,8 +187,8 @@ def test_repeated_verify_keeps_heap_resident(files, capsys):
 def test_verify_corrupted_file(files, tmp_path, capsys):
     with open(files[2], encoding="utf-8") as fh:
         rec = json.load(fh)
-    # a below its floor sqrt(2 n c_hat)
-    rec["a"] = "600"
+    # a = 600, below its floor sqrt(2 n c_hat)
+    rec["a"] = "0x258p+0"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(rec), encoding="utf-8")
     assert main(["verify", str(bad)]) == 1
@@ -231,7 +231,7 @@ def test_verify_bad_numbers_exit_two(files, tmp_path, capsys, key, value):
     with open(files[3], encoding="utf-8") as fh:
         rec = json.load(fh)
     if key == "p":
-        # schema 3 derives p from n: any stored p is refused
+        # schema 4 derives p from n: any stored p is refused
         rec["p"] = ["0", "0", value]
     else:
         rec[key] = value
@@ -246,14 +246,18 @@ def _verify_old_schema_exits_two(files, tmp_path, capsys, version):
         rec = json.load(fh)
     if version == 1:
         rec.update(p_centers=[["1", "0"]], p_coeffs=[["0", "0"]] * 2)
-    else:
+    elif version == 2:
         rec["p"] = ["-1/4", "3/32", "-5/96"]
+    else:
+        # schema 3 wrote the magnitudes as decimals
+        rec.update(a="658.399331568759749", c_hat="108372.419952547381",
+                   m_hat="0.478191253465103439")
     rec["schema_version"] = version
     old = tmp_path / "old.json"
     old.write_text(json.dumps(rec), encoding="utf-8")
     assert main(["verify", str(old)]) == 2
     err = capsys.readouterr().err
-    assert "schema 3" in err and "rebuild" in err
+    assert "schema 4" in err and "rebuild" in err and "construct" in err
 
 
 def test_verify_schema_one_file_exits_two(files, tmp_path, capsys):
@@ -264,17 +268,21 @@ def test_verify_schema_two_file_exits_two(files, tmp_path, capsys):
     _verify_old_schema_exits_two(files, tmp_path, capsys, 2)
 
 
+def test_verify_schema_three_file_exits_two(files, tmp_path, capsys):
+    _verify_old_schema_exits_two(files, tmp_path, capsys, 3)
+
+
 def test_verify_absurd_order_is_bounded(tmp_path, capsys):
     # the node checks run at z = 1 only, so verify does the same work for
     # n = 10^6 as for n = 2; c_hat = 0 is false for n > 1, so it fails.
     # The report stays strict JSON although the grids overflow there.
     rec = {
-        "schema_version": 3,
+        "schema_version": 4,
         "n": 10**6,
         "precision_bits": 53,
-        "a": "2000000",
-        "c_hat": "0",
-        "m_hat": "1",
+        "a": f"{2 * 10**6:#x}p+0",
+        "c_hat": "0x0p+0",
+        "m_hat": "0x1p+0",
         "construction_config": {"grid_m": 1024, "seed": None},
     }
     path = tmp_path / "huge.json"
@@ -381,12 +389,12 @@ def test_grid_bad_arguments(files, tmp_path, capsys):
 def _gated_record(directory, n):
     """A gated record of order n (a = 2n, c_hat = 0, m_hat = 1)."""
     rec = {
-        "schema_version": 3,
+        "schema_version": 4,
         "n": n,
         "precision_bits": 53,
-        "a": str(2 * n),
-        "c_hat": "0",
-        "m_hat": "1",
+        "a": f"{2 * n:#x}p+0",
+        "c_hat": "0x0p+0",
+        "m_hat": "0x1p+0",
         "construction_config": {"grid_m": 1024, "seed": None},
     }
     path = directory / f"f{n}.json"

@@ -6,8 +6,8 @@ residual of the exact rational jet for any rational exponent."""
 
 import json
 import math
+import re
 from fractions import Fraction
-from unittest import mock
 
 import mpmath
 import numpy as np
@@ -80,15 +80,56 @@ def test_parse_n_range_raises_only_value_error(text):
 
 
 KEYS = ("schema_version", "n", "precision_bits", "a", "c_hat", "m_hat", "construction_config")
+HEX_FLOAT = re.compile(r"-?0x[0-9a-f]+p[+-][0-9]+")
+
+
+def hex_mutations(text, precision):
+    """Near misses of the hex-float grammar around a stored magnitude."""
+    man, exp = text.split("p")
+    return [
+        text.replace("0x", "0X"),
+        text.replace("p", "P"),
+        text.upper(),
+        text.replace("0x", ""),
+        text.replace("p", ""),
+        "+" + text,
+        " " + text,
+        text + "\n",
+        text.replace("p", " p"),
+        text.replace("0x", "0x_"),
+        text[:3] + "_" + text[3:],
+        "0xp" + exp,
+        f"{(1 << precision) | 1:#x}p{exp}",
+        "inf",
+        "-inf",
+        "nan",
+        "1/0",
+    ]
+
+
+@st.composite
+def hex_text(draw, text, precision):
+    # a near miss of the grammar, any value it can spell, or an exponent
+    # of 5000 digits (int() refuses that many with ValueError from Python
+    # 3.10.7 on; a parsed one is an exact value like any other)
+    bits = draw(st.integers(0, precision + 1))
+    man = draw(st.integers(0, 2**bits - 1) if bits else st.just(0))
+    exp = draw(st.integers(-(2**40), 2**40))
+    made = f"{'-' * draw(st.booleans())}{man:#x}p{exp:+d}"
+    huge = [text.split("p")[0] + f"p{sign}" + "9" * 5000 for sign in "+-"]
+    return draw(st.sampled_from([made, *huge, *hex_mutations(text, precision)]))
 
 
 @st.composite
 def mutated_records(draw, family):
     rec = storage.function_record(family[draw(st.integers(1, 6))], 1024)
+    precision = rec["precision_bits"]
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(("replace", "delete", "grid_m")))
+        kind = draw(st.sampled_from(("replace", "hex", "delete", "grid_m")))
         key = draw(st.sampled_from(KEYS))
-        if kind == "replace":
+        if kind == "hex" and key in storage.MAGNITUDES and HEX_FLOAT.fullmatch(str(rec.get(key))):
+            rec[key] = draw(hex_text(rec[key], precision))
+        elif kind in ("replace", "hex"):
             rec[key] = draw(json_values | rational_text | number_text)
         elif kind == "delete":
             rec.pop(key, None)
@@ -106,38 +147,28 @@ def test_parse_function_raises_only_documented_errors(family, data):
     except (ValueError, InvariantViolation):
         return
     assert F.p == build_p(F.n)
-    # an accepted record holds JSON integers and decimal strings only
-    assert type(rec["n"]) is int and type(rec["precision_bits"]) is int
+    # an accepted record holds JSON integers and hex-float strings of at
+    # most precision_bits mantissa bits only, read as exactly man * 2^exp
+    precision = rec["precision_bits"]
+    assert type(rec["n"]) is int and type(precision) is int
     assert type(grid_m) is int and grid_m >= 64
-    assert all(isinstance(rec[k], str) for k in storage.MAGNITUDES)
+    for key in storage.MAGNITUDES:
+        assert HEX_FLOAT.fullmatch(rec[key]), rec[key]
+        man, exp = rec[key].split("p")
+        assert abs(int(man, 16)).bit_length() <= precision
+        with mpmath.workprec(precision):
+            assert getattr(F, key) == mpmath.ldexp(int(man, 16), int(exp))
 
 
-def parse_outcome(rec):
-    try:
-        F, grid_m = storage.parse_function(rec)
-    except (ValueError, InvariantViolation) as exc:
-        return type(exc), str(exc)
-    return F, grid_m
-
-
-def mpf_from_str(s, precision, rounding):
-    # the magnitude decoder parse_function used before it took libmp's
-    # from_str: mpmath.mpf of the string under workprec, rounded to nearest
-    assert rounding == mpmath.libmp.round_nearest
-    with mpmath.workprec(precision):
-        return mpmath.mpf(s)._mpf_
-
-
-@settings(max_examples=MANY, deadline=None)
-@given(data=st.data())
-def test_parse_function_decodes_like_mpf(family, data):
-    # the raw libmp decoder accepts and refuses every record of the fuzz
-    # corpus exactly as mpmath.mpf under workprec does, with the same
-    # values and the same errors
-    rec = data.draw(mutated_records(family))
-    want = parse_outcome(rec)
-    with mock.patch.object(storage, "from_str", mpf_from_str):
-        assert parse_outcome(rec) == want
+@pytest.mark.parametrize("case", range(len(hex_mutations("0x1p+0", 53))))
+@pytest.mark.parametrize("key", storage.MAGNITUDES)
+def test_hex_grammar_near_misses_refused(family, key, case):
+    # each near miss of the grammar is refused as malformed input (exit 2),
+    # never read as some other value
+    rec = storage.function_record(family[3], 1024)
+    rec[key] = hex_mutations(rec[key], rec["precision_bits"])[case]
+    with pytest.raises(ValueError):
+        storage.parse_function(rec)
 
 
 @pytest.fixture(scope="module")

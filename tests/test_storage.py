@@ -1,8 +1,8 @@
-"""Function-file persistence: lossless decimal round-trips, schema
+"""Function-file persistence: exact hex-float round-trips, schema
 validation, and report serialization."""
 
+import dataclasses
 import json
-import math
 import os
 import re
 import stat
@@ -15,6 +15,21 @@ from normfam import storage
 from normfam.analysis import ProbeResult, VerificationReport, marty_probe
 from normfam.errors import InvariantViolation
 from normfam.forge import GRID_M, construct
+
+
+HEX_FLOAT = re.compile(r"-?0x[0-9a-f]+p[+-][0-9]+")
+
+
+def from_hex(text, precision):
+    """A stored magnitude decoded apart from storage: mantissa * 2^exponent."""
+    man, exp = text.split("p")
+    with mpmath.workprec(precision):
+        return mpmath.ldexp(int(man, 16), int(exp))
+
+
+def to_hex(x):
+    # a positive mpf as the text storage writes for it
+    return f"{int(x.man):#x}p{int(x.exp):+d}"
 
 
 def roundtrip(F, grid_m=1024):
@@ -47,30 +62,29 @@ def test_roundtrip_high_precision():
     assert storage.function_to_json(G, gm) == text
 
 
-def test_record_numbers_are_decimal_strings(family):
+def test_record_numbers_are_hex_strings(family):
     rec = storage.function_record(family[4], 1024)
-    assert rec["schema_version"] == 3
+    assert rec["schema_version"] == 4
     for key in ("a", "c_hat", "m_hat"):
-        assert isinstance(rec[key], str)
+        assert HEX_FLOAT.fullmatch(rec[key]), rec[key]
     assert "p" not in rec  # fixed by n, derived on load
     # c_4 overflows binary64, so a binary JSON number could not hold it
-    assert float(rec["c_hat"]) == float("inf")
+    assert from_hex(rec["c_hat"], 53) > mpmath.mpf(2) ** 1024
 
 
 def test_trivial_member_record(family):
     rec = storage.function_record(family[1], 1024)
     assert rec["n"] == 1
-    assert rec["a"] == "4"
-    assert rec["c_hat"] == "0"
+    assert rec["a"] == "0x1p+2"
+    assert rec["c_hat"] == "0x0p+0"
     assert rec["construction_config"] == {"grid_m": 1024, "seed": None}
 
 
 def test_stored_strings_parse_exactly(family):
     F = family[3]
     rec = storage.function_record(F, 1024)
-    with mpmath.workprec(F.precision):
-        assert mpmath.mpf(rec["a"]) == F.a
-        assert mpmath.mpf(rec["c_hat"]) == F.c_hat
+    assert from_hex(rec["a"], F.precision) == F.a
+    assert from_hex(rec["c_hat"], F.precision) == F.c_hat
 
 
 def test_save_and_load_files(tmp_path, family):
@@ -164,6 +178,17 @@ def test_non_finite_magnitude_rejected(family, key, value):
         storage.parse_function(rec)
 
 
+@pytest.mark.parametrize("key", ["a", "m_hat"])
+def test_non_finite_magnitude_not_written(tmp_path, family, key):
+    # the gate lets an infinite a or m_hat through; libmp's inf has no
+    # mantissa, and writing it as one would store 0
+    F = dataclasses.replace(family[1], **{key: mpmath.inf})
+    path = tmp_path / "f.json"
+    with pytest.raises(ValueError, match="not finite"):
+        storage.save_function(F, 1024, path)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("key", ["a", "c_hat", "m_hat"])
 def test_magnitude_with_zero_denominator_rejected(family, key):
     # mpmath reads "1/0" as a quotient and raises ZeroDivisionError
@@ -181,6 +206,18 @@ def test_precision_below_53_rejected(family, bits):
         storage.parse_function(rec)
 
 
+# an f_2 file as schema 3 wrote it, with decimal magnitudes
+SCHEMA_THREE = {
+    "schema_version": 3,
+    "n": 2,
+    "precision_bits": 53,
+    "a": "658.399331568759749",
+    "c_hat": "108372.419952547381",
+    "m_hat": "0.478191253465103439",
+    "construction_config": {"grid_m": 1024, "seed": None},
+}
+
+
 def _old_schema_record(family, version):
     # schema 1 stored a Newton-form exponent, schema 2 the three c_k
     rec = storage.function_record(family[2], 1024)
@@ -193,19 +230,25 @@ def _old_schema_record(family, version):
 
 
 def test_schema_one_file_rejected(family):
-    with pytest.raises(ValueError, match="schema 3 .*rebuild"):
+    with pytest.raises(ValueError, match="schema 4 .*rebuild"):
         storage.parse_function(_old_schema_record(family, 1))
 
 
 def test_schema_two_file_rejected(family):
-    with pytest.raises(ValueError, match="schema 3 .*rebuild"):
+    with pytest.raises(ValueError, match="schema 4 .*rebuild"):
         storage.parse_function(_old_schema_record(family, 2))
 
 
+def test_schema_three_file_rejected():
+    # no second reader: decimal magnitudes are refused with the schema
+    with pytest.raises(ValueError, match="schema 4 .*construct"):
+        storage.parse_function(dict(SCHEMA_THREE))
+
+
 def test_stored_exponent_rejected(family):
-    # a schema-2 file relabelled as schema 3 keeps its p, which is refused
+    # a schema-2 file relabelled as schema 4 keeps its p, which is refused
     rec = _old_schema_record(family, 2)
-    rec["schema_version"] = 3
+    rec["schema_version"] = 4
     with pytest.raises(ValueError, match="stores no p"):
         storage.parse_function(rec)
 
@@ -235,7 +278,8 @@ def test_corrupted_coefficient_fails_invariants(family):
     # the file stores no exponent (test_node_gate_rejects_perturbed_exponent
     # covers a perturbed c_k); a halved a breaks a >= sqrt(2 n c_hat)
     rec = storage.function_record(family[2], 1024)
-    rec["a"] = str(mpmath.mpf(rec["a"]) / 2)
+    man, exp = rec["a"].split("p")
+    rec["a"] = f"{man}p{int(exp) - 1:+d}"
     with pytest.raises(InvariantViolation):
         storage.parse_function(rec)
 
@@ -244,7 +288,8 @@ def test_c2_perturbed_by_one_millionth_fails_invariants(family):
     # the file stores no c2 to perturb; c_hat raised by one millionth
     # lifts sqrt(2 n c_hat) above the stored a
     rec = storage.function_record(family[6], 1024)
-    rec["c_hat"] = str(mpmath.mpf(rec["c_hat"]) * (1 + mpmath.mpf("1e-6")))
+    with mpmath.workprec(53):
+        rec["c_hat"] = to_hex(from_hex(rec["c_hat"], 53) * (1 + mpmath.mpf("1e-6")))
     with pytest.raises(InvariantViolation, match="inequality floor"):
         storage.parse_function(rec)
 
@@ -288,30 +333,23 @@ def test_summary_str():
     assert mpmath.mpf(storage.summary_str(mpmath.mpf(2) ** 100)) == mpmath.mpf(2) ** 100
 
 
-def nstr_decimal(x, precision):
-    """The decimal string of the codec _fmt_mp replaced: mpmath.nstr at a
-    growing digit count, checked by mpmath.mpf under workprec."""
-    base = math.ceil(precision * math.log10(2))
-    with mpmath.workprec(precision):
-        x = mpmath.mpf(x)
-        for extra in (2, 5, 8, 12):
-            s = mpmath.nstr(x, base + extra)
-            if mpmath.mpf(s) == x:
-                return s[:-2] if s.endswith(".0") else s
-
-
 @pytest.mark.parametrize("precision", [53, 128, 333, 1024, 4096])
-def test_libmp_codec_matches_nstr(precision):
-    # the raw libmp to_str / from_str codec writes the strings nstr wrote
-    # and reads them back to the values mpmath.mpf reads, for every
-    # magnitude of the records of these orders; above 333 bits a spread
-    # of them, since decimals of that many digits are slow to write and read
-    orders = [*range(1, 40), 60, 339]
-    for n in orders if precision <= 333 else orders[::6] + orders[-2:]:
+def test_hex_codec_is_exact(tmp_path, precision):
+    # every magnitude of these records is written as mpmath's normalized
+    # mantissa of at most `precision` bits and its exponent, means exactly
+    # mantissa * 2^exponent, and reads back to the same bits
+    path = tmp_path / "f.json"
+    for n in [*range(1, 61), 100, 200, 339]:
         F = construct(n, precision)
-        rec = storage.function_record(F, GRID_M)
+        storage.save_function(F, GRID_M, path)
+        rec = json.loads(path.read_text(encoding="utf-8"))
+        G, gm = storage.load_function(path)
+        assert gm == GRID_M and (G.n, G.precision) == (n, precision)
         for key in storage.MAGNITUDES:
-            assert rec[key] == nstr_decimal(getattr(F, key), precision), (n, key)
-        # nstr_decimal's strings read back to F's values under mpmath.mpf
-        assert storage.parse_function(rec) == (F, GRID_M), n
+            text, want = rec[key], getattr(F, key)._mpf_
+            assert HEX_FLOAT.fullmatch(text), (n, key, text)
+            man = int(text.split("p")[0], 16)
+            assert man == 0 or (man % 2 == 1 and man.bit_length() <= precision), (n, key)
+            assert from_hex(text, precision)._mpf_ == want, (n, key)
+            assert getattr(G, key)._mpf_ == want, (n, key)
         assert storage.summary_str(F.a) == mpmath.nstr(+F.a, 17).removesuffix(".0"), n
