@@ -13,7 +13,7 @@ forge.log_c_star's certified max of |h''/h^3| on |z| = 2, recomputed
 from n; a record that fails this certificate is refuted, where it can
 be, by a witness point confirmed by the mpmath jet.  The probes sample
 nothing either: they read f^# = n*a at a node or the mpmath jet at a
-point, and the closed forms of forge.h_moduli.  Grids place points
+point, and the closed forms of forge.h_parts.  Grids place points
 uniformly by area from uniform_draws, a SplitMix64 stream computed from
 (seed, index), so a seed fixes them on every machine.  f_n depends on z
 only through z^n, so every check at the nodes runs at the node z = 1,
@@ -35,7 +35,7 @@ import mpmath
 import numpy as np
 
 from .errors import CenterOffCircle, OrderTooLow, Overflow, PointTooCloseToCircle
-from .forge import MINUS_INFINITY, f_jet, h_jet, h_moduli, log_c_star
+from .forge import MINUS_INFINITY, f_jet, h_jet, h_parts, log_c_star
 
 # fixed default so repeated runs produce identical reports; callers
 # (and the CLI) may override
@@ -254,7 +254,7 @@ def _witness(F, x):
     # C*_n (cos(arg z^n) = x, exact from forge.log_c_star), where |f| is
     # least, towards arg z^n = pi/3, where Re(c3 u^3) > 0 makes |f| large,
     # for |f| = 1, where q = |h''/h^3| / (2 a^2). Each step takes |h| and
-    # |h''| from the closed forms of forge.h_moduli at 3n + 64 bits; a point
+    # |h''| from the closed forms of forge.h_parts at 3n + 64 bits; a point
     # is reported only once forge.h_jet at those bits confirms q > 1
     n, prec = F.n, 3 * F.n + 64
 
@@ -267,7 +267,9 @@ def _witness(F, x):
         t = near
         for _ in range(prec):
             z = r * mpmath.expj(t)
-            h, _, h2 = h_moduli(n, z)
+            u2, re_p, _, s2 = h_parts(n, z)
+            e = mpmath.exp(re_p)
+            h, h2 = mpmath.sqrt(u2) * e, mpmath.sqrt(s2 * u2**3) * e
             if log_q(h, h2) > 0:
                 hj = h_jet(n, F.p, z, 2)
                 lq = log_q(abs(hj[0]), abs(hj[2]))
@@ -348,9 +350,15 @@ def lemma2_probe(Fs, points, orders):
 
     Points must keep distance 0.1 from the unit circle and stay inside
     radius 1.9, where the family is zero-free and the quotient is
-    meaningful.  |h|, |h'| and |h''| come from the closed forms of
-    forge.h_moduli at the record's precision or at 3n + 64 bits, whichever
-    is more, since each carries e^(Re p) and |Re p| < 2^(3n) there.
+    meaningful; a non-finite point is a ValueError.  Each quotient comes
+    from the closed forms of forge.h_parts at the record's precision or at
+    3n + 64 bits, whichever is more, since |Re p| < 2^(3n) there, before
+    the one exp of the point:
+
+        |f'| / |f|^2 = n |z|^(n-1) |1 + u d1| e^(-Re p) / (|u|^2 a),
+        |f''| / |f|^3 = n |z|^(n-2) |S_n(u)| e^(-2 Re p) / a^2,
+
+    so |u|^3 cancels exactly and is never formed.
     Measurements are laid out row-major over (function, point, order) and
     kept in arbitrary precision; for order 2 each one must fall below 1/n,
     for order 1 each per-point series, taken in increasing n whatever the
@@ -366,6 +374,8 @@ def lemma2_probe(Fs, points, orders):
     if not pts:
         raise ValueError("need at least one point")
     for z in pts:
+        if not cmath.isfinite(z):
+            raise ValueError(f"point {z} is not finite")
         if abs(abs(z) - 1.0) < 0.1:
             raise PointTooCloseToCircle(f"{z} is within 0.1 of the unit circle")
         if abs(z) > 1.9:
@@ -375,16 +385,18 @@ def lemma2_probe(Fs, points, orders):
     series = {z: [] for z in pts if 1 in orders}  # order 1, as (n, m) pairs
     for F in Fs:
         with mpmath.workprec(max(F.precision, 3 * F.n + 64)):
+            a, bound = F.a, mpmath.mpf(1) / F.n
             for z in pts:
-                hm = h_moduli(F.n, z)
+                u2, re_p, d2, s2 = h_parts(F.n, z)
+                e = mpmath.exp(-re_p)
                 for l in orders:
-                    m = hm[l] / (hm[0] ** (l + 1) * F.a**l)
                     ns.append(F.n)
-                    meas.append(m)
                     if l == 1:
-                        series[z].append((F.n, m))
-                    elif not m <= mpmath.mpf(1) / F.n:
-                        bound_ok = False
+                        meas.append(mpmath.sqrt(d2) / (u2 * a) * e)
+                        series[z].append((F.n, meas[-1]))
+                    else:
+                        meas.append(mpmath.sqrt(s2) / (a * a) * (e * e))
+                        bound_ok = bound_ok and meas[-1] <= bound
     by_n = [[m for _, m in sorted(s, key=lambda t: t[0])] for s in series.values()]
     trend_ok = all(s[-1] <= s[0] and s[-1] <= mpmath.mpf("0.1") for s in by_n)
     verdict = "decay" if (bound_ok and trend_ok) else "inconclusive"
@@ -393,12 +405,13 @@ def lemma2_probe(Fs, points, orders):
 
 @functools.cache
 def _log_ratio_at(n, x):
-    # log|h''/h^3| = log|h''| - 3 log|h| at z = 2 e^(i acos(x) / n), where
-    # forge.log_c_star(n) attains C*_n, from the closed forms of
-    # forge.h_moduli at 3n + 64 bits; memoized, like log_c_star
+    # log|h''/h^3| = log(n |z|^(n-2) |S_n(u)|) - 2 Re p at
+    # z = 2 e^(i acos(x) / n), where forge.log_c_star(n) attains C*_n, from
+    # the closed forms of forge.h_parts at 3n + 64 bits, with no exp;
+    # memoized, like log_c_star
     with mpmath.workprec(3 * n + 64):
-        h, _, h2 = h_moduli(n, 2 * mpmath.expj(mpmath.acos(x) / n))
-        return mpmath.log(h2) - 3 * mpmath.log(h)
+        _, re_p, _, s2 = h_parts(n, 2 * mpmath.expj(mpmath.acos(x) / n))
+        return mpmath.log(s2) / 2 - 2 * re_p
 
 
 def max_modulus_check(F):
@@ -410,9 +423,10 @@ def max_modulus_check(F):
     worst_point 1 and max_inequality inf.  Otherwise it is entire, so its
     modulus on |z| <= 2 peaks on |z| = 2 (maximum principle).  At the peak
     z* = 2 e^(i acos(x*) / n) of log_c_star, g = log|h''| - 3 log|h| is
-    taken from the closed forms of forge.h_moduli at 3n + 64 bits, apart
-    from C*_n's cubics in x = cos(arg z^n), root brackets and interval
-    evaluation.  The check passes when g <= log C*_n <= g + 1e-14 |g| in
+    taken as log(n |z|^(n-2) |S_n(u)|) - 2 Re p from the closed forms of
+    forge.h_parts at 3n + 64 bits, apart from C*_n's cubics in
+    x = cos(arg z^n), root brackets and interval evaluation.  The check
+    passes when g <= log C*_n <= g + 1e-14 |g| in
     mpmath (the gap is at most 1.4e-16 of g for n = 2..339), or at n = 1,
     where both are -inf.  log_margin is g - log C*_n (0 at n = 1),
     max_inequality its exp (0.0 at n = 1 or on underflow), worst_point z*

@@ -31,12 +31,14 @@ The scalar jets, of any order, are Taylor series in w = z^n: the cubic p
 shifted exactly about u, e^p by a three-term recurrence, both composed
 with (z + t)^n - z^n by Horner's rule, exactly at a Fraction point and in
 mpmath.mpc at the working precision elsewhere. The array kernels, and
-h_moduli for |h|, |h'| and |h''| in mpmath, take closed forms in u
-instead. At z = 1, u = 0, p = 0 and u^(k) = n!/(n-k)!, so a record's
-node_residual decides the node conditions by the Leibniz rule in integer
-arithmetic, over the lcm of the denominators of p. A record's precision
-sets only the digits its magnitudes are stored with and the mpmath
-precision of f_jet and of the marty probe.
+h_parts (with h_moduli, its view as |h|, |h'| and |h''| in mpmath), take
+closed forms in u instead: h_parts rounds u once and evaluates them
+exactly in integers on its binary mantissas. At z = 1, u = 0, p = 0 and
+u^(k) = n!/(n-k)!, so a record's node_residual decides the node
+conditions by the Leibniz rule in integer arithmetic, over the lcm of
+the denominators of p. A record's precision sets only the digits its
+magnitudes are stored with and the mpmath precision of f_jet and of the
+marty probe.
 """
 
 import functools
@@ -126,6 +128,7 @@ def build_s(n):
     )
 
 
+@functools.cache
 def _scaled_cubics(n):
     # the integer coefficients of 24 n^2 p (build_p) and 576 n^3 S_n (build_s)
     m = 24 * n * n
@@ -204,28 +207,110 @@ def h_jet(n, p, z, J):
     return _compose([u * E[0]] + [u * E[k] + E[k - 1] for k in range(1, J + 1)], s, J)
 
 
-def h_moduli(n, z):
-    """(|h|, |h'|, |h''|) at z for the exponent build_p(n), as mpmath reals
-    at the working precision, from the closed forms in u = z^n - 1 that the
-    grid kernels take, with d1 = dp/du and S_n of build_s:
+# bits above the working precision that h_parts rounds z^n to
+GUARD_BITS = 20
 
-        |h| = |u| e^(Re p),  |h'| = n |z|^(n-1) |1 + u d1(u)| e^(Re p),
-        |h''| = n |z|^(n-2) |u|^3 |S_n(u)| e^(Re p).
 
-    The cubics enter as the integers of _scaled_cubics, exact in mpmath,
-    24 n^2 p and 576 n^3 S_n, and each modulus is divided by its scale once.
+def _gaussian(x, y, prec):
+    # (X, Y, e): the complex number x + iy of libmp tuples as the Gaussian
+    # integer X + iY times 2^e, e = prec bits below the top bit of the
+    # larger part, where the smaller part is truncated
+    tops = [v[2] + v[3] for v in (x, y) if v[1]]
+    if not tops:
+        return 0, 0, 0
+    e = max(tops) - prec
+    return _shifted(x, e), _shifted(y, e), e
+
+
+def _shifted(v, e):
+    # the signed mantissa of the libmp tuple v at the exponent e, floored
+    sign, man, exp, _ = v
+    man = man << exp - e if exp >= e else man >> e - exp
+    return -man if sign else man
+
+
+def h_parts(n, z):
+    """(|u|^2, Re p, D^2, S^2) at z for the exponent build_p(n), as mpmath
+    reals, u = z^n - 1, d1 = dp/du and S_n of build_s, with
+
+        D = n |z|^(n-1) |1 + u d1(u)| = |h'| e^(-Re p),
+        S = n |z|^(n-2) |S_n(u)| = |h''| e^(-Re p) / |u|^3,
+
+    so |h| = |u| e^(Re p) and every exp and sqrt is the caller's.
+
+    z is a binary64 complex or an mpmath.mpc. w = z^n is rounded once, by
+    libmp's mpc_pow_int at the working precision plus GUARD_BITS, and
+    u = w - 1 is taken from it as the Gaussian integer U = X + iY over
+    2^k, k >= 0, with those bits. Then |u|^2, 24 n^2 Re p,
+    |24 n^2 (1 + u d1)|^2 and |576 n^3 S_n(u)|^2 are exact integers times
+    powers of 2, from the coefficients of _scaled_cubics, and each value
+    is one integer quotient rounded to those bits, not a chain of mpc
+    operations. The powers of |z| are |w| / |z| and |w| / |z|^2, with
+    |w|^2 and |z|^2 from Gaussian integers of w and z at their own
+    exponents, so a w below 2^-k, lost in U, still counts; |z|^0 = 1,
+    also at z = 0. ValueError at a non-finite z.
     """
+    libmp, zt = mpmath.libmp, mpmath.mpc(z)._mpc_
+    if any(not v[1] and v != libmp.fzero for v in zt):  # inf and nan have no mantissa
+        raise ValueError(f"point {z} is not finite")
+    prec = mpmath.mp.prec + GUARD_BITS
+    Xz, Yz, Ez = _gaussian(*zt, prec)
+    w = libmp.mpc_pow_int(zt, n, prec)
+    Xw, Yw, Ew = _gaussian(*w, prec)
+    k = -min(max(Ew, -prec), 0)
+    X, Y = _shifted(w[0], -k) - (1 << k), _shifted(w[1], -k)
+    # u = (X + iY) / 2^k, with the trailing zeros that X and Y share taken
+    # out of k while k stays >= 0, so that the cubics below take fewer bits
+    v = X | Y
+    t = min((v & -v).bit_length() - 1, k) if v else k
+    X, Y, k = X >> t, Y >> t, k - t
+    X2, Y2 = X * X - Y * Y, 2 * X * Y
+    X3, Y3 = X * X2 - Y * Y2, X * Y2 + Y * X2
     (a1, a2, a3), (b0, b1, b2, b3) = _scaled_cubics(n)
     m = 24 * n * n
-    z = mpmath.mpc(z)
-    u, r = z**n - 1, abs(z)
-    e = mpmath.exp((u * (a1 + u * (a2 + a3 * u))).real / m)
-    # at n = 1, where |z|^(n-2) would be 1/|z|, S_1 = 0 and h'' = 0
+
+    def squared(c0, c1, c2, c3):
+        # |c0 + c1 u + c2 u^2 + c3 u^3|^2 2^(6k), exactly
+        re = (c0 << 3 * k) + (c1 * X << 2 * k) + (c2 * X2 << k) + c3 * X3
+        im = (c1 * Y << 2 * k) + (c2 * Y2 << k) + c3 * Y3
+        return re * re + im * im
+
+    def ratio(num, den, e):
+        # num 2^e / den, from an integer quotient of at least prec + 2 bits
+        shift = max(prec + 2 + den.bit_length() - num.bit_length(), 0)
+        return libmp.from_man_exp((num << shift) // den, e - shift, prec)
+
+    def times_z_power(j, num, den, e):
+        # num |z|^(2(n-j)) 2^e / den: |z|^(2(n-j)) = |w|^2 / |z|^(2j)
+        if n <= j:
+            return ratio(num, den, e)
+        if not Xz and not Yz:
+            return libmp.fzero
+        w2, z2 = Xw * Xw + Yw * Yw, Xz * Xz + Yz * Yz
+        return ratio(num * w2, den * z2**j, e + 2 * Ew - 2 * j * Ez)
+
+    re_p = (a1 * X << 2 * k) + (a2 * X2 << k) + a3 * X3
+    mpf = mpmath.mp.make_mpf
     return (
-        abs(u) * e,
-        r ** (n - 1) * abs(m + u * (a1 + u * (2 * a2 + 3 * a3 * u))) * e / (24 * n),
-        r ** max(n - 2, 0) * abs(u) ** 3 * abs(b0 + u * (b1 + u * (b2 + b3 * u))) * e / (24 * m),
+        mpf(libmp.from_man_exp(X * X + Y * Y, -2 * k, prec)),
+        mpf(ratio(re_p, m, -3 * k)),
+        mpf(times_z_power(1, squared(m, a1, 2 * a2, 3 * a3), 24 * m, -6 * k)),
+        mpf(times_z_power(2, squared(b0, b1, b2, b3), 576 * m * m, -6 * k)),
     )
+
+
+def h_moduli(n, z):
+    """(|h|, |h'|, |h''|) at z for the exponent build_p(n), as mpmath reals
+    at the working precision: the moduli view of h_parts,
+
+        |h| = |u| e^(Re p),  |h'| = n |z|^(n-1) |1 + u d1(u)| e^(Re p),
+        |h''| = n |z|^(n-2) |u|^3 |S_n(u)| e^(Re p),
+
+    the closed forms in u = z^n - 1 that the grid kernels take.
+    """
+    u2, re_p, d2, s2 = h_parts(n, z)
+    e, r = mpmath.exp(re_p), mpmath.sqrt(u2)
+    return r * e, mpmath.sqrt(d2) * e, mpmath.sqrt(s2) * u2 * r * e
 
 
 # T_k(cos phi) = cos(k phi): the Chebyshev polynomials T_0 .. T_3, ascending
@@ -474,7 +559,9 @@ class CounterexampleFunction:
                 f"p = {self.p!r} is not the exponent {want!r} of order {self.n}"
             )
         a, n = self.a, self.n
-        if not (a > 0 and self.m_hat > 0 and self.c_hat >= 0):
+        c, m = self.c_hat, self.m_hat
+        finite = mpmath.isfinite(a) and mpmath.isfinite(c) and mpmath.isfinite(m)
+        if not (finite and a > 0 and m > 0 and c >= 0):
             raise InvariantViolation("magnitudes out of range")
         # both floors decided exactly, as a^2 >= 2 n c_hat and a m_hat >= 2n
         if mpmath.fmul(a, a, exact=True) < mpmath.fmul(2 * n, self.c_hat, exact=True):

@@ -474,6 +474,14 @@ def test_lemma2_validation(family):
         lemma2_probe([F], [], [2])
 
 
+@pytest.mark.parametrize("z", ["nan", "inf", "-inf", "nanj", "1+infj", "nan+nanj"])
+def test_lemma2_refuses_a_non_finite_point(family, z):
+    # NaN passes both distance tests, since every comparison with it is
+    # False; the probe refuses it before it measures anything
+    with pytest.raises(ValueError, match="not finite"):
+        lemma2_probe([family[2]], [0.0, complex(z)], [1, 2])
+
+
 def test_lemma2_second_order_bound(family):
     Fs = [family[n] for n in range(1, 7)]
     pr = lemma2_probe(Fs, [0], [2])
@@ -534,6 +542,29 @@ def test_lemma2_against_jet_oracle():
                 with mpmath.workprec(3 * F.n + 200):
                     tol = 64 * mpmath.ldexp(scale, -max(F.precision, 3 * F.n + 64)) * want
                     assert abs(m - want) <= tol, (F.n, z, l)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 339])
+@pytest.mark.parametrize(
+    "z", [0, 1.5, -0.5, 0.3, -1.85, 1.5j, -0.5j, 0.3j, -1.85j, 0.05 + 0.02j]
+)
+def test_lemma2_quotients_against_jet_oracle(n, z):
+    # the quotients of forge.h_parts where |z|^(n-1) and |z|^(n-2) are
+    # read from |z^n| and |z|: at z = 0, where |z|^0 = 1 (order 1 at n = 1,
+    # order 2 at n = 2) and every other power is 0; on the real and
+    # imaginary axes, where one part of z, z^n and u is 0; and at
+    # 0.05 + 0.02i, where |z^n| lies below the last bit of u for n = 339.
+    # Within 64 units of 2^-prec of the 3n + 200-bit jet's rounding scale,
+    # like test_lemma2_against_jet_oracle; a 0 must be exactly 0
+    F = construct(n)
+    pr = lemma2_probe([F], [z], [1, 2])
+    for l, m in zip((1, 2), pr.measurements):
+        want, scale = oracle_quotient(F, z, l)
+        with mpmath.workprec(3 * n + 200):
+            tol = 64 * mpmath.ldexp(scale, -(3 * n + 64)) * want
+            assert abs(m - want) <= tol, (n, z, l, m, want)
+    if z == 0:
+        assert [m != 0 for m in pr.measurements] == [n == 1, n == 2]
 
 
 @pytest.mark.parametrize("n", [19, 20, 30, 200])

@@ -432,8 +432,9 @@ def test_h_vanishes_at_all_nodes(family):
 
 def moduli_points():
     # the lemma2 probe's points (and more) for the orders and precisions of
-    # the benchmark's records, random points of its domain, and the circle
-    # |z| = 2 (1 - 2^-(3n+40)) that the witness search bisects on
+    # the benchmark's records, random points of its domain, the circle
+    # |z| = 2 (1 - 2^-(3n+40)) that the witness search bisects on, and
+    # z = -1 at odd n, where u = -2 is an even integer
     rng = np.random.default_rng(41)
     for n in range(1, 13):
         for z in (0, 1.5, 1.5j, -0.6 + 0.3j, 1.2 + 1.2j, -1.85, 0.5j, 0.3 + 0.1j):
@@ -450,6 +451,8 @@ def moduli_points():
             r = 2 * (1 - mpmath.ldexp(1, -(3 * n + 40)))
             for k in range(12):
                 yield n, 3 * n + 64, r * mpmath.expj(mpmath.pi * k / (12 * n))
+    for n in (1, 3, 5):
+        yield n, 53, -1
 
 
 def test_h_moduli_against_jet_oracle():
@@ -919,6 +922,18 @@ def test_gate_decides_both_floors_exactly():
         CounterexampleFunction(5, build_p(5), a_c, c_hat, mpmath.mpf(10**40), 53)
     with pytest.raises(InvariantViolation, match="divergence floor"):
         CounterexampleFunction(5, build_p(5), a_m, 0, 11, 53)
+
+
+@pytest.mark.parametrize("inf", ["a", "m_hat", "a and c_hat"])
+def test_gate_refuses_infinite_magnitudes(inf):
+    # inf > 0, inf >= 0 and inf < inf is false, so both exact floors hold
+    # for an infinite a (and for a = c_hat = inf); the gate refuses each
+    F = construct(4)
+    big = {"a": F.a, "c_hat": F.c_hat, "m_hat": F.m_hat}
+    for key in inf.split(" and "):
+        big[key] = mpmath.inf
+    with pytest.raises(InvariantViolation, match="magnitudes out of range"):
+        CounterexampleFunction(4, F.p, precision=53, **big)
 
 
 def test_choose_a_rejects_bad_m():
