@@ -14,11 +14,9 @@ from .analysis import (
     GridSpec,
     ProbeResult,
     VerificationReport,
-    fk_value,
     lemma2_probe,
     marty_probe,
     max_modulus_check,
-    spherical_derivative,
     verify_inequality,
     verify_node_jets,
 )
@@ -28,32 +26,20 @@ from .errors import (
     InvariantViolation,
     NonPositiveM,
     NormfamError,
-    OrderTooLow,
     Overflow,
     PointTooCloseToCircle,
 )
-from .forge import (
-    CounterexampleFunction,
-    Jet,
-    build_p,
-    build_s,
-    construct,
-    f_jet,
-)
+from .forge import CounterexampleFunction, build_p, build_s, construct
 from .storage import load_function, save_function
 
 __all__ = [
-    "Jet",
     "CounterexampleFunction",
     "build_p",
     "build_s",
     "construct",
-    "f_jet",
     "GridSpec",
     "VerificationReport",
     "ProbeResult",
-    "fk_value",
-    "spherical_derivative",
     "verify_inequality",
     "verify_node_jets",
     "marty_probe",
@@ -65,7 +51,6 @@ __all__ = [
     "DuplicateNodes",
     "Overflow",
     "NonPositiveM",
-    "OrderTooLow",
     "CenterOffCircle",
     "PointTooCloseToCircle",
     "InvariantViolation",

@@ -11,13 +11,13 @@ residual is 0, h''/h^3 is entire, so by the maximum principle
 the quotient is at most C*_n / a^2 on the closed disk, where C*_n is
 forge.log_c_star's certified max of |h''/h^3| on |z| = 2, recomputed
 from n; a record that fails this certificate is refuted, where it can
-be, by a witness point confirmed by the mpmath jet.  The probes sample
-nothing either: they read f^# = n*a at a node or the mpmath jet at a
-point, and the closed forms of forge.h_parts.  Grids place points
-uniformly by area from uniform_draws, a SplitMix64 stream computed from
-(seed, index), so a seed fixes them on every machine.  f_n depends on z
-only through z^n, so every check at the nodes runs at the node z = 1,
-which stands for all n of them.  There u = z^n - 1 = 0 and every
+be, by a witness point.  The probes sample nothing either: they read
+f^# = n*a at a node, and elsewhere f^# and the quotients of f'' and f'
+take the closed forms of forge.h_parts, the one scalar evaluator of
+every check.  Grids place points uniformly by area from uniform_draws,
+a SplitMix64 stream computed from (seed, index), so a seed fixes them
+on every machine.  f_n depends on z only through z^n, so every check
+at the nodes runs at the node z = 1, which stands for all n of them.  There u = z^n - 1 = 0 and every
 derivative of u is an integer, so the node conditions are decided
 exactly, by the Leibniz rule in integers
 (forge.CounterexampleFunction.node_residual).
@@ -34,8 +34,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .errors import CenterOffCircle, OrderTooLow, Overflow, PointTooCloseToCircle
-from .forge import MINUS_INFINITY, f_jet, h_jet, h_parts, log_c_star
+from .errors import CenterOffCircle, Overflow, PointTooCloseToCircle
+from .forge import MINUS_INFINITY, h_parts, log_c_star
 
 # fixed default so repeated runs produce identical reports; callers
 # (and the CLI) may override
@@ -175,22 +175,6 @@ class ProbeResult:
             raise ValueError("need exactly one measurement per n entry")
 
 
-def fk_value(jet, k):
-    """|f^(k)| / (1 + |f|^(k+1)), the order-k normality functional."""
-    if k < 0:
-        raise OrderTooLow("k must be >= 0")
-    if jet.order < k:
-        raise OrderTooLow(f"need a jet of order >= {k}, have {jet.order}")
-    return abs(jet[k]) / (1 + abs(jet[0]) ** (k + 1))
-
-
-def spherical_derivative(jet):
-    """|f'| / (1 + |f|^2), the chordal speed of f."""
-    if jet.order < 1:
-        raise OrderTooLow(f"need a jet of order >= 1, have {jet.order}")
-    return abs(jet[1]) / (1 + abs(jet[0]) ** 2)
-
-
 def verify_inequality(F):
     """Decide |f''| / (1 + |f|^3) <= 1 on the closed disk |z| <= 2.
 
@@ -254,8 +238,8 @@ def _witness(F, x):
     # C*_n (cos(arg z^n) = x, exact from forge.log_c_star), where |f| is
     # least, towards arg z^n = pi/3, where Re(c3 u^3) > 0 makes |f| large,
     # for |f| = 1, where q = |h''/h^3| / (2 a^2). Each step takes |h| and
-    # |h''| from the closed forms of forge.h_parts at 3n + 64 bits; a point
-    # is reported only once forge.h_jet at those bits confirms q > 1
+    # |h''| from the closed forms of forge.h_parts at 3n + 64 bits, and the
+    # first point where q > 1 is reported
     n, prec = F.n, 3 * F.n + 64
 
     def log_q(h, h2):
@@ -270,18 +254,16 @@ def _witness(F, x):
             u2, re_p, _, s2 = h_parts(n, z)
             e = mpmath.exp(re_p)
             h, h2 = mpmath.sqrt(u2) * e, mpmath.sqrt(s2 * u2**3) * e
-            if log_q(h, h2) > 0:
-                hj = h_jet(n, F.p, z, 2)
-                lq = log_q(abs(hj[0]), abs(hj[2]))
-                if lq > 0:
-                    digits = int(prec * 0.30103) + 3
-                    where = (
-                        f"witness z = {mpmath.nstr(z.real, digits)}"
-                        f"{'+' if z.imag >= 0 else '-'}{mpmath.nstr(abs(z.imag), digits)}i "
-                        f"(|z| < 2), where log(|f''|/(1+|f|^3)) = {float(lq):.6g} "
-                        f"by h_jet at {prec} bits"
-                    )
-                    return _into_disk(z, strict=True), float(lq), where
+            lq = log_q(h, h2)
+            if lq > 0:
+                digits = int(prec * 0.30103) + 3
+                where = (
+                    f"witness z = {mpmath.nstr(z.real, digits)}"
+                    f"{'+' if z.imag >= 0 else '-'}{mpmath.nstr(abs(z.imag), digits)}i "
+                    f"(|z| < 2), where log(|f''|/(1+|f|^3)) = {float(lq):.6g} "
+                    f"by h_parts at {prec} bits"
+                )
+                return _into_disk(z, strict=True), float(lq), where
             near, far = (t, far) if F.a * h < 1 else (near, t)
             t = (near + far) / 2
     return None
@@ -318,7 +300,9 @@ def marty_probe(Fs, center, radius):
     rho = 1/(n a), f'' = f''' = f'''' = 0 at the node gives
     f^#(1 + rho zeta) = n a (1 + O(rho^4)) / (1 + |zeta|^2 (1 + O(rho^4))),
     and elsewhere f^# <= |h'/h| / 2 by AM-GM on 1 + a^2 |h|^2.  A disk
-    without a node measures spherical_derivative(f_jet(F, center, 1)).
+    without a node measures f^# = a |h'| / (1 + a^2 |h|^2) at the center,
+    a D e^(Re p) / (1 + a^2 |u|^2 e^(2 Re p)) from the closed forms of
+    forge.h_parts (D = |h'| e^(-Re p)), at the record's precision.
     Measurements are arbitrary-precision reals (they outgrow binary64
     quickly), keep the order of Fs and do not depend on each other.
     Verdict is "blowup" when every disk holds a node and the measurements
@@ -337,7 +321,12 @@ def marty_probe(Fs, center, radius):
         k = round(F.n * arg / (2.0 * math.pi))
         at_node.append(2.0 * abs(math.sin(arg / 2.0 - math.pi * k / F.n)) <= radius)
         with mpmath.workprec(F.precision):
-            meas.append(F.n * F.a if at_node[-1] else spherical_derivative(f_jet(F, c, 1)))
+            if at_node[-1]:
+                meas.append(F.n * F.a)
+            else:
+                u2, re_p, d2, _ = h_parts(F.n, c)
+                e = mpmath.exp(re_p)
+                meas.append(F.a * mpmath.sqrt(d2) * e / (1 + F.a**2 * u2 * e**2))
         ns.append(F.n)
     by_n = [m for _, m in sorted(zip(ns, meas), key=lambda t: t[0])]
     rising = all(b > a for a, b in zip(by_n, by_n[1:]))
@@ -453,7 +442,8 @@ def max_modulus_check(F):
     notes = (
         f"node residual exactly 0, so the maximum principle carries |z|=2 inward; "
         f"log C*_n = {lm:.17g} at the critical points on |z|=2, "
-        f"log|h''/h^3| = {float(g):.17g} there by h_moduli at {prec} bits, "
+        f"log|h''/h^3| = {float(g):.17g} there "
+        f"by the closed forms of h_parts at {prec} bits, "
         f"relative gap {gap:.3g} (passes in [0, 1e-14])"
     )
     peak = _into_disk(2 * cmath.exp(1j * math.acos(x) / F.n))

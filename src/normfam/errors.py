@@ -19,10 +19,6 @@ class NonPositiveM(NormfamError):
     """Estimated infimum of |h| is not positive."""
 
 
-class OrderTooLow(NormfamError):
-    """Derivative order outside the supported range."""
-
-
 class CenterOffCircle(NormfamError):
     """Probe disk center does not lie on the unit circle."""
 

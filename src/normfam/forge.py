@@ -27,18 +27,19 @@ one interval evaluation of log|h''/h^3| on |z| = 2 over exact brackets
 of the roots of an integer quintic in cos(arg z^n) (critical_quintic),
 with no binary64 step and no allowance. The binary64 m_hat scan takes
 log|h| on three circles as a real function of the same cos(arg z^n).
-The scalar jets, of any order, are Taylor series in w = z^n: the cubic p
-shifted exactly about u, e^p by a three-term recurrence, both composed
-with (z + t)^n - z^n by Horner's rule, exactly at a Fraction point and in
-mpmath.mpc at the working precision elsewhere. The array kernels, and
-h_parts (with h_moduli, its view as |h|, |h'| and |h''| in mpmath), take
-closed forms in u instead: h_parts rounds u once and evaluates them
-exactly in integers on its binary mantissas. At z = 1, u = 0, p = 0 and
-u^(k) = n!/(n-k)!, so a record's node_residual decides the node
-conditions by the Leibniz rule in integer arithmetic, over the lcm of
-the denominators of p. A record's precision sets only the digits its
-magnitudes are stored with and the mpmath precision of f_jet and of the
-marty probe.
+The array kernels and h_parts take closed forms in u = z^n - 1: h_parts
+rounds u once and evaluates |u|^2, Re p and the moduli of the factors of
+h' and h'' exactly in integers on its binary mantissas, and every scalar
+check of analysis reads them. The scalar jet of h, of any order, is a
+Taylor series in w = z^n (the cubic p shifted exactly about u, e^p by a
+three-term recurrence, both composed with (z + t)^n - z^n by Horner's
+rule, exact at a Fraction point and in mpmath.mpc elsewhere), kept as
+the reference those closed forms are tested against; no function of the
+package calls it. At z = 1, u = 0, p = 0 and u^(k) = n!/(n-k)!, so a
+record's node_residual decides the node conditions by the Leibniz rule
+in integer arithmetic, over the lcm of the denominators of p. A
+record's precision sets only the digits its magnitudes are stored with
+and the mpmath precision of the probes.
 """
 
 import functools
@@ -185,21 +186,14 @@ def _compose(f, s, J):
     return Jet(J, tuple(math.factorial(m) * v for m, v in enumerate(g)))
 
 
-def p_jet(n, p, z, J):
-    """Jet of p at z, any order J >= 0: the shifted cubic P(s) = p(u + s)
-    composed with s(t) = (z + t)^n - z^n; exact at a Fraction z,
-    mpmath.mpc elsewhere."""
-    _, P, s = _w_series(n, p, z, J)
-    return _compose(P, s, J)
-
-
 def h_jet(n, p, z, J):
     """Jet of h = u e^p at z, any order J >= 0, as a Taylor series in
     w = z^n: E(s) = e^(P(s)) from E_0 = e^p by the recurrence
     k E_k = sum_(j <= 3) j P_j E_(k-j), then F = (u + s) E(s), so
-    F_k = u E_k + E_(k-1), composed with s(t) like p_jet. E_0 is exactly 1
-    where p = 0, so at z = Fraction(1), where u = 0, every value is an
-    exact Fraction; elsewhere e^p is mpmath.exp at the working precision."""
+    F_k = u E_k + E_(k-1), composed with s(t) = (z + t)^n - z^n. E_0 is
+    exactly 1 where p = 0, so at z = Fraction(1), where u = 0, every value
+    is an exact Fraction; elsewhere e^p is mpmath.exp at the working
+    precision. The reference for h_parts: no function of normfam calls it."""
     u, P, s = _w_series(n, p, z, J)
     E = [1 if P[0] == 0 else mpmath.exp(P[0])]
     for k in range(1, J + 1):
@@ -297,20 +291,6 @@ def h_parts(n, z):
         mpf(times_z_power(1, squared(m, a1, 2 * a2, 3 * a3), 24 * m, -6 * k)),
         mpf(times_z_power(2, squared(b0, b1, b2, b3), 576 * m * m, -6 * k)),
     )
-
-
-def h_moduli(n, z):
-    """(|h|, |h'|, |h''|) at z for the exponent build_p(n), as mpmath reals
-    at the working precision: the moduli view of h_parts,
-
-        |h| = |u| e^(Re p),  |h'| = n |z|^(n-1) |1 + u d1(u)| e^(Re p),
-        |h''| = n |z|^(n-2) |u|^3 |S_n(u)| e^(Re p),
-
-    the closed forms in u = z^n - 1 that the grid kernels take.
-    """
-    u2, re_p, d2, s2 = h_parts(n, z)
-    e, r = mpmath.exp(re_p), mpmath.sqrt(u2)
-    return r * e, mpmath.sqrt(d2) * e, mpmath.sqrt(s2) * u2 * r * e
 
 
 # T_k(cos phi) = cos(k phi): the Chebyshev polynomials T_0 .. T_3, ascending
@@ -534,8 +514,8 @@ class CounterexampleFunction:
     """One constructed family member f_n = a h, h = (z^n - 1) e^{p}.
 
     p is the exact triple (c1, c2, c3) of build_p(n); precision is the
-    number of bits its magnitudes are stored with and that f_jet and the
-    probes run at."""
+    number of bits its magnitudes are stored with and that the probes run
+    at."""
 
     n: int
     p: tuple
@@ -637,12 +617,3 @@ def construct(n, precision=53):
         m_hat = estimate_m(n, p)
         a = choose_a(n, c_hat, m_hat)
         return CounterexampleFunction(n, p, a, c_hat, m_hat, precision)
-
-
-def f_jet(F, z, J):
-    """Jet of f = a h, any order J >= 0, as mpmath.mpc values, since a
-    overflows binary64 from order 5 on; all of it, h's jet included, runs
-    at the record's precision."""
-    with mpmath.workprec(F.precision):
-        hj = h_jet(F.n, F.p, z, J)
-        return Jet(J, tuple(mpmath.mpc(F.a * v) for v in hj.values))

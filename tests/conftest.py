@@ -6,7 +6,8 @@ from typing import NamedTuple
 import mpmath
 import pytest
 
-from normfam.forge import build_p, construct
+from normfam import forge
+from normfam.forge import Jet, build_p, construct, h_jet
 
 
 @pytest.fixture(scope="session")
@@ -83,3 +84,25 @@ def solved_exponent(n):
     c2 = (nc.p2 - c1 * d2) / (2 * d1**2)
     c3 = (nc.p3 - 6 * c2 * d1 * d2 - c1 * d3) / (6 * d1**3)
     return (c1, c2, c3)
+
+
+# Scalar jets for the tests, from the reference series of forge: h_jet and
+# the shift-and-compose steps under it. The package itself evaluates f, f'
+# and f'' only through the closed forms of forge.h_parts.
+
+
+def f_jet(F, z, J):
+    """Jet of f = a h, any order J >= 0, as mpmath.mpc values (a overflows
+    binary64 from order 5 on), all of it, h's jet included, at the
+    record's precision."""
+    with mpmath.workprec(F.precision):
+        hj = h_jet(F.n, F.p, z, J)
+        return Jet(J, tuple(mpmath.mpc(F.a * v) for v in hj.values))
+
+
+def p_jet(n, p, z, J):
+    """Jet of p at z, any order J >= 0: the shifted cubic P(s) = p(u + s)
+    composed with s(t) = (z + t)^n - z^n, as h_jet composes e^P; exact at
+    a Fraction z, mpmath.mpc elsewhere."""
+    _, P, s = forge._w_series(n, p, z, J)
+    return forge._compose(P, s, J)

@@ -15,12 +15,13 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from conftest import f_jet
 
 from normfam import cli, kernels, storage
 from normfam.analysis import DEFAULT_SEED, GridSpec
 from normfam.cli import main, parse_complex, parse_n_range, parse_region, write_csv
 from normfam.errors import Overflow
-from normfam.forge import CounterexampleFunction, build_s, f_jet
+from normfam.forge import CounterexampleFunction, build_s
 
 
 @pytest.fixture(scope="module")

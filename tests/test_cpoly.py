@@ -5,13 +5,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from normfam import DuplicateNodes, Jet
+from normfam import DuplicateNodes
 from normfam.cpoly import (
     HermiteSpec,
     NewtonPolynomial,
     eval_jet,
     hermite_interpolate,
 )
+from normfam.forge import Jet
 
 
 def jet3(v0, v1, v2, v3):

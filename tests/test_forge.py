@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
-from conftest import node_conditions, root_of_unity, solved_exponent
+from conftest import f_jet, node_conditions, p_jet, root_of_unity, solved_exponent
 
 from normfam import (
     InvariantViolation,
@@ -32,12 +32,10 @@ from normfam.forge import (
     critical_quintic,
     estimate_c,
     estimate_m,
-    f_jet,
     h_jet,
-    h_moduli,
+    h_parts,
     log_c_star,
     p_float,
-    p_jet,
 )
 
 ZERO_P = (Fraction(0),) * 3
@@ -455,12 +453,15 @@ def moduli_points():
         yield n, 53, -1
 
 
-def test_h_moduli_against_jet_oracle():
-    # log(|h^(l)| / |h|^(l+1)), l = 1, 2, from the closed forms at a
-    # precision against the 3n + 200-bit jet: within 64 ulps of the scale
-    # n + 1 + sum |c_k| |u|^k, which bounds the rounding of u and p (both
-    # the closed forms and the jet lose about |p| ulps where e^(Re p) is
-    # huge); the jet at the same precision meets the same bound
+def test_h_parts_against_jet_oracle():
+    # log|h| and log(|h^(l)| / |h|^(l+1)), l = 1, 2, as the checks take
+    # them from h_parts at a precision, log|u|^2 / 2 + Re p,
+    # log D^2 / 2 - log|u|^2 - Re p and log S^2 / 2 - 2 Re p, against the
+    # 3n + 200-bit jet: within 64 ulps of the scale n + 1 + sum |c_k| |u|^k,
+    # which bounds the rounding of u and p (both the closed forms and the
+    # jet lose about |p| ulps where e^(Re p) is huge); the jet at the same
+    # precision meets the same bound. A part is exactly 0 where the
+    # derivative is (h' at z = 0 from n = 2 on, h'' of n = 1)
     for n, prec, z in moduli_points():
         with mpmath.workprec(3 * n + 200):
             z = mpmath.mpc(z)
@@ -468,17 +469,25 @@ def test_h_moduli_against_jet_oracle():
             u = abs(z**n - 1)
             scale = n + 1 + sum(abs(c) * u**k for k, c in enumerate(build_p(n), 1))
         with mpmath.workprec(prec):
-            got = h_moduli(n, z)
+            u2, re_p, d2, s2 = h_parts(n, z)
+            log_u2 = mpmath.log(u2)
+            got = (
+                (u2, log_u2 / 2 + re_p),
+                (d2, mpmath.log(d2) / 2 - log_u2 - re_p),
+                (s2, mpmath.log(s2) / 2 - 2 * re_p),
+            )
             jet = [abs(v) for v in h_jet(n, build_p(n), z, 2).values]
         with mpmath.workprec(3 * n + 200):
             tol = 64 * mpmath.ldexp(scale, -prec)
-            for l in (1, 2):
-                if want[l] == 0:  # h'' of n = 1
-                    assert got[l] == 0
+            for l, (part, log_q) in enumerate(got):
+                if want[l] == 0:
+                    assert part == 0, (n, z, l)
                     continue
-                q = mpmath.log(want[l]) - (l + 1) * mpmath.log(want[0])
-                for m in (got, jet):
-                    assert abs(mpmath.log(m[l]) - (l + 1) * mpmath.log(m[0]) - q) <= tol, (n, z)
+                q = mpmath.log(want[l])
+                q = q - (l + 1) * mpmath.log(want[0]) if l else q
+                assert abs(log_q - q) <= tol, (n, z, l)
+                if l:
+                    assert abs(mpmath.log(jet[l]) - (l + 1) * mpmath.log(jet[0]) - q) <= tol, (n, z)
 
 
 def test_h_jet_matches_finite_differences():
@@ -687,7 +696,7 @@ def test_estimate_c_matches_full_circle(exponents):
 
 def test_log_c_star_every_order():
     # every order construct takes: finite, above the exact |h''/h^3| (by
-    # h_moduli at 3n + 64 bits) at the best angle of a 512-angle scan of
+    # h_parts at 3n + 64 bits) at the best angle of a 512-angle scan of
     # |z| = 2 in w = z^n, within what that scan's step can miss,
     # (9/2)(pi/512)^2 of the log (so no bracket fell back to a wide
     # isolating interval), attained at a cosine in [-1, 1], and passing the
@@ -701,8 +710,8 @@ def test_log_c_star_every_order():
         logs = kernels.ratio_log(n, c, s, 2.0 * np.exp(1j * theta))
         best = int(np.argmax(logs))
         with mpmath.workprec(3 * n + 64):
-            h, _, h2 = h_moduli(n, 2 * mpmath.expj(theta[best]))
-            assert mpmath.log(h2) - 3 * mpmath.log(h) <= log_c, n
+            _, re_p, _, s2 = h_parts(n, 2 * mpmath.expj(theta[best]))
+            assert mpmath.log(s2) / 2 - 2 * re_p <= log_c, n
         F = CounterexampleFunction(n, build_p(n), 2 * n, 0, 1)
         assert analysis.max_modulus_check(F).passed, n
         assert log_c - logs[best] <= 5 * (math.pi / 512) ** 2 * log_c and -1 <= x <= 1, n
@@ -768,15 +777,15 @@ def test_distinct_angles(n, M):
 def test_log_c_bound_dominates_boundary_scan(n):
     # the bound C*_n of log_c_star against 16,384 angles of w = z^n on
     # |z| = 2, where the entire h''/h^3 attains its max modulus: at or above
-    # the exact value (h_moduli at 3n + 64 bits) at the scan's best angle,
+    # the exact value (h_parts at 3n + 64 bits) at the scan's best angle,
     # since the binary64 scan may round above C*_n from n = 102 on; n = 1
     # gives -inf on both sides
     theta = sector_angles(n, 32 * 512)
     c, sc = p_float(build_p(n)), p_float(build_s(n))
     logs = kernels.ratio_log(n, c, sc, 2.0 * np.exp(1j * theta))
     with mpmath.workprec(3 * n + 64):
-        h, _, h2 = h_moduli(n, 2 * mpmath.expj(theta[int(np.argmax(logs))]))
-        assert mpmath.log(h2) - 3 * mpmath.log(h) <= log_c_star(n)[0]
+        _, re_p, _, s2 = h_parts(n, 2 * mpmath.expj(theta[int(np.argmax(logs))]))
+        assert mpmath.log(s2) / 2 - 2 * re_p <= log_c_star(n)[0]
 
 
 def test_estimate_m_order_one():
