@@ -27,11 +27,13 @@ one interval evaluation of log|h''/h^3| on |z| = 2 over exact brackets
 of the roots of an integer quintic in cos(arg z^n) (critical_quintic),
 with no binary64 step and no allowance. The binary64 m_hat scan takes
 log|h| on three circles as a real function of the same cos(arg z^n).
-The array kernels and h_parts take closed forms in u = z^n - 1: h_parts
-rounds u once and evaluates |u|^2, Re p and the moduli of the factors of
-h' and h'' exactly in integers on its binary mantissas, and every scalar
-check of analysis reads them. The scalar jet of h, of any order, is a
-Taylor series in w = z^n (the cubic p shifted exactly about u, e^p by a
+forge imports no grid kernel; the kernels round build_p and build_s
+themselves, so n alone fixes the exponent at every layer. The kernels
+and h_parts take closed forms in u = z^n - 1: h_parts rounds u once and
+evaluates |u|^2, Re p and the moduli of the factors of h' and h''
+exactly in integers on its binary mantissas, and every scalar check of
+analysis reads them. The scalar jet of h, of any order, is a Taylor
+series in w = z^n (the cubic p shifted exactly about u, e^p by a
 three-term recurrence, both composed with (z + t)^n - z^n by Horner's
 rule, exact at a Fraction point and in mpmath.mpc elsewhere), kept as
 the reference those closed forms are tested against; no function of the
@@ -51,7 +53,6 @@ from functools import cached_property
 import mpmath
 import numpy as np
 
-from . import kernels
 from .errors import InvariantViolation, NonPositiveM, Overflow
 
 MINUS_INFINITY = float("-inf")
@@ -143,12 +144,6 @@ def p_degree(n, p):
     """Degree in z of p = c1 u + c2 u^2 + c3 u^3: k n for the highest
     nonzero c_k, 0 for p = 0."""
     return max((k * n for k, c in enumerate(p, 1) if c), default=0)
-
-
-def p_float(p):
-    """Exact coefficients (build_p's or build_s's) rounded to binary64, the
-    form the grid kernels take."""
-    return tuple(float(c) for c in p)
 
 
 def _w_series(n, p, z, J):
@@ -343,6 +338,19 @@ def critical_quintic(n):
     return _circle_cubics(n)[2]
 
 
+def _horner(coeffs, x):
+    # coeffs[0] + coeffs[1] x + ... by Horner's rule, on intervals here and
+    # on arrays in the grid kernels. Every product of two arrays multiplies
+    # two names: for arrays above 256 KiB numpy computes x * (unnamed
+    # temporary) as temporary *= x, and its complex product does not round
+    # commutatively, so a nested expression would give a point a value that
+    # depends on the size of its array
+    q = coeffs[-2] + coeffs[-1] * x
+    for a in coeffs[-3::-1]:
+        q = a + x * q
+    return q
+
+
 def _value(V, q, e):
     # V(q / 2^e) 2^(5e): the exact sign of V at q / 2^e, by shifts
     acc = V[-1]
@@ -432,7 +440,7 @@ def log_c_star(n):
             tops = []
             for A, B, D in brackets:
                 X = iv.mpf([A, B]) / D
-                G = iv.log(kernels._horner(Q, X) * K) / 2 - kernels._horner(P, X) / (12 * n * n)
+                G = iv.log(_horner(Q, X) * K) / 2 - _horner(P, X) / (12 * n * n)
                 tops.append((mpmath.mpf(G.b), mpmath.mpf(A + B) / (2 * D)))
             top, x = max(tops)
     finally:
@@ -440,21 +448,14 @@ def log_c_star(n):
     return mpmath.libmp.to_float(top._mpf_, rnd="c"), x
 
 
-def estimate_c(n, p):
-    """C*_n of log_c_star, an upper bound of c_n = max over the closed
-    2-disk of |h''/h^3|, as an mpmath real (it overflows binary64 from
-    n = 4 on); 0 at n = 1, where h'' = 0. p is build_p(n), which the
-    bound depends on through n alone. Overflow above MAX_ORDER."""
-    return mpmath.exp(log_c_star(n)[0])
-
-
 @functools.cache
-def _w_cosines(M):
+def _w_cosines():
     # the rows T_k(cos phi_j) = cos(k phi_j), k = 0..3, phi_j = 2 pi j / M, j = 0..M // 2
+    M = GRID_M
     return np.cos(np.outer(range(4), np.arange(M // 2 + 1) * (2.0 * math.pi / M)))
 
 
-def estimate_m(n, p, M=GRID_M):
+def estimate_m(n):
     """Sampled min of |h|, with a factor 1/2, on
     K_n = {|z| <= 1 - 1/n} u {1 + 1/n <= |z| <= 2 - 1/n}, the compact
     where |f_n| must stay large.
@@ -468,9 +469,9 @@ def estimate_m(n, p, M=GRID_M):
 
     a real function of x: one matrix product of six rows of coefficients
     in T_0..T_3, of |u|^2 and 2 Re p per circle, with the table of T_k(x_j)
-    at the w-angles 2 pi j / M, j = 0..M / 2, which with their conjugates
-    are all M (p is real). R is r^n rounded once from the exact rational.
-    K_1 degenerates to {0}, where R = 0 and |h| = 1.
+    at the w-angles 2 pi j / M, j = 0..M / 2, M = GRID_M, which with their
+    conjugates are all M (p is real). R is r^n rounded once from the
+    exact rational. K_1 degenerates to {0}, where R = 0 and |h| = 1.
 
     The factor 1/2 does not make m_hat a lower bound: on a 32x finer
     angle sample the true min of log|h| lies below the sampled one by
@@ -478,9 +479,7 @@ def estimate_m(n, p, M=GRID_M):
     the sqrt(2 n c_hat) term of choose_a instead, and min log|f_n| on K_n
     stays at 6.4 or more, well above log n.
     """
-    if M < 64:
-        raise ValueError("M must be at least 64")
-    d = _in_w(0, *p_float(p))
+    d = _in_w(0, *(float(c) for c in build_p(n)))
     ks = (0, 0, 0) if n == 1 else (n - 1, n + 1, 2 * n - 1)
     Rs = [k**n / n**n for k in ks]
     C = np.array(
@@ -489,7 +488,7 @@ def estimate_m(n, p, M=GRID_M):
     )
     # einsum, not matmul: matmul calls BLAS, whose buffers add 0.25 MB to
     # the resident memory of every process that constructs
-    u2, re_p2 = np.einsum("ik,kj->ij", C, _w_cosines(M)).reshape(2, len(Rs), -1)
+    u2, re_p2 = np.einsum("ik,kj->ij", C, _w_cosines()).reshape(2, len(Rs), -1)
     return mpmath.exp(mpmath.mpf(float((np.log(u2) + re_p2).min()) / 2)) / 2
 
 
@@ -564,16 +563,6 @@ class CounterexampleFunction:
         return float(mpmath.log(self.m_hat))
 
     @cached_property
-    def p_float(self):
-        """(c1, c2, c3) in binary64 for the grid kernels."""
-        return p_float(self.p)
-
-    @cached_property
-    def s_float(self):
-        """(s0, s1, s2, s3) of build_s(n) in binary64 for the grid kernels."""
-        return p_float(build_s(self.n))
-
-    @cached_property
     def node_residual(self):
         """max(|h''|, |h'''|, |h''''|) / max(1, |h'|) at the node z = 1: a
         Fraction, 0 exactly when the node conditions hold.
@@ -613,7 +602,7 @@ def construct(n, precision=53):
         raise ValueError(f"precision must be between 53 and {MAX_PRECISION} bits")
     with mpmath.workprec(precision):
         p = build_p(n)
-        c_hat = estimate_c(n, p)
-        m_hat = estimate_m(n, p)
+        c_hat = mpmath.exp(log_c_star(n)[0])
+        m_hat = estimate_m(n)
         a = choose_a(n, c_hat, m_hat)
         return CounterexampleFunction(n, p, a, c_hat, m_hat, precision)

@@ -643,7 +643,7 @@ def test_max_modulus_matches_full_grid(exponents):
         rep = max_modulus_check(F)
         assert rep.passed, n
         got = float(re.search(r"log C\*_n = (\S+) at", rep.notes).group(1))
-        want = float(np.max(kernels.ratio_log(n, F.p_float, F.s_float, 2.0 * np.exp(1j * th))))
+        want = float(np.max(kernels.ratio_log(n, 2.0 * np.exp(1j * th))))
         if want == MINUS_INFINITY:
             assert got == want, n
         else:

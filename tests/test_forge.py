@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -30,12 +32,10 @@ from normfam.forge import (
     choose_a,
     construct,
     critical_quintic,
-    estimate_c,
     estimate_m,
     h_jet,
     h_parts,
     log_c_star,
-    p_float,
 )
 
 ZERO_P = (Fraction(0),) * 3
@@ -527,8 +527,7 @@ def test_simple_zeros_preserved(family):
 
 
 def test_ratio_log_sentinel_order_one():
-    s = p_float(build_s(1))
-    assert kernels.ratio_log(1, p_float(ZERO_P), s, 0.5) == MINUS_INFINITY
+    assert kernels.ratio_log(1, 0.5) == MINUS_INFINITY
 
 
 def test_ratio_log_matches_direct_quotient():
@@ -537,7 +536,7 @@ def test_ratio_log_matches_direct_quotient():
         with mpmath.workprec(200):
             hj = h_jet(2, p, z, 2)
             direct = float(mpmath.log(abs(hj.values[2]) / abs(hj.values[0]) ** 3))
-        got = kernels.ratio_log(2, p_float(p), p_float(build_s(2)), z)
+        got = kernels.ratio_log(2, z)
         assert abs(math.expm1(got - direct)) <= 1e-6
 
 
@@ -554,17 +553,17 @@ def test_log_space_consistency_where_direct_is_representable(family):
                 direct = abs(hj.values[2]) / denom if denom else mpmath.inf
             if direct == 0 or not mpmath.isfinite(direct):
                 continue
-            got = kernels.ratio_log(n, F.p_float, F.s_float, z)
+            got = kernels.ratio_log(n, z)
             assert abs(math.expm1(got - math.log(direct))) <= 1e-6
             checked += 1
 
 
-# estimate_c / estimate_m
+# c_hat = exp(log C*_n) / estimate_m
 
 
 def test_estimate_c_order_one():
-    assert estimate_c(1, build_p(1)) == 0
     assert log_c_star(1)[0] == MINUS_INFINITY  # S_1 = 0: h_1'' = 0
+    assert construct(1).c_hat == 0
 
 
 def oracle_log_c(n, grid=256):
@@ -628,25 +627,31 @@ def test_new_record_holds_at_the_old_witness():
         assert (q <= 1) == bounded, q
 
 
-def test_scans_evaluate_one_sector(family, monkeypatch):
-    # the only scan left, m_hat's, takes the w-angles 2 pi j / M of
-    # [0, pi] on its own real table; C*_n, the m_hat scan and the
-    # max-modulus check evaluate no grid kernel at all
-    seen = []
-    for name in ("ratio_log", "fk_log", "sphder_log"):
-        real = getattr(kernels, name)
-        monkeypatch.setattr(
-            kernels, name, lambda *a, _n=name, _f=real: seen.append((_n, len(a[-1]))) or _f(*a)
-        )
+def test_scans_evaluate_one_sector():
+    # the only scan left, m_hat's, takes the w-angles 2 pi j / GRID_M of
+    # [0, pi] on one real table, whatever n
     for n in (2, 5, 12):
-        log_c_star.cache_clear()
-        estimate_c(n, build_p(n))
-        estimate_m(n, build_p(n), 128)
-    assert forge._w_cosines(128).shape == (4, 128 // 2 + 1)
-    for n, F in family.items():
-        analysis.max_modulus_check(F)
-        analysis.verify_inequality(F)
-    assert seen == []
+        estimate_m(n)
+    assert forge._w_cosines().shape == (4, GRID_M // 2 + 1)
+
+
+def test_forge_does_not_import_kernels():
+    # forge imports no grid kernel: importing normfam.forge leaves
+    # normfam.kernels unloaded, and so do construct (C*_n and the m_hat
+    # scan) and the max-modulus and inequality checks; only a grid export
+    # loads it
+    code = (
+        "import sys\n"
+        "import normfam.forge\n"
+        "loaded = ['normfam.kernels' in sys.modules]\n"
+        "from normfam import analysis\n"
+        "F = normfam.forge.construct(5)\n"
+        "analysis.max_modulus_check(F), analysis.verify_inequality(F)\n"
+        "print(loaded + ['normfam.kernels' in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[False,", "False]"]
 
 
 def test_estimate_c_refuses_overflowed_scan():
@@ -656,18 +661,18 @@ def test_estimate_c_refuses_overflowed_scan():
     for n in (340, 400, 10**6):
         start = time.perf_counter()
         with pytest.raises(Overflow, match="overflows binary64"):
-            estimate_c(n, build_p(n))
+            log_c_star(n)
         assert time.perf_counter() - start < 0.01, n
-    assert 0 < estimate_c(339, build_p(339)) < mpmath.inf
-    assert estimate_c(1, build_p(1)) == 0
+    assert 0 < mpmath.exp(log_c_star(339)[0]) < mpmath.inf
+    assert mpmath.exp(log_c_star(1)[0]) == 0
 
 
 def test_estimate_c_stable_under_grid_doubling():
-    # c_hat is C*_n: no scan grid enters it, whatever grid m_hat takes
-    c = estimate_c(2, build_p(2))
-    assert construct(2).c_hat == c
-    estimate_m(2, build_p(2), 2 * GRID_M)
-    assert construct(2).c_hat == c
+    # c_hat is C*_n: no scan grid enters it, and a cold bound is the
+    # memoized one
+    c = construct(2).c_hat
+    log_c_star.cache_clear()
+    assert construct(2).c_hat == c == mpmath.exp(log_c_star(2)[0])
 
 
 def test_estimate_c_dominates_interior_samples(family):
@@ -679,18 +684,18 @@ def test_estimate_c_dominates_interior_samples(family):
         count = 0
         while count < 500:
             z = sample_disk(rng)
-            assert kernels.ratio_log(n, F.p_float, F.s_float, z) <= bound
+            assert kernels.ratio_log(n, z) <= bound
             count += 1
 
 
-def test_estimate_c_matches_full_circle(exponents):
+def test_estimate_c_matches_full_circle():
     # C*_n bounds the 1024 n-angle kernel scan of |z| = 2 and exceeds it by
     # no more than the scan's angle step can miss
-    for n, p in list(exponents.items())[1:]:
+    for n in range(2, 13):
         theta = np.linspace(0.0, 2.0 * math.pi, 1024 * n, endpoint=False)
         zs = 2.0 * np.exp(1j * theta)
-        scan = float(np.max(kernels.ratio_log(n, p_float(p), p_float(build_s(n)), zs)))
-        got = float(mpmath.log(estimate_c(n, p)))
+        scan = float(np.max(kernels.ratio_log(n, zs)))
+        got = log_c_star(n)[0]
         assert scan <= got <= scan + 1e-4 * abs(scan), n
 
 
@@ -705,9 +710,8 @@ def test_log_c_star_every_order():
     # its own rounding
     for n in range(2, 340):
         log_c, x = log_c_star(n)
-        c, s = p_float(build_p(n)), p_float(build_s(n))
         theta = sector_angles(n, 512)
-        logs = kernels.ratio_log(n, c, s, 2.0 * np.exp(1j * theta))
+        logs = kernels.ratio_log(n, 2.0 * np.exp(1j * theta))
         best = int(np.argmax(logs))
         with mpmath.workprec(3 * n + 64):
             _, re_p, _, s2 = h_parts(n, 2 * mpmath.expj(theta[best]))
@@ -752,19 +756,17 @@ def test_critical_quintic_roots_are_critical_points():
                 assert abs(mpmath.diff(g, mpmath.acos(c))) <= 1e-9 * scale, (n, c)
 
 
-@pytest.mark.parametrize(
-    "n, M",
-    [(1, 64), (4, 512), (5, 512), (12, 512), (3, 3 * 64), (6, 6 * 65), (4, 262)],
-)
-def test_distinct_angles(n, M):
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 6, 12])
+def test_distinct_angles(n):
     # the m_hat scan's table holds T_0..T_3 at the w-angles 2 pi j / M,
-    # j = 0..M // 2: the images under z -> z^n of the first M // 2 + 1 of
-    # the M n equispaced z-angles, all in [0, pi/n], which with their
-    # conjugates reach all M w-angles
+    # j = 0..M // 2, M = GRID_M: the images under z -> z^n of the first
+    # M // 2 + 1 of the M n equispaced z-angles, all in [0, pi/n], which
+    # with their conjugates reach all M w-angles
+    M = GRID_M
     theta = sector_angles(n, M)
     full = np.linspace(0.0, 2.0 * math.pi, M * n, endpoint=False)
     assert np.array_equal(theta, full[: M // 2 + 1]) and theta[-1] <= math.pi / n
-    table = forge._w_cosines(M)
+    table = forge._w_cosines()
     assert table.shape == (4, M // 2 + 1)
     for k, row in enumerate(table):
         assert np.allclose(row, np.cos(k * n * theta), rtol=0, atol=1e-12), k
@@ -781,15 +783,14 @@ def test_log_c_bound_dominates_boundary_scan(n):
     # since the binary64 scan may round above C*_n from n = 102 on; n = 1
     # gives -inf on both sides
     theta = sector_angles(n, 32 * 512)
-    c, sc = p_float(build_p(n)), p_float(build_s(n))
-    logs = kernels.ratio_log(n, c, sc, 2.0 * np.exp(1j * theta))
+    logs = kernels.ratio_log(n, 2.0 * np.exp(1j * theta))
     with mpmath.workprec(3 * n + 64):
         _, re_p, _, s2 = h_parts(n, 2 * mpmath.expj(theta[int(np.argmax(logs))]))
         assert mpmath.log(s2) / 2 - 2 * re_p <= log_c_star(n)[0]
 
 
 def test_estimate_m_order_one():
-    assert estimate_m(1, build_p(1), 1024) == 0.5
+    assert estimate_m(1) == 0.5
 
 
 def grid_log_m(n, p, M, count):
@@ -801,19 +802,20 @@ def grid_log_m(n, p, M, count):
     radii = radii[np.abs(radii - 1.0) >= 1.0 / n]
     theta = np.linspace(0.0, 2.0 * math.pi, M * n, endpoint=False)[:count]
     u = np.outer(radii, np.exp(1j * theta)).ravel() ** n - 1
-    c1, c2, c3 = p_float(p)
+    c1, c2, c3 = (float(c) for c in p)
     return float(np.min(np.log(np.abs(u)) + (u * (c1 + u * (c2 + c3 * u))).real))
 
 
-@pytest.mark.parametrize("M", [64, 256])
-def test_estimate_m_matches_radius_grid(exponents, M):
+def test_estimate_m_matches_radius_grid(exponents):
     # the grid minimum lies on |z| = 2 - 1/n, a radius both scans sample,
     # and the first M / 2 + 1 angles, those in [0, pi/n], are the ones
-    # estimate_m evaluates; rotation and reflection carry them onto the
-    # others. The two scans round differently: estimate_m takes log|h| as
-    # a real function of cos(arg z^n), the oracle as one of complex z
+    # estimate_m evaluates, M = GRID_M; rotation and reflection carry them
+    # onto the others. The two scans round differently: estimate_m takes
+    # log|h| as a real function of cos(arg z^n), the oracle as one of
+    # complex z
+    M = GRID_M
     for n, p in exponents.items():
-        got = float(mpmath.log(2 * estimate_m(n, p, M)))
+        got = float(mpmath.log(2 * estimate_m(n)))
         for count in (M // 2 + 1, M * n):
             want = grid_log_m(n, p, M, count)
             assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (n, count)
@@ -837,11 +839,11 @@ def mp_log_m(n, M, prec=64):
 
 
 def test_estimate_m_samples_three_circles():
-    # K_1 = {0} is one point; the others take M / 2 + 1 angles per circle,
-    # and the min over them is the scan's, to its binary64 rounding
-    for n, M in ((1, 64), (2, 64), (5, 128)):
-        want = mp_log_m(n, M)
-        got = mpmath.log(2 * estimate_m(n, build_p(n), M))
+    # K_1 = {0} is one point; the others take GRID_M / 2 + 1 angles per
+    # circle, and the min over them is the scan's, to its binary64 rounding
+    for n in (1, 2, 5):
+        want = mp_log_m(n, GRID_M)
+        got = mpmath.log(2 * estimate_m(n))
         assert abs(got - want) <= 1e-14 * max(1, abs(want)), n
 
 
@@ -850,25 +852,13 @@ def test_estimate_m_matches_mpmath_at_its_angles(n):
     # the real cubic in cos(arg z^n) on one (3, 513) table against the
     # complex mpmath evaluation of the same 3 x 513 points
     want = mp_log_m(n, GRID_M)
-    got = mpmath.log(2 * estimate_m(n, build_p(n)))
+    got = mpmath.log(2 * estimate_m(n))
     assert abs(got - want) <= 1e-12 * max(1, abs(want)), n
 
 
 def test_estimate_m_positive(family):
     for n, F in family.items():
         assert F.m_hat > 0
-
-
-def test_estimate_m_stable_under_grid_doubling():
-    p = build_p(2)
-    m1 = estimate_m(2, p, 1024)
-    m2 = estimate_m(2, p, 2048)
-    assert abs(m2 / m1 - 1) <= 1e-3
-
-
-def test_grid_floor():
-    with pytest.raises(ValueError):
-        estimate_m(2, build_p(2), 32)
 
 
 # choose_a

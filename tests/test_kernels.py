@@ -12,7 +12,7 @@ import sympy
 from conftest import root_of_unity
 
 from normfam import kernels
-from normfam.forge import build_p, build_s, construct, h_jet, h_parts, p_float
+from normfam.forge import build_p, construct, h_jet, h_parts
 
 
 def grid_points(rng, count, radius=2.0):
@@ -68,7 +68,7 @@ def test_ratio_log_matches_scalar_path(family, rng):
     # 160 bits, with the exact c_k: no e^p-free log form, no binary64
     for n, F in family.items():
         zs = grid_points(rng, 50)
-        grid = kernels.ratio_log(n, F.p_float, F.s_float, zs)
+        grid = kernels.ratio_log(n, zs)
         for z, got in zip(zs, grid):
             with mpmath.workprec(160):
                 hj = h_jet(n, F.p, mpmath.mpc(z), 2)
@@ -93,7 +93,7 @@ def test_fk_matches_mpmath_oracle(family, rng):
         near = np.array([root_of_unity(n, ell) + 1e-4 for ell in range(n)])
         rim = 1.95 * np.exp(1j * np.linspace(0.1, 6.2, 10))
         zs = np.concatenate([generic, near, rim])
-        got = kernels.fk(n, F.p_float, F.s_float, F.log_a, zs)
+        got = kernels.fk(n, F.log_a, zs)
         for z, g in zip(zs, got):
             want = float(mp_oracle(F, z, "fk"))
             assert abs(g - want) <= 1e-8 * max(want, 1e-280)
@@ -104,7 +104,7 @@ def test_sphder_log_matches_mpmath_oracle(family, rng):
         zs = np.concatenate(
             [grid_points(rng, 40), 1.95 * np.exp(1j * np.linspace(0.1, 6.2, 10))]
         )
-        got = kernels.sphder_log(n, F.p_float, F.log_a, zs)
+        got = kernels.sphder_log(n, F.log_a, zs)
         for z, g in zip(zs, got):
             with mpmath.workprec(120):
                 want = float(mpmath.log(mp_oracle(F, z, "sph")))
@@ -118,7 +118,6 @@ def test_fk_and_sphder_across_the_log1p_range(exponents, t):
     # or to e^t, and at the ends of the binary64 exponent range
     zs = np.array([0.5 + 0.3j, 1.3 * np.exp(0.4j), -0.6 + 0.2j, 0.1j])
     for n in (2, 3, 6):
-        c, s = p_float(exponents[n]), p_float(build_s(n))
         for z in zs:
             with mpmath.workprec(120):
                 u2, re_p, _, _ = h_parts(n, z)
@@ -130,14 +129,14 @@ def test_fk_and_sphder_across_the_log1p_range(exponents, t):
                     want = mp_oracle(rec, z, kind)
                     log_want = float(mpmath.log(want))
                 if kind == "fk":
-                    got = kernels.fk(n, c, s, log_a, np.array([z]))[0]
+                    got = kernels.fk(n, log_a, np.array([z]))[0]
                     assert abs(got / float(want) - 1.0) <= 1e-12, (n, z)
                 else:
-                    got = kernels.sphder_log(n, c, log_a, np.array([z]))[0]
+                    got = kernels.sphder_log(n, log_a, np.array([z]))[0]
                     assert abs(got - log_want) <= 1e-14 * max(1.0, abs(log_want)), (n, z)
 
 
-def test_kernels_independent_of_array_size(exponents, rng):
+def test_kernels_independent_of_array_size(rng):
     # a point's value must not depend on the array it is evaluated in:
     # above 256 KiB numpy computes x * (temporary) in the temporary's
     # buffer with the operands swapped, and complex products do not round
@@ -149,16 +148,15 @@ def test_kernels_independent_of_array_size(exponents, rng):
         2j * math.pi * rng.uniform(size=count)
     )
     kinds = {
-        "ratio_log": lambda n, c, s, z: kernels.ratio_log(n, c, s, z),
-        "fk": lambda n, c, s, z: kernels.fk(n, c, s, log_a, z),
-        "sphder_log": lambda n, c, s, z: kernels.sphder_log(n, c, log_a, z),
+        "ratio_log": lambda n, z: kernels.ratio_log(n, z),
+        "fk": lambda n, z: kernels.fk(n, log_a, z),
+        "sphder_log": lambda n, z: kernels.sphder_log(n, log_a, z),
     }
-    for n, p in exponents.items():
-        c, s = tuple(float(x) for x in p), p_float(build_s(n))
+    for n in range(1, 13):
         for name, kernel in kinds.items():
-            whole = kernel(n, c, s, zs)
+            whole = kernel(n, zs)
             for start, size in ((0, 1), (5, 7), (1001, 100), (3, 5000)):
-                part = kernel(n, c, s, zs[start : start + size].copy())
+                part = kernel(n, zs[start : start + size].copy())
                 want = whole[..., start : start + size]
                 assert np.array_equal(part, want, equal_nan=True), (n, name)
 
@@ -169,7 +167,7 @@ def test_power_by_repeated_squaring(n):
     # where numpy's z ** k, exp(k log z) from k = 100 on, is 2 to 5 times
     # further off (4.5e-14 at n = 102, 1.6e-13 at n = 339)
     zs = 2.0 * np.exp(1j * (np.linspace(0.0, 2.0 * math.pi, 300, endpoint=False) + 0.0123))
-    _, u, _ = kernels._up(n, (0.0, 0.0, 0.0), zs)
+    _, u, _ = kernels._up(n, zs)
     err = 0
     with mpmath.workprec(200):
         for z, got in zip(zs, u):
@@ -178,17 +176,26 @@ def test_power_by_repeated_squaring(n):
     assert err <= n * 2.0**-52, float(err)
 
 
+def test_exponent_from_the_order_alone(rng):
+    # the kernels derive p from n: at every point it is the Horner step in
+    # u on the exact cubic of build_p(n), each coefficient rounded once
+    zs = grid_points(rng, 100)
+    for n in (1, 2, 6, 60, 339):
+        c1, c2, c3 = (float(c) for c in build_p(n))
+        _, u, p = kernels._up(n, zs)
+        assert np.array_equal(p, u * (c1 + u * (c2 + c3 * u))), n
+
+
 def test_kernels_dihedral_symmetry(rng):
     # f depends on z only through z^n and has a real a and real c_k, so
     # every kernel takes the same value at z, conj z and e^{2 pi i/n} z:
     # the symmetry that lets the scans sample only the angles of [0, pi/n]
     for n in range(1, 13):
         F = construct(n)
-        c, s = F.p_float, F.s_float
         kinds = {
-            "ratio_log": lambda z: kernels.ratio_log(n, c, s, z),
-            "fk": lambda z: kernels.fk(n, c, s, F.log_a, z),
-            "sphder_log": lambda z: kernels.sphder_log(n, c, F.log_a, z),
+            "ratio_log": lambda z: kernels.ratio_log(n, z),
+            "fk": lambda z: kernels.fk(n, F.log_a, z),
+            "sphder_log": lambda z: kernels.sphder_log(n, F.log_a, z),
         }
         zs = grid_points(rng, 200)
         for name, kernel in kinds.items():
@@ -204,7 +211,7 @@ def test_kernels_dihedral_symmetry(rng):
 def test_fk_zero_where_numerator_vanishes():
     # order 1: h'' is identically zero, fk must be exactly 0 everywhere
     zs = np.array([0.3 + 0.1j, 1 + 0j, 2j])
-    assert np.all(kernels.fk(1, (0.0, 0.0, 0.0), (0.0,) * 4, math.log(4.0), zs) == 0.0)
+    assert np.all(kernels.fk(1, math.log(4.0), zs) == 0.0)
 
 
 def _oracle_logs(n, z, log_a, bits=200):
@@ -226,14 +233,13 @@ def test_near_node_kernels_match_200_bit_oracle(n):
     # error of fk and sphder_log beyond it is the binary64 rounding of
     # u = z^n - 1 (kernels._up, which every kernel shares), which |u|^3 in
     # |f''| triples and |f|^2 in 1 + |f|^2 doubles
-    c, s = p_float(build_p(n)), p_float(build_s(n))
     for d in 10.0 ** -np.arange(3, 13):
         zs = 1 + d * np.exp(1j * np.array([0.0, 1.0, 2.5, -2.0]))
-        ratio = kernels.ratio_log(n, c, s, zs)
-        u = kernels._up(n, c, zs)[1]
+        ratio = kernels.ratio_log(n, zs)
+        u = kernels._up(n, zs)[1]
         for log_a in (0.0, 6.0, 60.0):
-            fk = kernels.fk(n, c, s, log_a, zs)
-            sph = kernels.sphder_log(n, c, log_a, zs)
+            fk = kernels.fk(n, log_a, zs)
+            sph = kernels.sphder_log(n, log_a, zs)
             for z, r, f, sp, uf in zip(zs, ratio, fk, sph, u):
                 want_r, want_fk, want_sph = _oracle_logs(n, z, log_a)
                 assert abs(r - want_r) <= 1e-13, (n, d, z)
@@ -252,10 +258,9 @@ def test_kernels_at_the_origin():
     # h' = n z^(n-1) (1 + u d1) e^p: 0 there from n = 2 on, nonzero at n = 1
     zero = np.zeros(1, dtype=complex)
     for n in (1, 2, 3):
-        c, s = p_float(build_p(n)), p_float(build_s(n))
-        ratio = kernels.ratio_log(n, c, s, zero)[0]
-        fk = kernels.fk(n, c, s, 6.0, zero)[0]
-        sph = kernels.sphder_log(n, c, 6.0, zero)[0]
+        ratio = kernels.ratio_log(n, zero)[0]
+        fk = kernels.fk(n, 6.0, zero)[0]
+        sph = kernels.sphder_log(n, 6.0, zero)[0]
         want_r, want_fk, want_sph = _oracle_logs(n, 0j, 6.0)
         if n == 2:
             assert abs(ratio - want_r) <= 1e-14
@@ -268,6 +273,6 @@ def test_kernels_at_the_origin():
             assert sph == -math.inf, n
     # near it at n = 200, z^199 underflows binary64 at |z| = 0.02, while
     # (n-1) log|z| keeps the log finite, about -773.37 at log a = 0
-    sph = kernels.sphder_log(200, p_float(build_p(200)), 0.0, np.array([0.02j]))[0]
+    sph = kernels.sphder_log(200, 0.0, np.array([0.02j]))[0]
     want_sph = _oracle_logs(200, 0.02j, 0.0)[2]
     assert abs(sph - want_sph) <= 1e-13 * abs(want_sph), (sph, want_sph)
