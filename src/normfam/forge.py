@@ -449,9 +449,8 @@ def log_c_star(n):
 
 
 @functools.cache
-def _w_cosines():
+def _w_cosines(M):
     # the rows T_k(cos phi_j) = cos(k phi_j), k = 0..3, phi_j = 2 pi j / M, j = 0..M // 2
-    M = GRID_M
     return np.cos(np.outer(range(4), np.arange(M // 2 + 1) * (2.0 * math.pi / M)))
 
 
@@ -488,7 +487,7 @@ def estimate_m(n):
     )
     # einsum, not matmul: matmul calls BLAS, whose buffers add 0.25 MB to
     # the resident memory of every process that constructs
-    u2, re_p2 = np.einsum("ik,kj->ij", C, _w_cosines()).reshape(2, len(Rs), -1)
+    u2, re_p2 = np.einsum("ik,kj->ij", C, _w_cosines(GRID_M)).reshape(2, len(Rs), -1)
     return mpmath.exp(mpmath.mpf(float((np.log(u2) + re_p2).min()) / 2)) / 2
 
 

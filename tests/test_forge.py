@@ -632,7 +632,7 @@ def test_scans_evaluate_one_sector():
     # [0, pi] on one real table, whatever n
     for n in (2, 5, 12):
         estimate_m(n)
-    assert forge._w_cosines().shape == (4, GRID_M // 2 + 1)
+    assert forge._w_cosines(GRID_M).shape == (4, GRID_M // 2 + 1)
 
 
 def test_forge_does_not_import_kernels():
@@ -756,17 +756,19 @@ def test_critical_quintic_roots_are_critical_points():
                 assert abs(mpmath.diff(g, mpmath.acos(c))) <= 1e-9 * scale, (n, c)
 
 
-@pytest.mark.parametrize("n", [1, 3, 4, 5, 6, 12])
-def test_distinct_angles(n):
+@pytest.mark.parametrize(
+    "n, M",
+    [(1, 64), (4, 512), (5, 512), (12, 512), (3, 3 * 64), (6, 6 * 65), (4, 262)],
+)
+def test_distinct_angles(n, M):
     # the m_hat scan's table holds T_0..T_3 at the w-angles 2 pi j / M,
-    # j = 0..M // 2, M = GRID_M: the images under z -> z^n of the first
-    # M // 2 + 1 of the M n equispaced z-angles, all in [0, pi/n], which
-    # with their conjugates reach all M w-angles
-    M = GRID_M
+    # j = 0..M // 2 (estimate_m reads it at M = GRID_M): the images under
+    # z -> z^n of the first M // 2 + 1 of the M n equispaced z-angles, all
+    # in [0, pi/n], which with their conjugates reach all M w-angles
     theta = sector_angles(n, M)
     full = np.linspace(0.0, 2.0 * math.pi, M * n, endpoint=False)
     assert np.array_equal(theta, full[: M // 2 + 1]) and theta[-1] <= math.pi / n
-    table = forge._w_cosines()
+    table = forge._w_cosines(M)
     assert table.shape == (4, M // 2 + 1)
     for k, row in enumerate(table):
         assert np.allclose(row, np.cos(k * n * theta), rtol=0, atol=1e-12), k
@@ -793,31 +795,36 @@ def test_estimate_m_order_one():
     assert estimate_m(1) == 0.5
 
 
-def grid_log_m(n, p, M, count):
-    """Sampled min of log|h| over M/8 radii of [0, 2 - 1/n] that lie in
-    K_n, at the first `count` of the M*n angles 2 pi j / (M n) each: the
-    scan estimate_m made before it moved to the boundary circles (there
-    count = M*n), kept as an oracle; log|u| + Re p in complex binary64."""
-    radii = np.linspace(0.0, 2.0 - 1.0 / n, M // 8)
+def grid_log_m(n, p, M, count, k):
+    """Sampled min of log|h| over the k radii of linspace(0, 2 - 1/n) that
+    lie in K_n, at the first `count` of the M*n angles 2 pi j / (M n) each:
+    the scan estimate_m made before it moved to the boundary circles (there
+    k = M/8, count = M*n), kept as an oracle; log|u| + Re p in complex
+    binary64, 16 radii at a time."""
+    radii = np.linspace(0.0, 2.0 - 1.0 / n, k)
     radii = radii[np.abs(radii - 1.0) >= 1.0 / n]
-    theta = np.linspace(0.0, 2.0 * math.pi, M * n, endpoint=False)[:count]
-    u = np.outer(radii, np.exp(1j * theta)).ravel() ** n - 1
+    e = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, M * n, endpoint=False)[:count])
     c1, c2, c3 = (float(c) for c in p)
-    return float(np.min(np.log(np.abs(u)) + (u * (c1 + u * (c2 + c3 * u))).real))
+    best = math.inf
+    for rows in np.array_split(radii, -(-len(radii) // 16)):
+        u = np.outer(rows, e) ** n - 1
+        best = min(best, float(np.min(np.log(np.abs(u)) + (u * (c1 + u * (c2 + c3 * u))).real)))
+    return best
 
 
-def test_estimate_m_matches_radius_grid(exponents):
-    # the grid minimum lies on |z| = 2 - 1/n, a radius both scans sample,
-    # and the first M / 2 + 1 angles, those in [0, pi/n], are the ones
-    # estimate_m evaluates, M = GRID_M; rotation and reflection carry them
-    # onto the others. The two scans round differently: estimate_m takes
-    # log|h| as a real function of cos(arg z^n), the oracle as one of
-    # complex z
+@pytest.mark.parametrize("k", [64, 256])
+def test_estimate_m_matches_radius_grid(exponents, k):
+    # the grid minimum lies on |z| = 2 - 1/n, the last of the k radii and
+    # one that both scans sample, however fine the radius grid; and the
+    # first M / 2 + 1 angles, those in [0, pi/n], are the ones estimate_m
+    # evaluates, M = GRID_M; rotation and reflection carry them onto the
+    # others. The two scans round differently: estimate_m takes log|h| as
+    # a real function of cos(arg z^n), the oracle as one of complex z
     M = GRID_M
     for n, p in exponents.items():
         got = float(mpmath.log(2 * estimate_m(n)))
         for count in (M // 2 + 1, M * n):
-            want = grid_log_m(n, p, M, count)
+            want = grid_log_m(n, p, M, count, k)
             assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (n, count)
 
 
