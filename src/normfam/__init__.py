@@ -7,7 +7,8 @@ u = z^n - 1, three rationals in closed form in n, and the cubic S_n of
 h''/h^3 = n z^(n-2) S_n(u) e^(-2p)) lives in `forge`;
 numerical verification of the claimed properties lives in `analysis`;
 `storage` persists records as lossless JSON; `cli` wraps everything for
-the shell.
+the shell, and `gridcsv`, which only its grid export imports, writes the
+CSV.
 """
 
 from .analysis import (

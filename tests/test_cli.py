@@ -19,9 +19,10 @@ from conftest import f_jet
 
 from normfam import cli, kernels, storage
 from normfam.analysis import DEFAULT_SEED, GridSpec
-from normfam.cli import main, parse_complex, parse_n_range, parse_region, write_csv
+from normfam.cli import main, parse_complex, parse_n_range, parse_region
 from normfam.errors import Overflow
 from normfam.forge import CounterexampleFunction, build_s
+from normfam.gridcsv import _decimal, csv_rows, write_csv
 
 
 @pytest.fixture(scope="module")
@@ -420,10 +421,10 @@ def test_csv_rows_memory_stays_below_the_whole_chunk_gather():
     rng = np.random.default_rng(5)
     n = cli.CSV_CHUNK
     x = np.stack([rng.uniform(-2, 2, n), rng.uniform(-2, 2, n), rng.lognormal(0, 3, n)], axis=1)
-    want = cli.csv_rows(x)
+    want = csv_rows(x)
     tracemalloc.start()
     try:
-        got = cli.csv_rows(x)
+        got = csv_rows(x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -680,6 +681,32 @@ print(json.dumps([codes, eager, [m for m in watched if m in sys.modules]]))
     assert loaded == eager
 
 
+def test_only_grid_imports_the_csv_encoder(tmp_path):
+    # construct, verify, the probes and sweep never build the encoder's
+    # tables; the first grid export imports it
+    f, g = str(tmp_path / "f3.json"), str(tmp_path / "g.csv")
+    code = f"""
+import json, sys
+from normfam.cli import main
+codes = [
+    main(["construct", "-n", "3", "-o", {f!r}]),
+    main(["verify", {f!r}]),
+    main(["probe", "marty", {f!r}]),
+    main(["probe", "lemma2", {f!r}]),
+    main(["sweep", "--n-range", "1..3", "-o", {str(tmp_path / "sweep.json")!r}]),
+]
+before = "normfam.gridcsv" in sys.modules
+codes.append(main(["grid", {f!r}, "--what", "fk", "--region", "disk:2",
+                   "--resolution", "100", "--export", {g!r}]))
+print(json.dumps([codes, before, "normfam.gridcsv" in sys.modules]))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, before, after = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * 6
+    assert not before and after
+
+
 def test_console_entry_point(tmp_path):
     out = str(tmp_path / "f1.json")
     proc = subprocess.run(
@@ -762,8 +789,8 @@ def test_decimal_needs_no_round_up_at_powers_of_ten():
     xs = [float(y) for k in range(-5, 18) for x in [float(f"1e{k}")]
           for y in (np.nextafter(x, 0), x, np.nextafter(x, np.inf))]
     x = np.array(xs + [-v for v in xs])
-    d, _, _ = cli._decimal(x)
+    d, _, _ = _decimal(x)
     assert np.all(d < 10**17)
     rows = x.reshape(-1, 3)
     want = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows.tolist())
-    assert cli.csv_rows(rows).tobytes() == want.encode("ascii")
+    assert csv_rows(rows).tobytes() == want.encode("ascii")

@@ -845,22 +845,15 @@ def mp_log_m(n, M, prec=64):
         return best
 
 
-def test_estimate_m_samples_three_circles():
-    # K_1 = {0} is one point; the others take GRID_M / 2 + 1 angles per
-    # circle, and the min over them is the scan's, to its binary64 rounding
-    for n in (1, 2, 5):
-        want = mp_log_m(n, GRID_M)
-        got = mpmath.log(2 * estimate_m(n))
-        assert abs(got - want) <= 1e-14 * max(1, abs(want)), n
-
-
 @pytest.mark.parametrize("n", [*range(1, 25), 60, 339])
 def test_estimate_m_matches_mpmath_at_its_angles(n):
     # the real cubic in cos(arg z^n) on one (3, 513) table against the
-    # complex mpmath evaluation of the same 3 x 513 points
+    # complex mpmath evaluation of the same 3 x 513 points. K_1 = {0} is
+    # one point; the others take GRID_M / 2 + 1 angles per circle, and the
+    # min over them is the scan's, to its binary64 rounding
     want = mp_log_m(n, GRID_M)
     got = mpmath.log(2 * estimate_m(n))
-    assert abs(got - want) <= 1e-12 * max(1, abs(want)), n
+    assert abs(got - want) <= 1e-14 * max(1, abs(want)), n
 
 
 def test_estimate_m_positive(family):

@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normfam import cli, storage
+from normfam import storage
 from normfam.analysis import GridSpec
-from normfam.cli import csv_rows, main, parse_complex, parse_n_range, parse_region
+from normfam.cli import main, parse_complex, parse_n_range, parse_region
 from normfam.errors import InvariantViolation
 from normfam.forge import CounterexampleFunction, build_p, choose_a, h_jet
+from normfam.gridcsv import _BLOCK, csv_rows
 
 # tier-1 runs these on every change; the counts keep them near a second
 FEW, MANY = 30, 60
@@ -228,7 +229,7 @@ def test_csv_rows_dense_across_gather_blocks():
     rng.shuffle(vals)
     vals += vals[: -len(vals) % 3]
     x = np.array(vals).reshape(-1, 3)
-    assert x.size > 3 * cli._BLOCK and x.size % cli._BLOCK
+    assert x.size > 3 * _BLOCK and x.size % _BLOCK
     want = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in x.tolist())
     assert csv_rows(x).tobytes() == want.encode("ascii")
 
