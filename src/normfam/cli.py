@@ -216,7 +216,7 @@ def cmd_sweep(args):
             rows.append(
                 {
                     "n": n,
-                    "degree_p": p_degree(n, F.p),
+                    "degree_p": p_degree(n),
                     "c_hat": storage.summary_str(F.c_hat),
                     "a": storage.summary_str(F.a),
                     # NaN when the grid overflows; strict JSON writes it null
@@ -308,8 +308,10 @@ def keep_freed_heap():
     n = 12 records (fk, ratio and sphder over disk:2) took about 53,000
     minor faults and 0.36-0.44 s per warm round in one process, and take
     0-1 faults and 0.28-0.35 s with the pad. verify and the probes call
-    no kernel and do not gain. The pad reserves no memory; it only stops
-    the trimming. Outside glibc (macOS, musl, Windows) this does nothing.
+    no kernel and do not gain. The pad reserves no memory, but it fixes
+    glibc's mmap threshold at 128 KiB: a small export maps gridcsv._gather's
+    400 KB index anew on each call (101 minor faults per warm 1000-point
+    export, 0 without). Outside glibc (macOS, musl, Windows) this does nothing.
     """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):

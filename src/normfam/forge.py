@@ -25,8 +25,8 @@ magnitude fields of a constructed record are mpmath reals with unbounded
 exponent. c_hat is no scan: it is the upper bound C*_n of log_c_star,
 one interval evaluation of log|h''/h^3| on |z| = 2 over exact brackets
 of the roots of an integer quintic in cos(arg z^n) (critical_quintic),
-with no binary64 step and no allowance. The binary64 m_hat scan takes
-log|h| on three circles as a real function of the same cos(arg z^n).
+with no binary64 step and no allowance. The binary64 m_hat scan reads
+the same exact expansion in cos(arg z^n) on three circles, rounded once.
 forge imports no grid kernel; the kernels round build_p and build_s
 themselves, so n alone fixes the exponent at every layer. The kernels
 and h_parts take closed forms in u = z^n - 1: h_parts rounds u once and
@@ -140,10 +140,9 @@ def _scaled_cubics(n):
     )
 
 
-def p_degree(n, p):
-    """Degree in z of p = c1 u + c2 u^2 + c3 u^3: k n for the highest
-    nonzero c_k, 0 for p = 0."""
-    return max((k * n for k, c in enumerate(p, 1) if c), default=0)
+def p_degree(n):
+    """Degree in z of the exponent build_p(n): 3n, and 0 at n = 1, where p = 0."""
+    return 3 * n if n > 1 else 0
 
 
 def _w_series(n, p, z, J):
@@ -299,22 +298,24 @@ def _in_w(c0, c1, c2, c3):
     return (c0 - c1 + c2 - c3, c1 - 2 * c2 + 3 * c3, c2 - 3 * c3, c3)
 
 
-def _circle_cubics(n):
-    # (P, Q, V), ascending integer coefficients of the cubics in x = cos phi
-    # that P(x) = 24 n^2 Re p(u) and Q(x) = (576 n^3)^2 |S_n(u)|^2 are on
-    # w = 2^n e^(i phi), u = w - 1, and of the quintic V of critical_quintic:
-    # with the cubics of _scaled_cubics in w, Re w^k = 2^(kn) T_k(x) and
-    # Re(w^j conj w^l) = 2^((j+l)n) T_|j-l|(x)
+def _on_circle(a, b, A, B=1):
+    # the ascending integer coefficients in x = cos phi of B^(deg a + deg b)
+    # Re(a(w) conj b(w)) on w = (A / B) e^(i phi), for polynomials a and b of
+    # ascending integer coefficients, by Re(w^j conj w^l) = (A / B)^(j+l)
+    # T_|j-l|(x): b = (1,) gives Re a(w), and b = a gives |a(w)|^2
+    e, out = len(a) + len(b) - 2, [0] * max(len(a), len(b))
+    for j, s in enumerate(a):
+        for l, t in enumerate(b):
+            for i, c in enumerate(_CHEB_T[abs(j - l)]):
+                out[i] += s * t * c * A ** (j + l) * B ** (e - j - l)
+    return out
+
+
+def _rim_cubics(n):
+    # the cubics P and Q and the quintic V of critical_quintic, on |w| = 2^n
     p_int, s_int = _scaled_cubics(n)
     Pw, Sw = _in_w(0, *p_int), _in_w(*s_int)
-    P, Q = [0] * 4, [0] * 4
-    for k, c in enumerate(Pw):
-        for i, t in enumerate(_CHEB_T[k]):
-            P[i] += (c << (n * k)) * t
-    for j, a in enumerate(Sw):
-        for l, b in enumerate(Sw):
-            for i, t in enumerate(_CHEB_T[abs(j - l)]):
-                Q[i] += (a * b << (n * (j + l))) * t
+    P, Q = _on_circle(Pw, (1,), 1 << n), _on_circle(Sw, Sw, 1 << n)
     V = [12 * n * n * k * Q[k] for k in range(1, 4)] + [0, 0, 0]
     for k in range(1, 4):
         for i, q in enumerate(Q):
@@ -335,16 +336,16 @@ def critical_quintic(n):
     dg/dphi = -sin(phi) dg/dx. Q > 0 off the zeros of S_n, so V has the
     sign of dg/dx.
     """
-    return _circle_cubics(n)[2]
+    return _rim_cubics(n)[2]
 
 
 def _horner(coeffs, x):
     # coeffs[0] + coeffs[1] x + ... by Horner's rule, on intervals here and
-    # on arrays in the grid kernels. Every product of two arrays multiplies
-    # two names: for arrays above 256 KiB numpy computes x * (unnamed
-    # temporary) as temporary *= x, and its complex product does not round
-    # commutatively, so a nested expression would give a point a value that
-    # depends on the size of its array
+    # on arrays here and in the grid kernels. Every product of two arrays
+    # multiplies two names: for arrays above 256 KiB numpy computes
+    # x * (unnamed temporary) as temporary *= x, and its complex product
+    # does not round commutatively, so a nested expression would give a
+    # point a value that depends on the size of its array
     q = coeffs[-2] + coeffs[-1] * x
     for a in coeffs[-3::-1]:
         q = a + x * q
@@ -428,7 +429,7 @@ def log_c_star(n):
         raise Overflow(
             f"order {n} exceeds {MAX_ORDER}: S_n(u) of h''/h^3 overflows binary64 on |z| = 2"
         )
-    P, Q, V = _circle_cubics(n)
+    P, Q, V = _rim_cubics(n)
     bits, prec = 2 * n + 64, 3 * n + 64
     brackets = [(1, 1, 1), (-1, -1, 1), *_isolate(V, -1, 1, 1, bits)]
     iv, iv_prec = mpmath.iv, mpmath.iv.prec
@@ -449,9 +450,15 @@ def log_c_star(n):
 
 
 @functools.cache
-def _w_cosines(M):
-    # the rows T_k(cos phi_j) = cos(k phi_j), k = 0..3, phi_j = 2 pi j / M, j = 0..M // 2
-    return np.cos(np.outer(range(4), np.arange(M // 2 + 1) * (2.0 * math.pi / M)))
+def _k_circles(n):
+    # per circle |w| = k^n / B of estimate_m, B = n^n, a column of the
+    # coefficients in x of |u|^2 and 2 Re p: _on_circle's integers over B^2
+    # or 12 n^2 B^3, each rounded once, as from n = 51 on they pass binary64
+    B, Pw, u = n**n, _in_w(0, *_scaled_cubics(n)[0]), (-1, 1)
+    ks = (0,) if n == 1 else (n - 1, n + 1, 2 * n - 1)
+    L = [[c / B**2 for c in _on_circle(u, u, k**n, B)] for k in ks]
+    P = [[c / (12 * n * n * B**3) for c in _on_circle(Pw, (1,), k**n, B)] for k in ks]
+    return np.array(L).T[..., None], np.array(P).T[..., None]
 
 
 def estimate_m(n):
@@ -460,17 +467,14 @@ def estimate_m(n):
     where |f_n| must stay large.
 
     h = (z^n - 1) e^p has no zeros on K_n, so by the minimum-modulus
-    principle its min lies on the boundary circles |z| = r, r = 1 - 1/n,
-    1 + 1/n and 2 - 1/n. On each, w = z^n = R e^(i phi), R = r^n, and with
-    x = cos phi and p = d0 + d1 w + d2 w^2 + d3 w^3 (_in_w),
-
-        2 log|h| = log(R^2 + 1 - 2 R x) + 2 sum_k d_k R^k T_k(x),
-
-    a real function of x: one matrix product of six rows of coefficients
-    in T_0..T_3, of |u|^2 and 2 Re p per circle, with the table of T_k(x_j)
-    at the w-angles 2 pi j / M, j = 0..M / 2, M = GRID_M, which with their
-    conjugates are all M (p is real). R is r^n rounded once from the
-    exact rational. K_1 degenerates to {0}, where R = 0 and |h| = 1.
+    principle its min lies on the boundary circles |z| = k / n,
+    k = n - 1, n + 1 and 2n - 1. On each, w = z^n = R e^(i phi) with
+    R = k^n / n^n, and 2 log|h| = log|u|^2 + 2 Re p: polynomials in
+    x = cos phi from the exact expansion that gives C*_n its cubics on
+    |w| = 2^n, each coefficient rounded once to binary64. Horner's rule
+    takes them at the cosines of the w-angles 2 pi j / M, j = 0..M / 2,
+    M = GRID_M, which with their conjugates are all M (p is real). K_1 is
+    {0}, where |h| = 1.
 
     The factor 1/2 does not make m_hat a lower bound: on a 32x finer
     angle sample the true min of log|h| lies below the sampled one by
@@ -478,17 +482,10 @@ def estimate_m(n):
     the sqrt(2 n c_hat) term of choose_a instead, and min log|f_n| on K_n
     stays at 6.4 or more, well above log n.
     """
-    d = _in_w(0, *(float(c) for c in build_p(n)))
-    ks = (0, 0, 0) if n == 1 else (n - 1, n + 1, 2 * n - 1)
-    Rs = [k**n / n**n for k in ks]
-    C = np.array(
-        [[R * R + 1.0, -2.0 * R, 0.0, 0.0] for R in Rs]
-        + [[2.0 * c * R**k for k, c in enumerate(d)] for R in Rs]
-    )
-    # einsum, not matmul: matmul calls BLAS, whose buffers add 0.25 MB to
-    # the resident memory of every process that constructs
-    u2, re_p2 = np.einsum("ik,kj->ij", C, _w_cosines(GRID_M)).reshape(2, len(Rs), -1)
-    return mpmath.exp(mpmath.mpf(float((np.log(u2) + re_p2).min()) / 2)) / 2
+    L, P = _k_circles(n)
+    x = np.cos(np.arange(GRID_M // 2 + 1) * (2.0 * math.pi / GRID_M))
+    low = float((np.log(_horner(L, x)) + _horner(P, x)).min())
+    return mpmath.exp(mpmath.mpf(low / 2)) / 2
 
 
 def choose_a(n, c_hat, m_hat):

@@ -627,14 +627,6 @@ def test_new_record_holds_at_the_old_witness():
         assert (q <= 1) == bounded, q
 
 
-def test_scans_evaluate_one_sector():
-    # the only scan left, m_hat's, takes the w-angles 2 pi j / GRID_M of
-    # [0, pi] on one real table, whatever n
-    for n in (2, 5, 12):
-        estimate_m(n)
-    assert forge._w_cosines(GRID_M).shape == (4, GRID_M // 2 + 1)
-
-
 def test_forge_does_not_import_kernels():
     # forge imports no grid kernel: importing normfam.forge leaves
     # normfam.kernels unloaded, and so do construct (C*_n and the m_hat
@@ -756,22 +748,47 @@ def test_critical_quintic_roots_are_critical_points():
                 assert abs(mpmath.diff(g, mpmath.acos(c))) <= 1e-9 * scale, (n, c)
 
 
+@pytest.mark.parametrize("n", [*range(1, 13), 60, 339])
+def test_circle_expansion_matches_mpmath(n):
+    # the integer polynomials in x = cos phi that forge._on_circle gives on
+    # |w| = A / B, P of B^3 24 n^2 Re p, Q of B^6 (576 n^3)^2 |S_n|^2 and L
+    # of B^2 |u|^2, u = w - 1: on the rim |w| = 2^n of C*_n and on the
+    # circles |w| = k^n / n^n of the m_hat scan, against p and S_n at
+    # u = (A / B) e^(i phi) - 1 in complex mpmath at 3n + 200 bits. The
+    # inner circle, |w| near 1/e, weighs every power of w alike, and n^n
+    # tells each power of B apart
+    p_int, s_int = forge._scaled_cubics(n)
+    Pw, Sw, u = forge._in_w(0, *p_int), forge._in_w(*s_int), (-1, 1)
+    ks = (0,) if n == 1 else (n - 1, n + 1, 2 * n - 1)
+    with mpmath.workprec(3 * n + 200):
+        p, s = ([mpmath.mpf(c.numerator) / c.denominator for c in C] for C in (build_p(n), build_s(n)))
+        for A, B in [(2**n, 1)] + [(k**n, n**n) for k in ks]:
+            got = [forge._on_circle(Pw, (1,), A, B), forge._on_circle(Sw, Sw, A, B), forge._on_circle(u, u, A, B)]
+            for phi in (0.3, 1.7, 2.9):
+                w = mpmath.mpf(A) / B * mpmath.expj(phi)
+                want = [
+                    mpmath.mpf(B) ** 3 * 24 * n * n * mpmath.re(mpmath.polyval(p[::-1] + [0], w - 1)),
+                    mpmath.mpf(B) ** 6 * (576 * n**3) ** 2 * abs(mpmath.polyval(s[::-1], w - 1)) ** 2,
+                    mpmath.mpf(B) ** 2 * abs(w - 1) ** 2,
+                ]
+                for C, v in zip(got, want):
+                    C = [mpmath.mpf(c) for c in C]
+                    scale = sum(abs(c) for c in C)
+                    assert abs(forge._horner(C, mpmath.cos(phi)) - v) <= scale * 2**-100, (n, A, phi)
+
+
 @pytest.mark.parametrize(
     "n, M",
     [(1, 64), (4, 512), (5, 512), (12, 512), (3, 3 * 64), (6, 6 * 65), (4, 262)],
 )
 def test_distinct_angles(n, M):
-    # the m_hat scan's table holds T_0..T_3 at the w-angles 2 pi j / M,
-    # j = 0..M // 2 (estimate_m reads it at M = GRID_M): the images under
-    # z -> z^n of the first M // 2 + 1 of the M n equispaced z-angles, all
+    # the z-angles of sector_angles are the images under z -> z^n of the
+    # w-angles 2 pi j / M, j = 0..M // 2, that the m_hat scan takes at
+    # M = GRID_M: the first M // 2 + 1 of the M n equispaced z-angles, all
     # in [0, pi/n], which with their conjugates reach all M w-angles
     theta = sector_angles(n, M)
     full = np.linspace(0.0, 2.0 * math.pi, M * n, endpoint=False)
     assert np.array_equal(theta, full[: M // 2 + 1]) and theta[-1] <= math.pi / n
-    table = forge._w_cosines(M)
-    assert table.shape == (4, M // 2 + 1)
-    for k, row in enumerate(table):
-        assert np.allclose(row, np.cos(k * n * theta), rtol=0, atol=1e-12), k
     j = np.rint(n * theta * (M / (2.0 * math.pi))).astype(int)
     assert np.array_equal(j, np.arange(M // 2 + 1))
     assert set(j) | set(-j % M) == set(range(M))
@@ -831,8 +848,8 @@ def test_estimate_m_matches_radius_grid(exponents, k):
 def mp_log_m(n, M, prec=64):
     """min log|h| at the w-angles 2 pi j / M, j = 0..M // 2, on each circle
     |w| = r^n, r = 1 - 1/n, 1 + 1/n, 2 - 1/n (w = 0 for n = 1), from
-    u = w - 1 and Re p(u) in complex mpmath at `prec` bits: no cosine
-    table, no binary64."""
+    u = w - 1 and Re p(u) in complex mpmath at `prec` bits: no expansion
+    in cos(arg w), no binary64."""
     with mpmath.workprec(prec):
         c1, c2, c3 = (mpmath.mpf(c.numerator) / c.denominator for c in build_p(n))
         ks = (0,) if n == 1 else (n - 1, n + 1, 2 * n - 1)
@@ -847,7 +864,7 @@ def mp_log_m(n, M, prec=64):
 
 @pytest.mark.parametrize("n", [*range(1, 25), 60, 339])
 def test_estimate_m_matches_mpmath_at_its_angles(n):
-    # the real cubic in cos(arg z^n) on one (3, 513) table against the
+    # the real polynomials in cos(arg z^n), by Horner's rule, against the
     # complex mpmath evaluation of the same 3 x 513 points. K_1 = {0} is
     # one point; the others take GRID_M / 2 + 1 angles per circle, and the
     # min over them is the scan's, to its binary64 rounding
