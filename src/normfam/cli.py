@@ -301,17 +301,17 @@ def keep_freed_heap():
     """Have glibc keep up to _TOP_PAD bytes of freed heap mapped (M_TOP_PAD);
     True when it took the setting.
 
-    The grid kernels allocate and free arrays of 130-180 KiB on every
-    chunk of a grid export. Without the pad glibc returns the freed top of
-    the heap to the kernel after each chunk, and the next chunk faults it
-    back in page by page: the six exports of 10^5 points of the n = 6 and
-    n = 12 records (fk, ratio and sphder over disk:2) took about 53,000
-    minor faults and 0.36-0.44 s per warm round in one process, and take
-    0-1 faults and 0.28-0.35 s with the pad. verify and the probes call
-    no kernel and do not gain. The pad reserves no memory, but it fixes
-    glibc's mmap threshold at 128 KiB: a small export maps gridcsv._gather's
-    400 KB index anew on each call (101 minor faults per warm 1000-point
-    export, 0 without). Outside glibc (macOS, musl, Windows) this does nothing.
+    The grid kernels allocate and free arrays of 130-180 KiB on every chunk of a
+    grid export. Without the pad glibc returns the freed top of the heap to the
+    kernel after each chunk, and the next chunk faults it back in page by page:
+    the six exports of 10^5 points of the n = 6 and n = 12 records (fk, ratio
+    and sphder over disk:2) took about 53,000 minor faults and 0.36-0.44 s per
+    warm round in one process, and take 0-1 faults and 0.28-0.35 s with the pad.
+    verify and the probes call no kernel and do not gain. The pad reserves no
+    memory, but it fixes glibc's mmap threshold at 128 KiB: gridcsv._gather's
+    two 200 KB arrays are mapped anew per call unless the heap top holds them (a
+    warm 1000-point export takes 0 minor faults, one 400 KB array took 101).
+    Outside glibc (macOS, musl, Windows) this does nothing.
     """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):

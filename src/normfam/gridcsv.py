@@ -51,11 +51,11 @@ _LAYOUT = _source_row_layouts()
 _TEMPLATE = np.frombuffer(
     b"".join(b"0000" + bytes(17) + b"-." + sep + bytes(1) for sep in (b",", b",", b"\n")), np.uint8
 ).reshape(3, 25)
-# fields per gather block: its (_BLOCK, 25) index array, 400 KB, stays in
-# cache; one index array for a whole chunk would take 200 bytes per field
-_BLOCK = 2048
-# the offset of each field's source row within a block
-_BLOCK_ROWS = np.arange(0, 25 * _BLOCK, 25)[:, None]
+# _BLOCK: fields per gather block, whose index array and row offsets, 200 KB
+# each, stay in cache (a whole chunk's index would take 200 B per field);
+# _DIGITS16: a source row's 16 digit bytes, columns 5-20, as one field
+_BLOCK = 1024
+_DIGITS16 = np.dtype({"names": ["d"], "formats": ["V16"], "offsets": [5], "itemsize": 25})
 
 
 def write_csv(path, chunks):
@@ -120,26 +120,26 @@ def _source_rows(x):
     tz = _TZ4[g[:, 3]] + (g[:, 3] == 0) * (
         _TZ4[g[:, 2]] + (g[:, 2] == 0) * (_TZ4[g[:, 1]] + (g[:, 1] == 0) * _TZ4[g[:, 0]])
     )
-    src = np.empty((n // 3, 3, 25), np.uint8)
-    src[:] = _TEMPLATE
-    src = src.reshape(n, 25)
+    src = np.tile(_TEMPLATE, (n // 3, 1))
     src[:, 4] = ord("0") + lead
-    src[:, 5:21] = _DIGITS4[g].view(np.uint8).reshape(n, 16)
+    src.view(_DIGITS16)["d"] = _DIGITS4[g].view("V16")
     return src, (np.signbit(x) * 21 + k + 4) * 17 + 16 - tz, slow
 
 
 def _gather(src, layout):
     """out[i, t] = src[i, _LAYOUT[layout[i], t]], taken _BLOCK rows at a
-    time through one reused index array. mode="clip" keeps take from
+    time through one reused index array, which one flat add of `rows`
+    points at each field's source row. mode="clip" keeps take from
     buffering `out`; it also clamps the layouts of the %-formatted fields,
     which may lie outside _LAYOUT and whose bytes csv_rows overwrites."""
     n = layout.size
     out = np.empty((n, 25), np.uint8)
     index = np.empty((min(n, _BLOCK), 25), _LAYOUT.dtype)
+    rows = np.repeat(np.arange(0, index.size, 25, dtype=index.dtype), 25)
     for j in range(0, n, _BLOCK):
         m = min(_BLOCK, n - j)
         _LAYOUT.take(layout[j : j + m], axis=0, out=index[:m], mode="clip")
-        index[:m] += _BLOCK_ROWS[:m]
+        index.ravel()[: 25 * m] += rows[: 25 * m]
         src[j : j + m].ravel().take(index[:m], out=out[j : j + m], mode="clip")
     return out
 
@@ -156,12 +156,12 @@ def csv_rows(x):
     < 10^17 and is redone. The fields with k in -4..16, which %.17g writes
     in fixed notation, and the zeros are gathered from the digit tables:
     d is split into its lead digit and four groups of four digits in int32,
-    the groups' ASCII digits fill a 25-byte source row from _DIGITS4, and
-    the row of _LAYOUT for the field's sign, k and digit count picks each
-    output byte from it. The gather runs over blocks of _BLOCK fields, so
-    its index array (8 bytes per output byte) stays in cache and does not
-    grow with the chunk. The rest (non-finite, |v| < 1e-4, |v| >= 1e17)
-    go through one %-format call."""
+    the groups' ASCII digits from _DIGITS4 fill a 25-byte source row as one
+    16-byte field, and the row of _LAYOUT for the field's sign, k and digit
+    count picks each output byte from it. The gather runs over blocks of
+    _BLOCK fields, so its index array (8 bytes per output byte) and the
+    row offsets stay in cache and do not grow with the chunk. The rest
+    (non-finite, |v| < 1e-4, |v| >= 1e17) go through one %-format call."""
     x = np.asarray(x, dtype=np.float64).ravel()
     src, layout, slow = _source_rows(x)
     out = _gather(src, layout)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from normfam import storage
 from normfam.analysis import GridSpec
-from normfam.cli import main, parse_complex, parse_n_range, parse_region
+from normfam.cli import CSV_CHUNK, main, parse_complex, parse_n_range, parse_region
 from normfam.errors import InvariantViolation
 from normfam.forge import CounterexampleFunction, build_p, choose_a, h_jet
 from normfam.gridcsv import _BLOCK, csv_rows
@@ -210,12 +210,11 @@ def test_csv_rows_are_17g_text(rows):
     assert csv_rows(np.array(rows)).tobytes() == want.encode("ascii")
 
 
-def test_csv_rows_dense_across_gather_blocks():
-    # one call of more than three gather blocks and a ragged tail: every
-    # decimal exponent from -5 to 17, both signs, 1-17 significant digits,
-    # runs of nines that round up to the next power of ten, the neighbours
-    # of each power of ten, zeros, subnormals and non-finite values
-    rng = np.random.default_rng(12)
+def dense_values(rng):
+    """Every decimal exponent from -5 to 17, both signs, 1-17 significant
+    digits, runs of nines that round up to the next power of ten, the
+    neighbours of each power of ten, zeros, subnormals and non-finite
+    values, shuffled."""
     vals = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072009e-308]
     vals += (rng.integers(1, 2**52, 40) * 5e-324).tolist()
     for k in range(-5, 18):
@@ -227,11 +226,34 @@ def test_csv_rows_dense_across_gather_blocks():
         vals += [math.nextafter(x, 0), x, math.nextafter(x, math.inf)]
     vals += [-v for v in vals]
     rng.shuffle(vals)
+    return vals
+
+
+def rows_17g(x):
+    return "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in x.tolist())
+
+
+def test_csv_rows_dense_across_gather_blocks():
+    # one call of more than three gather blocks and a ragged tail
+    vals = dense_values(np.random.default_rng(12))
     vals += vals[: -len(vals) % 3]
     x = np.array(vals).reshape(-1, 3)
     assert x.size > 3 * _BLOCK and x.size % _BLOCK
-    want = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in x.tolist())
-    assert csv_rows(x).tobytes() == want.encode("ascii")
+    assert csv_rows(x).tobytes() == rows_17g(x).encode("ascii")
+
+
+# rows of three fields: the field counts just below, at (where 3 divides
+# it) and just above the edge of one, two and three gather blocks, and
+# one whole CSV_CHUNK of rows
+@pytest.mark.parametrize(
+    "rows",
+    [r for b in (1, 2, 3) for r in range((b * _BLOCK - 1) // 3, b * _BLOCK // 3 + 2)]
+    + [CSV_CHUNK],
+)
+def test_csv_rows_at_gather_block_edges(rows):
+    vals = np.array(dense_values(np.random.default_rng(rows)))
+    x = np.resize(vals, (rows, 3))
+    assert csv_rows(x).tobytes() == rows_17g(x).encode("ascii")
 
 
 @pytest.fixture(scope="module")
