@@ -29,7 +29,6 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -226,9 +225,13 @@ def _into_disk(z, strict=False):
     # as the peak 2 e^(i acos(x) / n) of C*_n, just outside it, where
     # |h''/h^3| may exceed c_n
     z = complex(z)
-    while (r2 := Fraction(z.real) ** 2 + Fraction(z.imag) ** 2) > 4 or (strict and r2 == 4):
+    while True:
+        # x = p/q and y = r/s exactly, so x^2 + y^2 - 4 has the sign of d
+        (p, q), (r, s) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+        d = (p * s) ** 2 + (r * q) ** 2 - 4 * (q * s) ** 2
+        if d < 0 or (d == 0 and not strict):
+            return z
         z *= 1 - 2**-52
-    return z
 
 
 def _witness(F, x):

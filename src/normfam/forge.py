@@ -504,6 +504,15 @@ def choose_a(n, c_hat, m_hat):
     return max(s, t, mpmath.mpf(1))
 
 
+def _exact(x):
+    # the libmp tuple of a real magnitude, converted as fmul(exact=True)
+    # converts it (an int or float exactly); a string or complex raises
+    v = mpmath.mp.convert(x, strings=False)
+    if not hasattr(v, "_mpf_"):
+        raise TypeError(f"magnitude {x!r} is not a real number")
+    return v._mpf_
+
+
 @dataclass(frozen=True)
 class CounterexampleFunction:
     """One constructed family member f_n = a h, h = (z^n - 1) e^{p}.
@@ -533,15 +542,17 @@ class CounterexampleFunction:
             raise InvariantViolation(
                 f"p = {self.p!r} is not the exponent {want!r} of order {self.n}"
             )
-        a, n = self.a, self.n
-        c, m = self.c_hat, self.m_hat
-        finite = mpmath.isfinite(a) and mpmath.isfinite(c) and mpmath.isfinite(m)
-        if not (finite and a > 0 and m > 0 and c >= 0):
+        libmp = mpmath.libmp
+        a, c, m = (_exact(x) for x in (self.a, self.c_hat, self.m_hat))
+        # (sign, man, exp, bc): bc < 0 marks inf and nan, man = 0 zero
+        if min(a[3], c[3], m[3]) < 0 or a[0] or m[0] or c[0] or not (a[1] and m[1]):
             raise InvariantViolation("magnitudes out of range")
-        # both floors decided exactly, as a^2 >= 2 n c_hat and a m_hat >= 2n
-        if mpmath.fmul(a, a, exact=True) < mpmath.fmul(2 * n, self.c_hat, exact=True):
+        # both floors decided exactly (mpf_mul rounds nothing at prec 0),
+        # as a^2 >= 2 n c_hat and a m_hat >= 2n
+        two_n = libmp.from_int(2 * self.n)
+        if libmp.mpf_cmp(libmp.mpf_mul(a, a), libmp.mpf_mul(two_n, c)) < 0:
             raise InvariantViolation("a below the inequality floor sqrt(2 n c)")
-        if mpmath.fmul(a, self.m_hat, exact=True) < 2 * n:
+        if libmp.mpf_cmp(libmp.mpf_mul(a, m), two_n) < 0:
             raise InvariantViolation("a below the divergence floor 2n / m")
 
     @property

@@ -21,7 +21,8 @@ import stat
 from datetime import datetime, timezone
 
 import mpmath
-from mpmath.libmp import from_man_exp, to_str
+from mpmath.libmp import from_man_exp, ln2_fixed, ln10_fixed, mpf_div, mpf_exp, mpf_ln10
+from mpmath.libmp import mpf_log, mpf_mul, to_fixed, to_str
 
 from .forge import MAX_PRECISION, CounterexampleFunction, build_p
 
@@ -167,8 +168,10 @@ def parse_function(record):
 
 
 def load_function(path):
-    with open(path, encoding="utf-8") as fh:
-        record = json.load(fh)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # decoded here: json.loads would take UTF-16 and UTF-32 bytes too
+    record = json.loads(data.decode("utf-8"))
     if not isinstance(record, dict):
         raise ValueError("function file must hold a JSON object")
     return parse_function(record)
@@ -193,9 +196,35 @@ def verification_to_dict(rep):
 
 
 def summary_str(x):
-    """Human-oriented decimal string for a magnitude; 17 significant
-    digits, not meant to round-trip."""
-    return to_str(mpmath.mpf(x)._mpf_, 17).removesuffix(".0")
+    """Human-oriented decimal string for a magnitude, not meant to
+    round-trip: the 17 significant digits that mpmath's to_str gives for
+    x rounded to the working precision (53 bits unless a caller widens it).
+
+    Beyond 2^(+-3500) to_str divides by 10^b, b about log10|x| (up to
+    4e304 here), which it raises by repeated squaring. There log10|x| =
+    e log10(2) + log10(man / 2^bc), e = exp + bc, is taken in fixed point
+    within 2^-93, and the digits are 10^(frac + 16) rounded half up: less
+    than 2^-35 of a unit in the 17th digit off, where to_str is less than
+    2^-17 off. The two agree unless the quotient lies within 2^-12 of a
+    rounding tie or outside [10^16, 10^17), and to_str decides those.
+    """
+    s = mpmath.mpf(x)._mpf_
+    sign, man, exp, bc = s
+    e = exp + bc
+    if abs(e) > 3500:  # so man != 0: zero, inf and nan have |e| < 800
+        w = e.bit_length() + 96
+        log10_2 = (ln2_fixed(w + 8) << w) // ln10_fixed(w + 8)
+        log10_m = mpf_div(mpf_log(from_man_exp(man, -bc), 104), mpf_ln10(104), 104)
+        t = e * log10_2 + to_fixed(log10_m, w)  # log10|x| in units of 2^-w
+        E = t >> w
+        f16 = from_man_exp((t >> (w - 96)) - (E << 96) + (16 << 96), -96)  # frac + 16
+        q = to_fixed(mpf_exp(mpf_mul(f16, mpf_ln10(104)), 104), 16)
+        half = (q & 0xFFFF) - 0x8000  # the remainder less 1/2, in units of 2^-16
+        digits = (q >> 16) + (half >= 0)
+        if abs(half) > 16 and 10**16 <= digits < 10**17:
+            digits = str(digits).rstrip("0")
+            return f"{'-' * sign}{digits[0]}.{digits[1:] or '0'}e{E:+d}"
+    return to_str(s, 17).removesuffix(".0")
 
 
 def probe_to_dict(pr):

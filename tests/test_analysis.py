@@ -11,6 +11,8 @@ import mpmath
 import numpy as np
 import pytest
 from conftest import f_jet
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normfam.analysis import (
     DEFAULT_SEED,
@@ -562,6 +564,43 @@ def test_witness_worst_point_inside_the_disk(n, monkeypatch):
     F, _ = storage.load_function(Path(__file__).parent / "data" / f"undershot_f{n}.json")
     z = verify_inequality(F).worst_point
     assert Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 < 4
+
+
+def fraction_into_disk(z, strict=False):
+    """_into_disk in Fractions, as it was written first: the reference."""
+    z = complex(z)
+    while (r2 := Fraction(z.real) ** 2 + Fraction(z.imag) ** 2) > 4 or (strict and r2 == 4):
+        z *= 1 - 2**-52
+    return z
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    angle=st.floats(-math.pi, math.pi),
+    ulps=st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    strict=st.booleans(),
+)
+def test_into_disk_matches_fractions(angle, ulps, strict):
+    # points a few ulps to either side of |z| = 2
+    z = 2 * cmath.exp(1j * angle)
+    x, y = z.real, z.imag
+    for _ in range(abs(ulps[0])):
+        x = math.nextafter(x, math.copysign(math.inf, ulps[0]))
+    for _ in range(abs(ulps[1])):
+        y = math.nextafter(y, math.copysign(math.inf, ulps[1]))
+    z = complex(x, y)
+    assert analysis._into_disk(z, strict) == fraction_into_disk(z, strict)
+
+
+def test_into_disk_on_the_circle_and_at_the_peaks():
+    for z in (2 + 0j, -2j):
+        assert analysis._into_disk(z) == z
+        assert analysis._into_disk(z, strict=True) == fraction_into_disk(z, strict=True) != z
+    for n in range(1, 340):
+        x = analysis.log_c_star(n)[1]
+        peak = 2 * cmath.exp(1j * math.acos(x) / n)
+        for strict in (False, True):
+            assert analysis._into_disk(peak, strict) == fraction_into_disk(peak, strict), n
 
 
 def test_verify_peak_and_witness_at_order_60():

@@ -208,6 +208,18 @@ def test_verify_unparseable_files(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_refuses_files_not_in_utf8(files, tmp_path, capsys):
+    # a record is UTF-8 text: json.loads would read UTF-16 bytes too
+    text = Path(files[2]).read_text(encoding="utf-8")
+    stray = tmp_path / "stray.json"
+    stray.write_bytes(text.encode("utf-8").replace(b"{", b"{\xff", 1))
+    wide = tmp_path / "wide.json"
+    wide.write_bytes(text.encode("utf-16"))
+    for path in (stray, wide):
+        assert main(["verify", str(path)]) == 2, path
+        assert "utf-8" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 @pytest.mark.parametrize("command", ["verify", "marty", "grid"])
 def test_bad_seed_exits_two(files, tmp_path, capsys, command, seed):

@@ -952,6 +952,78 @@ def test_gate_refuses_infinite_magnitudes(inf):
         CounterexampleFunction(4, F.p, precision=53, **big)
 
 
+def old_gate(n, a, c_hat, m_hat):
+    """The record gate's magnitude checks in mpmath objects, as they were
+    before they read libmp tuples: the reference for the tuple gate."""
+    finite = mpmath.isfinite(a) and mpmath.isfinite(c_hat) and mpmath.isfinite(m_hat)
+    if not (finite and a > 0 and m_hat > 0 and c_hat >= 0):
+        return "range"
+    if mpmath.fmul(a, a, exact=True) < mpmath.fmul(2 * n, c_hat, exact=True):
+        return "inequality"
+    if mpmath.fmul(a, m_hat, exact=True) < 2 * n:
+        return "divergence"
+    return None
+
+
+def gate(n, a, c_hat, m_hat):
+    # the gate's verdict in old_gate's words
+    try:
+        CounterexampleFunction(n, build_p(n), a, c_hat, m_hat, 53)
+    except InvariantViolation as exc:
+        return next(k for k in ("range", "inequality", "divergence") if k in str(exc))
+    return None
+
+
+def ulp_below(x, bits):
+    # the bits-bit number next below the positive x, which has <= bits bits
+    shift = bits - int(x.bc)
+    man, exp = (int(x.man) << shift) - 1, int(x.exp) - shift
+    return mpmath.mp.make_mpf(mpmath.libmp.from_man_exp(man, exp))
+
+
+def gate_cases():
+    nan, inf = mpmath.nan, mpmath.inf
+    for bits, n in ((53, 5), (128, 9)):
+        F = construct(n, bits)
+        a, c, m = F.a, F.c_hat, F.m_hat
+        with mpmath.workprec(bits):
+            # each floor rounded up, alone: c_hat = 0 or m_hat = 2^4000
+            s = choose_a(n, c, mpmath.ldexp(1, 4000))
+            t = choose_a(n, 0, m)
+        yield n, a, c, m
+        for bad in (inf, -inf, nan, 0, -a, float("inf"), float("nan"), -0.0):
+            yield n, bad, c, m
+            yield n, a, c, bad
+            yield n, a, bad, m
+        yield n, a, -c, m
+        yield n, s, c, mpmath.ldexp(1, 4000)
+        yield n, ulp_below(s, bits), c, mpmath.ldexp(1, 4000)
+        yield n, t, 0, m
+        yield n, ulp_below(t, bits), 0, m
+    # int magnitudes above 2^53, decided exactly: a^2 = 2 n c_hat holds
+    # for a = 2^60 + 1, and fails for 2^60, which binary64 takes it for
+    big = 2**60 + 1
+    c = mpmath.mp.make_mpf(mpmath.libmp.from_man_exp(big * big, -1))
+    for a in (big, big - 1, float(big)):
+        yield 1, a, c, mpmath.mpf(1)
+
+
+@pytest.mark.parametrize("case", list(gate_cases()))
+def test_tuple_gate_decides_as_the_mpmath_gate(case):
+    assert gate(*case) == old_gate(*case)
+
+
+def test_gate_cases_reach_every_verdict():
+    # a one ulp below either floor, at 53 and 128 bits, and an int a of
+    # 2^60 or a float taken for 2^60 + 1, are refused; a string raises
+    # TypeError, as it did before
+    verdicts = [gate(*case) for case in gate_cases()]
+    assert verdicts.count("inequality") == 4 and verdicts.count("divergence") == 2
+    assert verdicts.count(None) == 11  # c_hat = 0 and -0.0 pass too
+    with pytest.raises(TypeError):
+        CounterexampleFunction(1, build_p(1), "4", 0, 1)
+
+
 def test_choose_a_rejects_bad_m():
     with pytest.raises(NonPositiveM):
         choose_a(2, 1, 0)

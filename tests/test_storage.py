@@ -4,12 +4,16 @@ validation, and report serialization."""
 import dataclasses
 import json
 import os
+import random
 import re
 import stat
 from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp, to_str
 
 from normfam import storage
 from normfam.analysis import ProbeResult, VerificationReport, marty_probe
@@ -334,6 +338,67 @@ def test_summary_str():
     assert storage.summary_str(mpmath.mpf(4)) == "4"
     assert storage.summary_str(mpmath.mpf("0.5")) == "0.5"
     assert mpmath.mpf(storage.summary_str(mpmath.mpf(2) ** 100)) == mpmath.mpf(2) ** 100
+    assert storage.summary_str(0) == "0"
+
+
+def to_str_summary(x):
+    """The reference: mpmath's to_str on x rounded to the working precision."""
+    return to_str(mpmath.mpf(x)._mpf_, 17).removesuffix(".0")
+
+
+def test_summary_str_of_every_record():
+    # a, c_hat and m_hat of every order: binary exponents up to 1.4e305,
+    # where to_str raises 10 to a power of the same size, and for the
+    # 128-bit records printed at 53 and at 128 bits
+    for n in range(1, 340):
+        F = construct(n)
+        for x in (F.a, F.c_hat, F.m_hat):
+            assert storage.summary_str(x) == to_str_summary(x), (n, x)
+    for n in range(7, 13):
+        F = construct(n, 128)
+        for bits in (53, 128):
+            with mpmath.workprec(bits):
+                for x in (F.a, F.c_hat, F.m_hat):
+                    assert storage.summary_str(x) == to_str_summary(x), (n, bits, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bits=st.integers(53, 128),
+    man=st.integers(0, 2**127 - 1),
+    exp=st.integers(-(2**1000), 2**1000) | st.integers(-5000, 5000),
+    sign=st.sampled_from((1, -1, 0)),
+    prec=st.sampled_from((53, 128)),
+)
+def test_summary_str_matches_to_str(bits, man, exp, sign, prec):
+    # sign times a bits-bit mantissa, read at 53 or 128 bits
+    man = sign * (man >> (128 - bits) | 1 << (bits - 1))
+    x = mpmath.mp.make_mpf(from_man_exp(man, exp))
+    with mpmath.workprec(prec):
+        assert storage.summary_str(x) == to_str_summary(x)
+
+
+def test_summary_str_near_a_rounding_tie(monkeypatch):
+    # 128-bit values 2^-41 and 2^-60 of a unit in the 17th digit to
+    # either side of a tie (D + 1/2) 10^(E - 16): to_str's own error
+    # there is far larger, so it prints both values of a pair alike,
+    # where correct rounding would not. summary_str hands each to to_str
+    calls = []
+    monkeypatch.setattr(storage, "to_str", lambda s, dps: calls.append(s) or to_str(s, dps))
+    rng = random.Random(41)
+    values = []
+    for _ in range(12):
+        E = rng.choice((1, -1)) * rng.randrange(1100, 10**rng.randint(4, 300))
+        D = rng.randrange(10**16, 10**17)
+        with mpmath.workprec(int(abs(E) * 3.33).bit_length() + 200):
+            unit = mpmath.mpf(10) ** (E - 16)
+            for off in (mpmath.ldexp(1, -41), mpmath.ldexp(1, -60)):
+                values += [(D + mpmath.mpf(0.5) + side * off) * unit for side in (1, -1)]
+    with mpmath.workprec(128):
+        values = [+x for x in values]
+        for x in values:
+            assert storage.summary_str(x) == to_str_summary(x), x
+    assert len(calls) == len(values)
 
 
 @pytest.mark.parametrize("precision", [53, 128, 333, 1024, 4096])
